@@ -2,14 +2,19 @@
 Orthogonal polynomials in L2 of a Cantor measure
 ================================================
 
-Polynomial inner products against a measure reduce to its moments, so exact
-rational moments give an exact Gram-Schmidt: the resulting monic family is
-orthogonal with zero tolerance.  For symmetric measures the family also obeys
-a two-term recurrence and alternates parity about x = 1/2.  We build the
-first six polynomials for the ternary measure, verify orthogonality, and
-export normalized plot data.
+Polynomial inner products against a measure reduce to its moments.  The
+Chebyshev algorithm turns exact rational moments into the coefficients of
+the three-term recurrence p_{k+1} = (x - a_k) p_k - b_k p_{k-1}, so the
+resulting monic family is orthogonal with zero tolerance.  For symmetric
+measures every a_k is 1/2 and the family alternates parity about x = 1/2.
+We build the first six polynomials for the ternary measure, verify
+orthogonality and parity, run the same routine on an asymmetric measure,
+and export normalized plot data.
 """
+from fractions import Fraction
+
 from cantor_measures import (
+    eval_poly,
     exact_moments,
     grid_csv,
     inner_product,
@@ -36,8 +41,14 @@ worst = max(
 )
 print(f"\nlargest off-diagonal inner product: {worst} (exact zero)")
 
-assert monic_basis_general(ternary, degree, moments) == basis
-print("Gram-Schmidt path reproduces the symmetric recurrence exactly")
+for n, poly in enumerate(basis.polys):
+    for x in (Fraction(1, 7), Fraction(2, 5)):
+        assert eval_poly(poly, 1 - x) == (-1) ** n * eval_poly(poly, x)
+print("p_n(1 - x) = (-1)**n p_n(x): parity alternates about x = 1/2")
+
+skewed = parse_weights("1/5,3/10,1/10,2/5")
+p2 = monic_basis_general(skewed, 2).polys[2]
+print(f"same routine, weights {skewed}: p_2(x) = ({', '.join(map(str, p2))})")
 
 unit = normalize(basis)
 print("\nnormalized leading coefficients:", [round(p[-1], 6) for p in unit])

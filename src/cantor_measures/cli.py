@@ -17,7 +17,7 @@ from typing import Sequence
 from .analysis import check_decay, check_lipschitz
 from .errors import CantorMeasureError
 from .fast import fast_moments, mgf_eval, shifted_fast_moments
-from .legendre import grid_csv, monic_basis_general, monic_basis_symmetric
+from .legendre import grid_csv, monic_basis_general
 from .measure import WeightVector, cdf_table, parse_weights
 from .moments import exact_moments, shifted_moments
 from .rational import format_float, format_rational
@@ -36,7 +36,6 @@ class RunConfig:
     eps: float | None = None
     s: float = 0.0
     threshold: float | None = None
-    method: str = "auto"
     grid_points: int = 201
     weights_b: WeightVector | None = None
     format: str = "csv"
@@ -78,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("legendre", help="monic orthogonal polynomial basis")
     common(p)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--method", choices=("auto", "symmetric", "general"), default="auto")
     p.add_argument(
         "--grid-points",
         type=int,
@@ -103,9 +101,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: (attribute, flag, smallest accepted value) of the integer size flags.
+_MINIMUMS = (("m", "--m", 0), ("degree", "--degree", 0),
+             ("depth", "--depth", 1), ("grid_points", "--grid-points", 2))
+
+
 def _config_from_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> RunConfig:
+    for attr, flag, low in _MINIMUMS:
+        value = getattr(args, attr, low)
+        if value < low:
+            parser.error(f"{args.command} {flag} must be at least {low}, got {value}")
     weights = parse_weights(args.weights)
     cfg = RunConfig(
         command=args.command,
@@ -117,7 +124,6 @@ def _config_from_args(
         eps=getattr(args, "eps", None),
         s=getattr(args, "s", 0.0),
         threshold=getattr(args, "threshold", None),
-        method=getattr(args, "method", "auto"),
         grid_points=getattr(args, "grid_points", 201),
         weights_b=(
             parse_weights(args.weights_b) if getattr(args, "weights_b", None) else None
@@ -157,16 +163,7 @@ def _render_cdf(cfg: RunConfig) -> str:
 
 
 def _render_legendre(cfg: RunConfig) -> str:
-    method = cfg.method
-    if method == "auto":
-        method = "symmetric" if cfg.weights.is_palindromic else "general"
-    if method == "symmetric" and not cfg.weights.is_palindromic:
-        raise CantorMeasureError(
-            f"legendre --method symmetric requires a palindromic weight vector, "
-            f"got {cfg.weights}"
-        )
-    build = monic_basis_symmetric if method == "symmetric" else monic_basis_general
-    basis = build(cfg.weights, cfg.degree)
+    basis = monic_basis_general(cfg.weights, cfg.degree)
     if cfg.format == "json":
         return basis.to_json()
     return grid_csv(basis, cfg.grid_points)
@@ -221,10 +218,6 @@ _RENDERERS = {
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse flags, dispatch, write output; return the process exit code."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        # Exact moments at large m have numerators far beyond the default
-        # 4300-digit rendering guard.
-        sys.set_int_max_str_digits(2_000_000)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

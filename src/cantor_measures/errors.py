@@ -40,7 +40,15 @@ class NotPalindromic(CantorMeasureError):
 
 
 class BadTolerance(CantorMeasureError):
-    """A tolerance is nonpositive or below what double precision supports."""
+    """A tolerance is not finite, nonpositive or below double precision."""
+
+
+class OutOfRange(CantorMeasureError):
+    """A size argument (moment index, degree, depth, grid points) is too small."""
+
+
+class FloatOverflow(CantorMeasureError):
+    """A double-precision result exceeds the largest finite double."""
 
 
 class ZeroNorm(CantorMeasureError):

@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadTolerance, NotPalindromic
+from .errors import BadTolerance, FloatOverflow, NotPalindromic, OutOfRange
 from .measure import WeightVector
 from .rational import format_float
 
@@ -187,8 +187,8 @@ def rescale_argument(a: TruncatedSeries, factor: float) -> TruncatedSeries:
 
 def _check_tolerance(eps: float) -> float:
     eps = float(eps)
-    if eps <= 0:
-        raise BadTolerance(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise BadTolerance(f"eps must be positive and finite, got {eps}")
     if eps < MIN_TOLERANCE:
         raise BadTolerance(
             f"eps = {eps} below double-precision support ({MIN_TOLERANCE}); "
@@ -504,13 +504,20 @@ def mgf_eval(w: WeightVector, s: float, depth: int) -> float:
 
     Nondecreasing in ``depth`` for ``s > 0`` (every factor is at least 1
     there) and converges to the moment generating function as depth grows.
+    Raises :class:`OutOfRange` for ``depth < 1`` and :class:`FloatOverflow`
+    when the value exceeds the largest double, as for ``s = 1e6`` on ternary.
     """
     if depth < 1:
-        raise ValueError(f"depth must be a positive integer, got {depth}")
+        raise OutOfRange(f"depth must be a positive integer, got {depth}")
     n_base = w.n_branches
     weights = [float(a) for a in w.weights]
     value = 1.0
-    for r in range(1, depth + 1):
-        scale = s / n_base**r
-        value *= sum(a * math.exp(n * scale) for n, a in enumerate(weights) if a)
+    try:
+        for r in range(1, depth + 1):
+            scale = s / n_base**r
+            value *= sum(a * math.exp(n * scale) for n, a in enumerate(weights) if a)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise FloatOverflow(f"MGF partial product at s = {s} exceeds the double range")
     return value

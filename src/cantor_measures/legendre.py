@@ -1,15 +1,12 @@
 """Monic orthogonal polynomials of a weighted Cantor measure.
 
-The inner product of two polynomials against the measure expands into a
-bilinear form over the exact moments, so Gram-Schmidt on the monomials can
-be carried out entirely in rational arithmetic: orthogonality of the result
-is exact, not approximate.  For symmetric (palindromic-weight) measures the
-basis obeys the two-term recurrence
-
-    m_{n+2}(x) = (x - 1/2) m_{n+1}(x) - (|m_{n+1}|^2 / |m_n|^2) m_n(x)
-
-with ``m_0 = 1`` and ``m_1 = x - 1/2``, and alternates parity about
-``x = 1/2``.  Polynomials are coefficient tuples in ascending degree order.
+They obey ``p_{k+1} = (x - a_k) p_k - b_k p_{k-1}`` with ``p_{-1} = 0`` and
+``p_0 = 1``.  The classical Chebyshev algorithm (W. Gautschi, *Orthogonal
+Polynomials: Computation and Approximation*, OUP 2004, sec. 2.1.7) obtains
+``a_k`` and ``b_k`` from the moments ``I_0..I_{2d}`` in O(d**2) exact
+rational operations, so orthogonality of the result is exact.  For
+palindromic weights every ``a_k`` is 1/2 and the basis alternates parity
+about ``x = 1/2``.  Polynomials are coefficient tuples in ascending order.
 """
 from __future__ import annotations
 
@@ -19,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InsufficientMoments, NotPalindromic, ZeroNorm
+from .errors import InsufficientMoments, NotPalindromic, OutOfRange, ZeroNorm
 from .measure import WeightVector
 from .moments import MomentSequence, exact_moments
 from .rational import as_fraction, format_float, format_rational, parse_rational
@@ -123,84 +120,47 @@ def _resolve_moments(
     return moments
 
 
-def _mul_by_x_minus_half(p: Polynomial) -> Polynomial:
-    half = Fraction(1, 2)
-    shifted = (Fraction(0),) + p
-    return tuple(
-        shifted[i] - (p[i] * half if i < len(p) else Fraction(0))
-        for i in range(len(p) + 1)
-    )
+def monic_basis_general(
+    w: WeightVector, degree: int, moments: MomentSequence | None = None
+) -> OrthoBasis:
+    """Monic orthogonal basis ``p_0..p_degree`` by the Chebyshev algorithm.
+
+    Row k of the mixed moments ``sigma_k[l] = <p_k, x**l>`` gives ``a_k =
+    sigma_k[k+1]/sigma_k[k] - sigma_{k-1}[k]/sigma_{k-1}[k-1]`` and ``b_k =
+    sigma_k[k]/sigma_{k-1}[k-1]``.  Raises :class:`ZeroNorm` at the first k
+    with ``|p_k|^2 = sigma_k[k] = 0``, which happens exactly when the measure
+    is finitely supported.
+    """
+    if degree < 0:
+        raise OutOfRange(f"degree must be nonnegative, got {degree}")
+    top = 2 * degree
+    sigma_prev, sigma = [0] * (top + 1), _resolve_moments(w, degree, moments).values
+    ratio_prev, p_prev, p = 0, (), (Fraction(1),)
+    polys, norms = [p], [sigma[0]]
+    for k in range(degree):
+        ratio = sigma[k + 1] / sigma[k]
+        a, b = ratio - ratio_prev, (sigma[k] / sigma_prev[k - 1] if k else 0)
+        sigma_prev, sigma = sigma, [
+            sigma[l + 1] - a * sigma[l] - b * sigma_prev[l] if k < l < top - k else 0
+            for l in range(top + 1)
+        ]
+        if sigma[k + 1] == 0:
+            raise ZeroNorm(f"zero norm at degree {k + 1}: support has {k + 1} points")
+        terms = zip((0, *p), (*p, 0), (*p_prev, 0, 0))  # x p_k, p_k, p_{k-1}
+        p_prev, p = p, tuple(hi - a * mid - b * lo for hi, mid, lo in terms)
+        ratio_prev = ratio
+        polys.append(p)
+        norms.append(sigma[k + 1])
+    return OrthoBasis(polys=tuple(polys), norms_sq=tuple(norms))
 
 
 def monic_basis_symmetric(
     w: WeightVector, degree: int, moments: MomentSequence | None = None
 ) -> OrthoBasis:
-    """Monic orthogonal basis of a symmetric measure via the 2-term recurrence.
-
-    Requires palindromic weights.  Raises :class:`ZeroNorm` as soon as some
-    ``|m_n|^2`` vanishes for ``n <= degree``, which happens exactly when the
-    measure is finitely supported (a Dirac mass cannot carry a degree-1
-    orthogonal polynomial of positive norm).
-    """
+    """:func:`monic_basis_general` restricted to palindromic weights."""
     if not w.is_palindromic:
-        raise NotPalindromic(f"symmetric recurrence needs palindromic weights: {w}")
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    ms = _resolve_moments(w, degree, moments)
-    polys: list[Polynomial] = [(Fraction(1),)]
-    norms: list[Fraction] = [Fraction(1)]
-    if degree >= 1:
-        polys.append((Fraction(-1, 2), Fraction(1)))
-        norms.append(inner_product(polys[1], polys[1], ms))
-        if norms[1] == 0:
-            raise ZeroNorm("zero norm at degree 1: measure is a point mass")
-    for n in range(2, degree + 1):
-        ratio = norms[n - 1] / norms[n - 2]
-        lifted = _mul_by_x_minus_half(polys[n - 1])
-        prev = polys[n - 2]
-        poly = tuple(
-            lifted[i] - (ratio * prev[i] if i < len(prev) else Fraction(0))
-            for i in range(n + 1)
-        )
-        norm = inner_product(poly, poly, ms)
-        if norm == 0:
-            raise ZeroNorm(f"zero norm at degree {n}: support has fewer points")
-        polys.append(poly)
-        norms.append(norm)
-    return OrthoBasis(polys=tuple(polys), norms_sq=tuple(norms))
-
-
-def monic_basis_general(
-    w: WeightVector, degree: int, moments: MomentSequence | None = None
-) -> OrthoBasis:
-    """Monic orthogonal basis for arbitrary weights via exact Gram-Schmidt.
-
-    Subtracts from each monomial its projections onto the lower basis
-    elements, all in rational arithmetic (no re-orthogonalization is needed
-    since nothing is rounded).  Agrees exactly with the symmetric recurrence
-    on palindromic weights.
-    """
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    ms = _resolve_moments(w, degree, moments)
-    polys: list[Polynomial] = []
-    norms: list[Fraction] = []
-    for n in range(degree + 1):
-        monomial: Polynomial = tuple(Fraction(0) for _ in range(n)) + (Fraction(1),)
-        coeffs = list(monomial)
-        for j in range(n):
-            proj = inner_product(monomial, polys[j], ms) / norms[j]
-            if proj == 0:
-                continue
-            for i, c in enumerate(polys[j]):
-                coeffs[i] -= proj * c
-        poly = tuple(coeffs)
-        norm = inner_product(poly, poly, ms)
-        if n > 0 and norm == 0:
-            raise ZeroNorm(f"zero norm at degree {n}: support has fewer points")
-        polys.append(poly)
-        norms.append(norm)
-    return OrthoBasis(polys=tuple(polys), norms_sq=tuple(norms))
+        raise NotPalindromic(f"symmetric basis needs palindromic weights: {w}")
+    return monic_basis_general(w, degree, moments)
 
 
 def normalize(basis: OrthoBasis) -> list[list[float]]:
@@ -221,7 +181,7 @@ def grid_csv(basis: OrthoBasis, n_points: int = 201) -> str:
     export for staircase-measure polynomial figures.
     """
     if n_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {n_points}")
+        raise OutOfRange(f"need at least 2 grid points, got {n_points}")
     normalized = normalize(basis)
     header = "x," + ",".join(f"p{n}" for n in range(len(normalized)))
     lines = [header]

@@ -27,6 +27,7 @@ from .errors import (
     MeshMismatch,
     NotASimplexPoint,
     OutOfDomain,
+    OutOfRange,
 )
 from .rational import RationalLike, as_fraction, format_rational, parse_rational
 
@@ -54,7 +55,7 @@ def depth_cap() -> int:
 def _check_depth(n_base: int, k: int, cap: int | None) -> int:
     """Validate ``k >= 1`` and ``n_base**k`` against the cap; return ``n_base**k``."""
     if k < 1:
-        raise ValueError(f"depth must be a positive integer, got {k}")
+        raise OutOfRange(f"depth must be a positive integer, got {k}")
     limit = cap if cap is not None else depth_cap()
     size = n_base**k
     if size > limit:
@@ -80,7 +81,7 @@ class WeightVector:
         coerced = tuple(as_fraction(w) for w in self.weights)
         object.__setattr__(self, "weights", coerced)
         if len(coerced) < 2:
-            raise ValueError("a weight vector needs at least two entries")
+            raise NotASimplexPoint("a weight vector needs at least two entries")
         if any(w < 0 for w in coerced):
             raise NotASimplexPoint(f"negative weight in {coerced}")
         total = sum(coerced)
@@ -131,9 +132,12 @@ def weight_vector(values: Iterable[RationalLike]) -> WeightVector:
 
 
 def parse_weights(text: str) -> WeightVector:
-    """Parse a comma-separated list such as ``"1/2,0,1/2"``."""
-    parts = [p for p in text.split(",") if p.strip()]
-    return weight_vector(parse_rational(p) for p in parts)
+    """Parse ``"1/2,0,1/2"``; an empty or non-rational entry is a NotASimplexPoint."""
+    try:
+        values = [parse_rational(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise NotASimplexPoint(f"bad weight list {text!r}: {exc}") from exc
+    return weight_vector(values)
 
 
 def kronecker_power(w: WeightVector, k: int, cap: int | None = None) -> WeightVector:

@@ -11,9 +11,10 @@ The left-endpoint lower sum over the depth-k grid serves as an independent
 brute-force check: it never exceeds ``I_m`` and converges to it as k grows,
 with gap strictly below ``(1 + N**-k)**m - 1``.
 
-Shifted moments ``J_m`` (measure translated to ``[-1/2, 1/2]``) are the
-binomial transform ``J_m = sum_i C(m,i) (-1/2)**(m-i) I_i`` and satisfy
-``|J_m| <= 2**-m`` for every weight vector.
+Shifted moments ``J_m`` (measure translated to ``[-1/2, 1/2]``) satisfy
+the same recurrence with the branch offsets ``n`` replaced by
+``n - (N-1)/2``; both are solved by one integer kernel.  ``|J_m| <= 2**-m``
+for every weight vector.
 """
 from __future__ import annotations
 
@@ -24,9 +25,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .errors import NotOdd, BadTolerance
+from .errors import BadTolerance, NotOdd, OutOfRange
 from .measure import WeightVector, _check_depth, weight_vector
-from .rational import RationalLike, as_fraction, format_rational, parse_rational
+from .rational import (
+    RationalLike, as_fraction, format_int, format_rational, parse_rational
+)
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,8 @@ class MomentSequence:
     def to_csv(self) -> str:
         lines = ["m,numerator,denominator"]
         lines += [
-            f"{m},{v.numerator},{v.denominator}" for m, v in enumerate(self.values)
+            f"{m},{format_int(v.numerator)},{format_int(v.denominator)}"
+            for m, v in enumerate(self.values)
         ]
         return "\n".join(lines) + "\n"
 
@@ -86,42 +90,45 @@ def _pascal_row(previous: list[int]) -> list[int]:
     return [1] + [previous[i - 1] + previous[i] for i in range(1, len(previous))] + [1]
 
 
-def exact_moments(w: WeightVector, m_max: int) -> MomentSequence:
-    """Exact raw moments ``I_0..I_{m_max}`` via the one-level recurrence.
+def _self_similar_moments(
+    w: WeightVector, offsets: Sequence[int], m_max: int, q: int = 1
+) -> tuple[Fraction, ...]:
+    """Moments ``E[Y**m]`` of ``Y = (c_n / q + Y') / N`` (branch n w.p. ``alpha_n``).
 
-    The loop carries scaled integer numerators over the running common
+    The loop runs on integer numerators of ``E[(qY)**m]`` over one common
     denominator ``prod_{j<=m} A*(N**j - 1)`` (A the lcm of the weight
-    denominators), which avoids per-step gcd normalization; the returned
-    fractions are reduced once at the end.  Cost is O(m_max**2 * N) big-int
-    operations.
+    denominators), which avoids per-step gcd normalization; the fractions are
+    reduced once at the end.  Cost is O(m_max**2 * N) big-int operations.
     """
     if m_max < 0:
-        raise ValueError(f"m_max must be nonnegative, got {m_max}")
+        raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
     n_base = w.n_branches
     common = math.lcm(*(a.denominator for a in w.weights))
-    numerators = [int(a * common) for a in w.weights]
-    scaled = [1]  # scaled[i] == I_i * D with D the running common denominator
+    branches = [(int(a * common), c) for a, c in zip(w.weights, offsets) if a and c]
+    scaled = [1]  # scaled[i] == E[Y**i] * denom
     denom = 1
     row = [1]
     for m in range(1, m_max + 1):
         row = _pascal_row(row)
         total = 0
-        for n, p_n in enumerate(numerators):
-            if p_n == 0 or n == 0:
-                continue
+        for p_n, c in branches:
             acc = 0
             power = 1
             for i in range(m - 1, -1, -1):
-                power *= n
+                power *= c
                 acc += scaled[i] * (row[i] * power)
             total += p_n * acc
         step = common * (n_base**m - 1)
         scaled = [u * step for u in scaled]
         scaled.append(total)
         denom *= step
-    return MomentSequence(
-        weights=w, kind="raw", values=tuple(Fraction(u, denom) for u in scaled)
-    )
+    return tuple(Fraction(u, denom * q**m) for m, u in enumerate(scaled))
+
+
+def exact_moments(w: WeightVector, m_max: int) -> MomentSequence:
+    """Exact raw moments ``I_0..I_{m_max}``: branch offsets ``0..N-1``."""
+    values = _self_similar_moments(w, range(w.n_branches), m_max)
+    return MomentSequence(weights=w, kind="raw", values=values)
 
 
 def exact_moments_via_depth(
@@ -135,7 +142,7 @@ def exact_moments_via_depth(
     what makes the pair a useful consistency check.
     """
     if m_max < 0:
-        raise ValueError(f"m_max must be nonnegative, got {m_max}")
+        raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
     n_base = w.n_branches
     size = _check_depth(n_base, k, cap)
     # digit_sums[j] = sum over addresses of (mass * (address / N**k)**j)
@@ -174,7 +181,7 @@ def left_endpoint_estimate(
     products of the weight numerators.  Always a lower bound for ``I_m``.
     """
     if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+        raise OutOfRange(f"m must be nonnegative, got {m}")
     size = _check_depth(w.n_branches, k, cap)
     common = math.lcm(*(a.denominator for a in w.weights))
     numerators = [int(a * common) for a in w.weights]
@@ -194,9 +201,9 @@ def approx_error_depth(n_base: int, m: int, eps: RationalLike | float) -> int:
     tighter than the transcendental form and needs no float evaluation.
     """
     if n_base < 2:
-        raise ValueError(f"base must be at least 2, got {n_base}")
+        raise OutOfRange(f"base must be at least 2, got {n_base}")
     if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+        raise OutOfRange(f"m must be a positive integer, got {m}")
     tol = Fraction(eps)
     if tol <= 0:
         raise BadTolerance(f"eps must be positive, got {eps}")
@@ -230,20 +237,14 @@ def palindromic_odd_moment(
 
 
 def shifted_moments(raw: MomentSequence) -> MomentSequence:
-    """Binomial transform of raw moments onto ``[-1/2, 1/2]``.
+    """Moments ``J_0..J_{m_max}`` of the measure of ``raw`` moved to ``[-1/2, 1/2]``.
 
-    ``J_m = sum_i C(m,i) (-1/2)**(m-i) I_i``; for palindromic weights every
-    odd ``J_m`` vanishes exactly.
+    The branch offsets are ``(2n - N + 1) / 2``.  Only the weights and the
+    length of ``raw`` are used.
     """
     if raw.kind != "raw":
         raise ValueError(f"raw moments expected, got kind={raw.kind!r}")
-    half = Fraction(-1, 2)
-    out = []
-    for m in range(len(raw)):
-        acc = Fraction(0)
-        binom = 1
-        for i in range(m + 1):
-            acc += binom * half ** (m - i) * raw.values[i]
-            binom = binom * (m - i) // (i + 1)
-        out.append(acc)
-    return MomentSequence(weights=raw.weights, kind="shifted", values=tuple(out))
+    n_base = raw.weights.n_branches
+    offsets = range(1 - n_base, n_base, 2)
+    values = _self_similar_moments(raw.weights, offsets, raw.m_max, q=2)
+    return MomentSequence(weights=raw.weights, kind="shifted", values=values)

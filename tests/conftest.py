@@ -6,6 +6,7 @@ so every generated vector is an exact simplex point by construction.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,18 @@ def random_weight_vector(
         if interior and max(parts) == total:
             continue
         return parts_to_weights(parts)
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """Run a test under Python's default 4300-digit int/str conversion limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without it
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(previous)
 
 
 @pytest.fixture(scope="session")

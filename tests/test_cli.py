@@ -56,14 +56,46 @@ class TestExitCodes:
         assert code == 1
         assert "palindromic" in err
 
-    def test_domain_error_symmetric_method(self, capsys):
-        code, _, err = invoke(
-            capsys,
-            "legendre", "--weights", "2/3,1/3", "--degree", "2",
-            "--method", "symmetric",
-        )
-        assert code == 1
-        assert "palindromic" in err
+
+TERNARY = ("--weights", "1/2,0,1/2")
+FAST = ("--mode", "fast", "--eps")
+
+
+class TestInputContract:
+    """Malformed flags end in exit 1 (domain) or 2 (usage), never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("moments", *TERNARY, "--m", "-1"), 2),
+            (("shifted-moments", *TERNARY, "--m", "-1"), 2),
+            (("decay", *TERNARY, "--m", "-3"), 2),
+            (("moments", *TERNARY, "--m", "two"), 2),
+            (("legendre", *TERNARY, "--degree", "-1"), 2),
+            (("legendre", *TERNARY, "--degree", "2", "--grid-points", "1"), 2),
+            (("legendre", "--weights", "2/3,1/3", "--degree", "2",
+              "--method", "symmetric"), 2),
+            (("cdf", *TERNARY, "--depth", "0"), 2),
+            (("lipschitz", *TERNARY, "--weights-b", "1/3,1/3,1/3", "--depth", "0"), 2),
+            (("mgf", *TERNARY, "--s", "1", "--depth", "0"), 2),
+            (("mgf", *TERNARY, "--s", "1e6"), 1),
+            (("moments", *TERNARY, "--m", "4", *FAST, "nan"), 1),
+            (("moments", *TERNARY, "--m", "4", *FAST, "inf"), 1),
+            (("shifted-moments", *TERNARY, "--m", "4", "--mode", "fast",
+              "--eps=-inf"), 1),
+            (("moments", "--weights", "1/2,,1/2", "--m", "2"), 1),
+            (("moments", "--weights", "abc", "--m", "2"), 1),
+            (("moments", "--weights", "1", "--m", "2"), 1),
+            (("moments", "--weights", "1/0,1", "--m", "2"), 1),
+            (("legendre", "--weights", "0,1,0", "--degree", "2"), 1),
+        ],
+    )
+    def test_malformed_argv(self, capsys, argv, expected):
+        code, out, err = invoke(capsys, *argv)
+        assert code in (0, 1, 2)
+        assert code == expected
+        assert out == ""
+        assert "Traceback" not in err
 
 
 class TestMomentsCommand:

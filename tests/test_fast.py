@@ -13,6 +13,7 @@ import cantor_measures.fast as fast_module
 from cantor_measures import (
     BadTolerance,
     FastResult,
+    FloatOverflow,
     NotPalindromic,
     depth_for_eps,
     exact_moments,
@@ -134,6 +135,12 @@ class TestDepthForEps:
             depth_for_eps(3, 4, -1e-3)
         with pytest.raises(BadTolerance):
             depth_for_eps(3, 4, 1e-13)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerances(self, eps):
+        # eps = nan used to pass and give certified bounds above 1.
+        with pytest.raises(BadTolerance):
+            depth_for_eps(3, 4, eps)
 
     def test_requires_m_at_least_two(self):
         with pytest.raises(ValueError):
@@ -316,6 +323,13 @@ class TestMgfEval:
     def test_depth_must_be_positive(self, ternary):
         with pytest.raises(ValueError):
             mgf_eval(ternary, 1.0, 0)
+
+    @pytest.mark.parametrize("s", [1e6, 1400.0])
+    def test_overflow_is_a_domain_error(self, s):
+        # 1e6 overflows math.exp; at 1400 every factor is finite but the
+        # product is not.
+        with pytest.raises(FloatOverflow):
+            mgf_eval(weight_vector([0, 1]), s, 30)
 
 
 class TestFastResultType:

@@ -11,6 +11,7 @@ from cantor_measures import (
     InsufficientMoments,
     NotPalindromic,
     OrthoBasis,
+    OutOfRange,
     ZeroNorm,
     eval_poly,
     exact_moments,
@@ -19,6 +20,7 @@ from cantor_measures import (
     monic_basis_general,
     monic_basis_symmetric,
     normalize,
+    parse_weights,
     weight_vector,
 )
 
@@ -132,6 +134,22 @@ class TestGeneralBasis:
                 monomial = tuple(F(0) for _ in range(j)) + (F(1),)
                 assert inner_product(basis.polys[n], monomial, ms) == 0
 
+    def test_degree_16_orthogonal_to_lower_monomials(self):
+        # The Chebyshev recurrence never calls inner_product, so this check
+        # against the bilinear moment form is independent of it.
+        w = parse_weights("1/5,3/10,1/10,2/5")
+        ms = exact_moments(w, 32)
+        basis = monic_basis_general(w, 16, ms)
+        for n, poly in enumerate(basis.polys):
+            for j in range(n):
+                monomial = tuple(F(0) for _ in range(j)) + (F(1),)
+                assert inner_product(poly, monomial, ms) == 0
+            assert inner_product(poly, poly, ms) == basis.norms_sq[n] > 0
+
+    def test_negative_degree_rejected(self, ternary):
+        with pytest.raises(OutOfRange):
+            monic_basis_general(ternary, -1)
+
     @given(weight_vectors_st(palindromic=True, interior=True), st.integers(1, 5))
     @settings(max_examples=20)
     def test_cross_method_equality(self, w, d):
@@ -198,6 +216,17 @@ class TestOrthoBasisType:
             OrthoBasis(polys=((F(2),),), norms_sq=(F(1),))
         with pytest.raises(ValueError):
             OrthoBasis(polys=((F(1),), (F(1), F(1), F(1))), norms_sq=(F(1), F(1)))
+
+    def test_json_round_trip_huge_integers(self, default_int_str_limit):
+        # Degree-20 norms of this vector have denominators beyond the
+        # 4300-digit int/str limit.
+        basis = monic_basis_general(parse_weights("1/5,3/10,1/10,2/5"), 20)
+        assert basis.norms_sq[-1].denominator.bit_length() > 4300 * math.log2(10)
+        assert OrthoBasis.from_json(basis.to_json()) == basis
+
+    def test_grid_csv_needs_two_points(self, ternary):
+        with pytest.raises(OutOfRange):
+            grid_csv(monic_basis_symmetric(ternary, 2), n_points=1)
 
     def test_grid_csv_shape(self, ternary):
         text = grid_csv(monic_basis_symmetric(ternary, 3), n_points=11)

@@ -13,6 +13,7 @@ from cantor_measures import (
     MeshMismatch,
     NotASimplexPoint,
     OutOfDomain,
+    OutOfRange,
     cdf_eval,
     cdf_sup_distance,
     cdf_table,
@@ -60,6 +61,12 @@ class TestWeightVector:
         w = parse_weights("1/2,0,1/2")
         assert w.weights == (F(1, 2), F(0), F(1, 2))
         assert parse_weights(" 1/3 , 1/3 , 1/3 ").is_palindromic
+
+    @pytest.mark.parametrize("text", ["1/2,,1/2", "1/2,1/2,", "1/2,abc", "1/0,1", "1"])
+    def test_parse_rejects_malformed_lists(self, text):
+        # "1/2,,1/2" used to be read silently as the base-2 vector (1/2, 1/2).
+        with pytest.raises(NotASimplexPoint):
+            parse_weights(text)
 
     @given(weight_vectors_st())
     def test_generated_vectors_valid(self, w):
@@ -283,6 +290,11 @@ class TestDepthCap:
         monkeypatch.setenv("CANTOR_DEPTH_CAP", "many")
         with pytest.raises(ValueError):
             depth_cap()
+
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_depth_below_one_rejected(self, ternary, depth):
+        with pytest.raises(OutOfRange):
+            cdf_table(ternary, depth)
 
     def test_explicit_cap_wins_over_env(self, monkeypatch, ternary):
         monkeypatch.setenv("CANTOR_DEPTH_CAP", "10")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -12,11 +13,13 @@ from cantor_measures import (
     BadTolerance,
     MomentSequence,
     NotOdd,
+    OutOfRange,
     approx_error_depth,
     exact_moments,
     exact_moments_via_depth,
     left_endpoint_estimate,
     palindromic_odd_moment,
+    parse_weights,
     shifted_moments,
     weight_vector,
 )
@@ -54,6 +57,10 @@ class TestExactMoments:
 
     def test_m_zero(self, ternary):
         assert exact_moments(ternary, 0).values == (F(1),)
+
+    def test_negative_m_rejected(self, ternary):
+        with pytest.raises(OutOfRange):
+            exact_moments(ternary, -1)
 
     @given(st.integers(2, 5), st.integers(0, 4), st.integers(1, 8))
     def test_dirac_closed_form(self, n, pos, m_max):
@@ -218,7 +225,7 @@ class TestShiftedMoments:
         shifted = shifted_moments(exact_moments(w, 9))
         assert all(v == 0 for v in shifted.values[1::2])
 
-    @given(weight_vectors_st(n_max=3), st.integers(0, 5))
+    @given(weight_vectors_st(n_max=3), st.integers(0, 40))
     @settings(max_examples=25)
     def test_matches_independent_binomial_transform(self, w, m):
         # Independent check: J_m is the binomial transform computed afresh.
@@ -248,6 +255,16 @@ class TestMomentSequenceType:
     def test_json_round_trip(self, ternary):
         ms = exact_moments(ternary, 6)
         assert MomentSequence.from_json(ms.to_json()) == ms
+
+    def test_huge_integers_render_without_cli(self, default_int_str_limit):
+        # I_128 of this vector has a denominator beyond the 4300-digit
+        # int/str limit, which used to be lifted only inside the CLI.
+        ms = exact_moments(parse_weights("1/5,3/10,1/10,2/5"), 128)
+        assert ms.values[-1].denominator.bit_length() > 4300 * math.log2(10)
+        assert MomentSequence.from_json(ms.to_json()) == ms
+        m, num, den = ms.to_csv().strip().split("\n")[-1].split(",")
+        assert m == "128"
+        assert F(int(Decimal(num)), int(Decimal(den))) == ms.values[-1]
 
     def test_json_round_trip_shifted(self, ternary):
         ms = shifted_moments(exact_moments(ternary, 6))
