@@ -36,7 +36,7 @@ print("\nshifted moments decay like 2**-m for every weight vector:")
 for name, w in CASES:
     if not w.is_palindromic:
         continue
-    shifted = shifted_moments(exact_moments(w, 32))
+    shifted = shifted_moments(w, 32)
     scaled = max(abs(v) * 2**m for m, v in enumerate(shifted.values))
     print(f"  {name}: max |J_m| * 2**m = {float(scaled):.4f} (<= 1)")
 

@@ -33,7 +33,6 @@ from .errors import (
     ZeroNorm,
 )
 from .fast import (
-    FFT_CROSSOVER_DEFAULT,
     MIN_TOLERANCE,
     FastResult,
     TruncatedSeries,
@@ -46,7 +45,6 @@ from .fast import (
     series_from_coeffs,
     series_mul_trunc,
     shifted_fast_moments,
-    shifted_truncated_factor,
     truncated_factor,
 )
 from .legendre import (
@@ -92,7 +90,6 @@ __all__ = [
     "DecayReport",
     "Degenerate",
     "DepthOverflow",
-    "FFT_CROSSOVER_DEFAULT",
     "FastResult",
     "FloatOverflow",
     "InsufficientMoments",
@@ -140,7 +137,6 @@ __all__ = [
     "series_mul_trunc",
     "shifted_fast_moments",
     "shifted_moments",
-    "shifted_truncated_factor",
     "truncated_factor",
     "weight_vector",
 ]

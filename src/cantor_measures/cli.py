@@ -153,7 +153,7 @@ def _render_shifted(cfg: RunConfig) -> str:
     if cfg.mode == "fast":
         result = shifted_fast_moments(cfg.weights, cfg.m_max, cfg.eps)
         return result.to_csv() if cfg.format == "csv" else result.to_json()
-    ms = shifted_moments(exact_moments(cfg.weights, cfg.m_max))
+    ms = shifted_moments(cfg.weights, cfg.m_max)
     return ms.to_csv() if cfg.format == "csv" else ms.to_json()
 
 

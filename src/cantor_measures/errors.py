@@ -24,7 +24,10 @@ class BadDigit(CantorMeasureError):
 
 
 class OutOfDomain(CantorMeasureError):
-    """An evaluation point lies outside ``[0, 1]``."""
+    """An evaluation point lies outside its domain.
+
+    A CDF point outside ``[0, 1]``, or a non-finite MGF argument ``s``.
+    """
 
 
 class MeshMismatch(CantorMeasureError):

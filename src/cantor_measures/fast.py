@@ -10,32 +10,30 @@ a power series whose m-th coefficient ``I_{m;k} / m!`` converges to
 
 Doubling the depth squares the partial product up to an argument rescaling,
 so depth k (rounded up to a power of two) costs exactly log2(k) truncated
-series multiplications of degree m.
+series multiplications of degree m.  The centred measure (shifted to
+``[-1/2, 1/2]``) runs the same pipeline with branch offsets ``n - (N-1)/2``.
 
 Series coefficients are stored in exponential-generating-function form
 (coefficient of ``s**n`` is ``moment / n!``), which keeps every stored value
 at most e.  Moments are reconstructed by an incremental factorial carried in
-(mantissa, exponent) split form, so no intermediate overflows even for
-m > 170 where ``m!`` leaves double range; results degrade only where the
-stored coefficient itself falls below the smallest subnormal (n above ~170),
-which is outside the certified regime exercised by the error bound tests.
+(mantissa, exponent) split form, so no intermediate overflows.  Each bound is
+the truncation term plus a rounding term (:func:`_certified`), valid only
+while ``I_n / n!`` is a normal double: up to n of about 170, where it starts
+to underflow and the values are no longer certified.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .errors import BadTolerance, FloatOverflow, NotPalindromic, OutOfRange
+from .errors import BadTolerance, FloatOverflow, NotPalindromic, OutOfDomain, OutOfRange
 from .measure import WeightVector
 from .rational import format_float
-
-#: Result degree at or above which the auto method selects FFT convolution.
-FFT_CROSSOVER_DEFAULT = 64
 
 #: Smallest tolerance the double-precision pipeline certifies.
 MIN_TOLERANCE = 1e-12
@@ -86,94 +84,42 @@ def _exp_terms(x: float, degree: int) -> np.ndarray:
     return out
 
 
-def truncated_factor(w: WeightVector, degree: int, scale_power: int = 1) -> TruncatedSeries:
-    """Degree-m truncation of ``sum_n alpha_n * exp(n*s / N**r)``.
+def truncated_factor(
+    w: WeightVector, degree: int, scale_power: int = 1, shifted: bool = False
+) -> TruncatedSeries:
+    """Degree-m truncation of ``sum_n alpha_n * exp(c_n * s / N**r)``.
 
-    ``coeffs[j] = sum_n alpha_n * (n / N**r)**j / j!``; this is the scale-r
-    factor of the moment generating function's infinite product.
+    ``coeffs[j] = sum_n alpha_n * (c_n / N**r)**j / j!``, the scale-r factor
+    of the MGF's infinite product, with offsets ``c_n = n``, or with
+    ``c_n = n - (N-1)/2`` when ``shifted`` (measure on ``[-1/2, 1/2]``).
     """
     if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
+        raise OutOfRange(f"degree must be nonnegative, got {degree}")
     if scale_power < 1:
-        raise ValueError(f"scale power must be at least 1, got {scale_power}")
+        raise OutOfRange(f"scale power must be at least 1, got {scale_power}")
     n_base = w.n_branches
+    center = (n_base - 1) / 2 if shifted else 0
     coeffs = np.zeros(degree + 1)
     for n, a in enumerate(w.weights):
         if a == 0:
             continue
-        coeffs += float(a) * _exp_terms(n / n_base**scale_power, degree)
+        coeffs += float(a) * _exp_terms((n - center) / n_base**scale_power, degree)
     # The constant term is sum(alpha) = 1 exactly; don't let the float
     # conversions of the individual weights smear it.
     coeffs[0] = 1.0
     return TruncatedSeries(degree=degree, coeffs=coeffs)
 
 
-def shifted_truncated_factor(
-    w: WeightVector, degree: int, scale_power: int = 1
-) -> TruncatedSeries:
-    """Scale-r factor of the centered MGF (measure shifted to ``[-1/2, 1/2]``).
-
-    Equals the plain factor premultiplied by ``exp(-(N-1)*s / (2*N**r))``,
-    i.e. ``sum_n alpha_n * exp((n - (N-1)/2) * s / N**r)``; for palindromic
-    weights this is a weighted average of hyperbolic cosines.
-    """
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    if scale_power < 1:
-        raise ValueError(f"scale power must be at least 1, got {scale_power}")
-    n_base = w.n_branches
-    coeffs = np.zeros(degree + 1)
-    for n, a in enumerate(w.weights):
-        if a == 0:
-            continue
-        center = (2 * n - n_base + 1) / (2.0 * n_base**scale_power)
-        coeffs += float(a) * _exp_terms(center, degree)
-    coeffs[0] = 1.0
-    return TruncatedSeries(degree=degree, coeffs=coeffs)
-
-
-def _mul_schoolbook(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
-    return np.convolve(a, b)[: degree + 1]
-
-
-def _mul_fft(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
-    full = len(a) + len(b) - 1
-    size = 1 << (full - 1).bit_length()
-    fa = np.fft.rfft(a, size)
-    fb = np.fft.rfft(b, size)
-    return np.fft.irfft(fa * fb, size)[: min(full, degree + 1)]
-
-
-def series_mul_trunc(
-    a: TruncatedSeries,
-    b: TruncatedSeries,
-    degree: int,
-    method: str = "auto",
-    fft_threshold: int = FFT_CROSSOVER_DEFAULT,
-) -> TruncatedSeries:
+def series_mul_trunc(a: TruncatedSeries, b: TruncatedSeries, degree: int) -> TruncatedSeries:
     """Degree-m truncation of the product of two truncated series.
 
-    Missing coefficients are treated as zero.  ``method`` picks the
-    convolution: ``"auto"`` uses FFT at or above ``fft_threshold`` and
-    schoolbook below, ``"fft"`` and ``"schoolbook"`` force one path.
-
-    FFT convolution carries per-coefficient error proportional to the global
-    norm of the inputs; on series whose coefficients span many orders of
-    magnitude (such as EGF coefficient arrays) that destroys the relative
-    accuracy of the small coefficients, so the certified moment pipeline
-    forces the schoolbook path, which sums nonnegative terms and keeps
-    per-coefficient relative error near machine precision.
+    Missing coefficients are treated as zero.  The direct sum of products
+    keeps the relative accuracy of every nonnegative coefficient, however
+    small, which an FFT product (normwise error) would not.
     """
     if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    if method == "auto":
-        method = "fft" if degree >= fft_threshold else "schoolbook"
-    if method == "fft":
-        out = _mul_fft(a.coeffs, b.coeffs, degree)
-    elif method == "schoolbook":
-        out = _mul_schoolbook(a.coeffs, b.coeffs, degree)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        raise OutOfRange(f"degree must be nonnegative, got {degree}")
+    out = np.convolve(a.coeffs, b.coeffs)[: degree + 1]
     if len(out) < degree + 1:
         out = np.concatenate([out, np.zeros(degree + 1 - len(out))])
     return TruncatedSeries(degree=degree, coeffs=out)
@@ -197,44 +143,32 @@ def _check_tolerance(eps: float) -> float:
     return eps
 
 
-def depth_for_eps(n_base: int, m: int, eps: float) -> int:
-    """Smallest depth k with ``e * m * sqrt(m-1) / N**k <= eps`` (m >= 2)."""
-    if m < 2:
-        raise ValueError(f"the error bound needs m >= 2, got {m}")
-    eps = _check_tolerance(eps)
-    lead = math.e * m * math.sqrt(m - 1)
-    k = 1
-    while lead / n_base**k > eps:
-        k += 1
-    return k
+def _log_truncation(n_base: int, depth: int, n, shifted: bool):
+    """Log of the depth-k truncation bound at index ``n >= 2`` (scalar or array).
 
-
-def _shifted_depth_for_eps(n_base: int, m: int, eps: float) -> int:
-    """Smallest k with ``(3/2)**m * e * m * sqrt(m-1) / N**k <= eps``.
-
-    Solved in log space since ``(3/2)**m`` overflows a double for large m.
+    ``e * n * sqrt(n-1) / N**k``, times ``(3/2)**n`` (the raw bound pushed
+    through the binomial transform) on the shifted path; log space keeps
+    both from overflowing.
     """
+    log_b = 1.0 + np.log(n) + 0.5 * np.log(n - 1.0) - depth * math.log(n_base)
+    return log_b + n * math.log(1.5) if shifted else log_b
+
+
+def depth_for_eps(n_base: int, m: int, eps: float, shifted: bool = False) -> int:
+    """Smallest depth k whose truncation bound at index ``m >= 2`` is at most eps."""
     if m < 2:
-        raise ValueError(f"the error bound needs m >= 2, got {m}")
-    eps = _check_tolerance(eps)
-    log_lead = m * math.log(1.5) + 1.0 + math.log(m) + 0.5 * math.log(m - 1)
-    log_n = math.log(n_base)
-    k = max(1, math.ceil((log_lead - math.log(eps)) / log_n))
-    while log_lead - k * log_n > math.log(eps):
+        raise OutOfRange(f"the error bound needs m >= 2, got {m}")
+    log_eps = math.log(_check_tolerance(eps))
+    # The bound falls by log N per level: start just below the estimate.
+    estimate = (_log_truncation(n_base, 0, m, shifted) - log_eps) / math.log(n_base)
+    k = max(1, int(estimate) - 1)
+    while _log_truncation(n_base, k, m, shifted) > log_eps:
         k += 1
     return k
-
-
-def _next_pow2(k: int) -> int:
-    return 1 << (k - 1).bit_length() if k > 1 else 1
 
 
 def partial_product_series(
-    w: WeightVector,
-    degree: int,
-    depth: int,
-    shifted: bool = False,
-    method: str = "schoolbook",
+    w: WeightVector, degree: int, depth: int, shifted: bool = False
 ) -> TruncatedSeries:
     """Degree-m truncation of the depth-k partial product of the MGF.
 
@@ -244,26 +178,14 @@ def partial_product_series(
     ``depth`` are combined most-significant first.  For power-of-two depth
     this performs exactly ``log2(depth)`` truncated multiplications.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
+    if depth < 1:
+        raise OutOfRange(f"depth must be a positive integer, got {depth}")
     n_base = w.n_branches
-    if depth == 0:
-        coeffs = np.zeros(degree + 1)
-        coeffs[0] = 1.0
-        return TruncatedSeries(degree=degree, coeffs=coeffs)
-    base = (
-        shifted_truncated_factor(w, degree, 1)
-        if shifted
-        else truncated_factor(w, degree, 1)
-    )
     top = depth.bit_length() - 1
-    blocks = [base]
+    blocks = [truncated_factor(w, degree, 1, shifted)]
     for j in range(top):
         squared = series_mul_trunc(
-            blocks[j],
-            rescale_argument(blocks[j], float(n_base) ** -(1 << j)),
-            degree,
-            method=method,
+            blocks[j], rescale_argument(blocks[j], float(n_base) ** -(1 << j)), degree
         )
         blocks.append(squared)
     result: TruncatedSeries | None = None
@@ -274,22 +196,17 @@ def partial_product_series(
         block = blocks[j]
         if offset:
             block = rescale_argument(block, float(n_base) ** -offset)
-        result = (
-            block
-            if result is None
-            else series_mul_trunc(result, block, degree, method=method)
-        )
+        result = block if result is None else series_mul_trunc(result, block, degree)
         offset += 1 << j
     assert result is not None
     return result
 
 
-def _split_reconstruct(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _split_reconstruct(coeffs: np.ndarray) -> np.ndarray:
     """Moments ``n! * coeffs[n]`` via (mantissa, exponent) split arithmetic.
 
-    Returns ``(moments, mantissas, exponents)`` with
-    ``moments == ldexp(mantissas, exponents)``; the split form never forms
-    ``n!`` as a double, so no intermediate overflows for any n.
+    The split form never forms ``n!`` as a double, so no intermediate
+    overflows for any n.
     """
     mant, exp2 = np.frexp(coeffs)
     out_m = np.empty(len(coeffs))
@@ -302,30 +219,39 @@ def _split_reconstruct(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
         value_m, value_e = math.frexp(mant[n] * fact_m)
         out_m[n] = value_m
         out_e[n] = int(exp2[n]) + fact_e + value_e
-    return np.ldexp(out_m, out_e), out_m, out_e
+    return np.ldexp(out_m, out_e)
 
 
-def _cauchy_bounds(
-    n_base: int, depth: int, degree: int, inflate_log: float = 0.0
-) -> np.ndarray:
-    """Per-index certified bounds ``e*n*sqrt(n-1)/N**k`` (optionally inflated).
+def _certified(
+    w: WeightVector, m_max: int, depth: int, shifted: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Depth-k moments and bounds: truncation plus rounding error.
 
-    Indices 0 and 1 carry bound 0: those moments are set exactly.  Computed
-    in log space so extreme depths underflow cleanly to 0 instead of
-    producing inf/inf artifacts.
+    ``rho(n)`` counts the unit roundoffs u from the weights to moment n, per
+    coefficient j <= n and with libm ``pow`` within 1 ulp (2 roundoffs):
+    factor ``3j + N + 1`` (offset 1, ``x**j/j!`` 3j, weight and product 2,
+    sum over N branches N - 1); rescale by ``sigma**j`` ``2j + 3``; product
+    n + 1 plus the counts of both inputs.  Over the L multiplications of
+    depth k (``L = log2 k`` for a power of two) that is
+    ``(3 + 3L) n + k (N + 5) - 4``, and the factorial adds n.  The error is
+    then ``gamma_rho = rho u / (1 - rho u)`` relative to the depth-k moment
+    on the raw path (nonnegative terms), or to ``2**-n`` on the centred path
+    (every ``|offset| / N <= 1/2`` bounds the absolute-value series).  An
+    underflowed term adds about ``2**-1074``, below u times the result only
+    while ``I_n / n!`` is a normal double.
     """
-    bounds = np.zeros(degree + 1)
-    if degree >= 2:
-        n = np.arange(2, degree + 1, dtype=np.float64)
-        log_b = (
-            1.0
-            + np.log(n)
-            + 0.5 * np.log(n - 1.0)
-            - depth * math.log(n_base)
-            + inflate_log * n
-        )
-        bounds[2:] = np.exp(log_b)
-    return bounds
+    series = partial_product_series(w, m_max, depth, shifted)
+    moments = _split_reconstruct(series.coeffs)
+    n = np.arange(m_max + 1, dtype=np.float64)
+    mults = depth.bit_length() + bin(depth).count("1") - 2
+    rho = ((4 + 3 * mults) * n + depth * (w.n_branches + 5) - 4) * 2.0**-53  # times u
+    # rho / (1 - 2 rho) is gamma_rho relative to the computed, not the true, value.
+    scale = 0.5**n if shifted else np.abs(moments)
+    bounds = rho / (1.0 - 2.0 * rho) * scale
+    bounds[2:] += np.exp(_log_truncation(w.n_branches, depth, n[2:], shifted))
+    # The constant coefficient is a product of exact ones.
+    bounds[0] = 0.0
+    return moments, bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,33 +259,17 @@ class FastResult:
     """Approximate moments with per-index certified error bounds.
 
     ``moments[n]`` approximates the n-th moment at the partial-product depth
-    ``depth_used``; ``certified_bound[n]`` bounds ``|true - computed|`` for
-    ``n >= 2``, while indices 0 and 1 are exact (bound 0).  The split fields
-    satisfy ``moments == ldexp(moment_mantissas, moment_exponents)`` and keep
-    the values meaningful when ``n!`` exceeds double range.
+    ``depth_used``; ``certified_bound[n]`` bounds ``|true - computed|``,
+    truncation and rounding included (index 0 is exact, bound 0).
     """
 
     moments: np.ndarray
     depth_used: int
     certified_bound: np.ndarray
-    moment_mantissas: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    moment_exponents: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        moments = np.array(self.moments, dtype=np.float64)
-        bounds = np.array(self.certified_bound, dtype=np.float64)
-        if self.moment_mantissas is None:
-            mant, exp2 = np.frexp(moments)
-            exp2 = exp2.astype(np.int64)
-        else:
-            mant = np.array(self.moment_mantissas, dtype=np.float64)
-            exp2 = np.array(self.moment_exponents, dtype=np.int64)
-        for name, arr in (
-            ("moments", moments),
-            ("certified_bound", bounds),
-            ("moment_mantissas", mant),
-            ("moment_exponents", exp2),
-        ):
+        for name in ("moments", "certified_bound"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -374,10 +284,6 @@ class FastResult:
 
     def __len__(self) -> int:
         return len(self.moments)
-
-    def split_moment(self, n: int) -> tuple[float, int]:
-        """The n-th moment as ``(mantissa, base-2 exponent)``."""
-        return float(self.moment_mantissas[n]), int(self.moment_exponents[n])
 
     def to_csv(self) -> str:
         lines = ["m,value,bound"]
@@ -406,97 +312,63 @@ class FastResult:
         )
 
 
-def _exact_first_moment(w: WeightVector) -> Fraction:
-    """``I_1 = sum_n alpha_n * n / (N - 1)`` from the one-level recurrence."""
-    return sum(
-        (a * n for n, a in enumerate(w.weights)), Fraction(0)
-    ) / (w.n_branches - 1)
-
-
 def moments_at_depth(w: WeightVector, m_max: int, depth: int) -> FastResult:
-    """Moments of the depth-k partial product, with bounds at that depth.
+    """Moments of the depth-k partial product (any k >= 1), with their bounds.
 
-    Unlike :func:`fast_moments` this takes the depth directly (any positive
-    integer, not only powers of two) and does not overwrite indices 0 and 1,
-    making it the natural probe for convergence studies.
+    Unlike :func:`fast_moments` it keeps indices 0 and 1 as computed, which
+    makes it the probe for convergence studies; index 1 is
+    ``I_1 * (1 - N**-k)``, so its truncation bound is ``N**-k``.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be a positive integer, got {depth}")
-    series = partial_product_series(w, m_max, depth)
-    moments, mant, exp2 = _split_reconstruct(series.coeffs)
-    return FastResult(
-        moments=moments,
-        depth_used=depth,
-        certified_bound=_cauchy_bounds(w.n_branches, depth, m_max),
-        moment_mantissas=mant,
-        moment_exponents=exp2,
-    )
+    moments, bounds = _certified(w, m_max, depth, shifted=False)
+    if m_max >= 1:
+        bounds[1] += float(w.n_branches) ** -depth
+    return FastResult(moments=moments, depth_used=depth, certified_bound=bounds)
+
+
+def _certified_to_eps(w: WeightVector, m_max: int, eps: float, shifted: bool) -> FastResult:
+    """Certified moments to eps: depth, product, moments and bounds, low indices."""
+    if m_max < 0:
+        raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
+    eps = _check_tolerance(eps)
+    depth = 1
+    if m_max >= 2:  # the smallest sufficient depth, rounded up to a power of two
+        depth = 1 << (depth_for_eps(w.n_branches, m_max, eps, shifted) - 1).bit_length()
+    moments, bounds = _certified(w, m_max, depth, shifted)
+    if shifted:
+        moments[1::2] = bounds[1::2] = 0.0
+    elif m_max >= 1:
+        # I_1 = sum_n alpha_n * n / (N - 1) from the one-level recurrence.
+        exact = sum(a * n for n, a in enumerate(w.weights)) / Fraction(w.n_branches - 1)
+        moments[1] = float(exact)
+        error = abs(Fraction(moments[1]) - exact)
+        bounds[1] = float(error)
+        if Fraction(bounds[1]) < error:
+            bounds[1] = math.nextafter(bounds[1], math.inf)
+    return FastResult(moments=moments, depth_used=depth, certified_bound=bounds)
 
 
 def fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:
     """First ``m_max`` moments within certified uniform error ``eps``.
 
-    Picks the smallest depth whose bound meets ``eps``, rounds it up to a
-    power of two (extra depth only tightens the bound) and runs the doubling
-    product, performing exactly ``log2(depth)`` truncated multiplications.
-    Indices 0 and 1 are set from exact arithmetic and carry bound 0.
+    Picks the smallest depth whose truncation bound meets ``eps``, rounds it
+    up to a power of two (extra depth only tightens the bound) and runs the
+    doubling product, performing exactly ``log2(depth)`` truncated
+    multiplications.  Index 0 is exact; index 1 is the double nearest the
+    exact ``I_1`` and its bound is that rounding error.
     """
-    if m_max < 0:
-        raise ValueError(f"m_max must be nonnegative, got {m_max}")
-    eps = _check_tolerance(eps)
-    depth = _next_pow2(depth_for_eps(w.n_branches, m_max, eps)) if m_max >= 2 else 1
-    series = partial_product_series(w, m_max, depth)
-    moments, mant, exp2 = _split_reconstruct(series.coeffs)
-    moments[0] = 1.0
-    if m_max >= 1:
-        moments[1] = float(_exact_first_moment(w))
-    mant, exp2 = np.frexp(moments)
-    return FastResult(
-        moments=moments,
-        depth_used=depth,
-        certified_bound=_cauchy_bounds(w.n_branches, depth, m_max),
-        moment_mantissas=mant,
-        moment_exponents=exp2.astype(np.int64),
-    )
+    return _certified_to_eps(w, m_max, eps, shifted=False)
 
 
 def shifted_fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:
     """Certified shifted moments of a palindromic weight vector.
 
-    Runs the doubling pipeline on the centered factors (each plain factor
-    premultiplied by ``exp(-(N-1)s / (2*N**r))``).  Odd indices are exactly 0
-    by symmetry and are forced to 0.  The error bound has no direct analogue
-    of the raw-moment estimate, so the reported per-index bound is the
-    derived inflation ``(3/2)**n * e * n * sqrt(n-1) / N**k`` obtained by
-    pushing the raw bound through the binomial transform; the depth is chosen
-    to bring that inflated bound at the top index under ``eps``.
+    :func:`fast_moments` on the centred factors, with the truncation term
+    inflated by ``(3/2)**n`` (:func:`_log_truncation`).  Odd indices vanish
+    by symmetry and are set to 0 with bound 0.
     """
     if not w.is_palindromic:
         raise NotPalindromic(f"shifted moments need palindromic weights, got {w}")
-    if m_max < 0:
-        raise ValueError(f"m_max must be nonnegative, got {m_max}")
-    eps = _check_tolerance(eps)
-    depth = (
-        _next_pow2(_shifted_depth_for_eps(w.n_branches, m_max, eps))
-        if m_max >= 2
-        else 1
-    )
-    series = partial_product_series(w, m_max, depth, shifted=True)
-    moments, _, _ = _split_reconstruct(series.coeffs)
-    moments[0] = 1.0
-    moments[1::2] = 0.0
-    bounds = _cauchy_bounds(w.n_branches, depth, m_max, inflate_log=math.log(1.5))
-    # Odd shifted moments vanish exactly for a symmetric measure and are
-    # reported as exact zeros, so they carry bound 0.
-    bounds[1::2] = 0.0
-    mant, exp2 = np.frexp(moments)
-    return FastResult(
-        moments=moments,
-        depth_used=depth,
-        certified_bound=bounds,
-        moment_mantissas=mant,
-        moment_exponents=exp2.astype(np.int64),
-    )
+    return _certified_to_eps(w, m_max, eps, shifted=True)
 
 
 def mgf_eval(w: WeightVector, s: float, depth: int) -> float:
@@ -504,9 +376,12 @@ def mgf_eval(w: WeightVector, s: float, depth: int) -> float:
 
     Nondecreasing in ``depth`` for ``s > 0`` (every factor is at least 1
     there) and converges to the moment generating function as depth grows.
-    Raises :class:`OutOfRange` for ``depth < 1`` and :class:`FloatOverflow`
-    when the value exceeds the largest double, as for ``s = 1e6`` on ternary.
+    Raises :class:`OutOfDomain` for a non-finite ``s``, :class:`OutOfRange`
+    for ``depth < 1`` and :class:`FloatOverflow` when the value exceeds the
+    largest double, as for ``s = 1e6`` on ternary.
     """
+    if not math.isfinite(s):
+        raise OutOfDomain(f"the MGF argument must be finite, got s = {s}")
     if depth < 1:
         raise OutOfRange(f"depth must be a positive integer, got {depth}")
     n_base = w.n_branches

@@ -236,15 +236,13 @@ def palindromic_odd_moment(
     return acc / 2
 
 
-def shifted_moments(raw: MomentSequence) -> MomentSequence:
-    """Moments ``J_0..J_{m_max}`` of the measure of ``raw`` moved to ``[-1/2, 1/2]``.
+def shifted_moments(w: WeightVector, m_max: int) -> MomentSequence:
+    """Exact moments ``J_0..J_{m_max}`` of the measure moved to ``[-1/2, 1/2]``.
 
-    The branch offsets are ``(2n - N + 1) / 2``.  Only the weights and the
-    length of ``raw`` are used.
+    The same recurrence as :func:`exact_moments` with branch offsets
+    ``(2n - N + 1) / 2``.
     """
-    if raw.kind != "raw":
-        raise ValueError(f"raw moments expected, got kind={raw.kind!r}")
-    n_base = raw.weights.n_branches
+    n_base = w.n_branches
     offsets = range(1 - n_base, n_base, 2)
-    values = _self_similar_moments(raw.weights, offsets, raw.m_max, q=2)
-    return MomentSequence(weights=raw.weights, kind="shifted", values=values)
+    values = _self_similar_moments(w, offsets, m_max, q=2)
+    return MomentSequence(weights=w, kind="shifted", values=values)

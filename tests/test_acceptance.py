@@ -201,7 +201,7 @@ def test_criterion_08_decay_suite():
     for _ in range(10):
         n = rng.randint(2, 6)
         w = random_weight_vector(rng, n, interior=False, palindromic=True)
-        shifted = shifted_moments(exact_moments(w, 64))
+        shifted = shifted_moments(w, 64)
         for m, v in enumerate(shifted.values):
             assert abs(v) * 2**m <= 1
     print(f"CRITERION 8 PASS: decay bounds exact; ternary scaled infimum "

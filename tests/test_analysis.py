@@ -102,7 +102,7 @@ class TestCheckDecay:
     @settings(max_examples=30)
     def test_shifted_decay_bound(self, w):
         # |J_m| * 2**m <= 1 exactly, any palindromic weights.
-        shifted = shifted_moments(exact_moments(w, 20))
+        shifted = shifted_moments(w, 20)
         for m, v in enumerate(shifted.values):
             assert abs(v) * 2**m <= 1
 

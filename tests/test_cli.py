@@ -79,6 +79,9 @@ class TestInputContract:
             (("lipschitz", *TERNARY, "--weights-b", "1/3,1/3,1/3", "--depth", "0"), 2),
             (("mgf", *TERNARY, "--s", "1", "--depth", "0"), 2),
             (("mgf", *TERNARY, "--s", "1e6"), 1),
+            (("mgf", *TERNARY, "--s", "inf"), 1),
+            (("mgf", *TERNARY, "--s", "nan"), 1),
+            (("mgf", *TERNARY, "--s=-inf"), 1),
             (("moments", *TERNARY, "--m", "4", *FAST, "nan"), 1),
             (("moments", *TERNARY, "--m", "4", *FAST, "inf"), 1),
             (("shifted-moments", *TERNARY, "--m", "4", "--mode", "fast",

@@ -15,6 +15,8 @@ from cantor_measures import (
     FastResult,
     FloatOverflow,
     NotPalindromic,
+    OutOfDomain,
+    OutOfRange,
     depth_for_eps,
     exact_moments,
     fast_moments,
@@ -26,7 +28,6 @@ from cantor_measures import (
     series_mul_trunc,
     shifted_fast_moments,
     shifted_moments,
-    shifted_truncated_factor,
     truncated_factor,
     weight_vector,
 )
@@ -78,31 +79,6 @@ class TestSeriesMulTrunc:
         b = series_from_coeffs([3.0])
         out = series_mul_trunc(a, b, 3)
         assert list(out.coeffs) == [6.0, 0.0, 0.0, 0.0]
-
-    @pytest.mark.parametrize("degree", [64, 256, 1024, 4096])
-    def test_fft_matches_schoolbook(self, degree):
-        # FFT roundoff is normwise, so agreement is relative to the result
-        # scale; on these O(1)-coefficient inputs that is far below 1e-12.
-        rng = np.random.default_rng(degree)
-        a = series_from_coeffs(rng.uniform(0.0, 1.0, degree + 1))
-        b = series_from_coeffs(rng.uniform(0.0, 1.0, degree + 1))
-        via_fft = series_mul_trunc(a, b, degree, method="fft").coeffs
-        naive = series_mul_trunc(a, b, degree, method="schoolbook").coeffs
-        scale = np.max(np.abs(naive))
-        assert np.max(np.abs(via_fft - naive)) <= 1e-12 * scale
-
-    def test_auto_routes_by_degree(self):
-        rng = np.random.default_rng(7)
-        a = series_from_coeffs(rng.uniform(0.0, 1.0, 80))
-        above = series_mul_trunc(a, a, 64)
-        below = series_mul_trunc(a, a, 63)
-        assert above == series_mul_trunc(a, a, 64, method="fft")
-        assert below == series_mul_trunc(a, a, 63, method="schoolbook")
-
-    def test_unknown_method_rejected(self):
-        a = series_from_coeffs([1.0])
-        with pytest.raises(ValueError):
-            series_mul_trunc(a, a, 0, method="magic")
 
 
 class TestRescaleArgument:
@@ -176,7 +152,8 @@ class TestFastMoments:
         result = fast_moments(w, 8, 1e-10)
         assert result.moments[0] == 1.0
         assert result.moments[1] == float(F(1, 3))
-        assert result.certified_bound[0] == result.certified_bound[1] == 0.0
+        assert result.certified_bound[0] == 0.0
+        assert abs(F(result.moments[1]) - F(1, 3)) <= F(result.certified_bound[1])
 
     def test_depth_rounded_to_power_of_two(self, ternary):
         result = fast_moments(ternary, 16, 1e-10)
@@ -206,10 +183,14 @@ class TestFastMoments:
             w = random_weight_vector(rng, n)
             exact = exact_moments(w, 20).values
             for k in (1, 2, 5, 9, 20):
-                computed = moments_at_depth(w, 20, k).moments
+                result = moments_at_depth(w, 20, k)
+                computed = result.moments
                 for m in range(2, 21):
                     bound = math.e * m * math.sqrt(m - 1) / n**k
                     assert abs(float(exact[m]) - computed[m]) <= bound
+                for m in range(21):
+                    error = abs(F(computed[m]) - exact[m])
+                    assert error <= F(result.certified_bound[m])
 
     def test_monotone_convergence_in_depth(self):
         rng = random.Random(11)
@@ -233,7 +214,7 @@ class TestFastMoments:
             block = rescale_argument(
                 partial_product_series(ternary, m, j), 3.0**-k
             )
-            combined = series_mul_trunc(left, block, m, method="schoolbook")
+            combined = series_mul_trunc(left, block, m)
             assert combined.coeffs == pytest.approx(list(whole.coeffs), rel=1e-12)
 
     def test_partial_series_invariants(self, ternary):
@@ -242,13 +223,6 @@ class TestFastMoments:
         assert np.all(s.coeffs >= 0)
         direct = partial_product_series(ternary, 12, 8)
         assert s.coeffs[1] >= direct.coeffs[1]
-
-    def test_split_reconstruction_consistency(self, ternary):
-        result = fast_moments(ternary, 40, 1e-10)
-        rebuilt = np.ldexp(result.moment_mantissas, result.moment_exponents)
-        assert np.array_equal(rebuilt, result.moments)
-        mant, exp2 = result.split_moment(17)
-        assert math.ldexp(mant, exp2) == result.moments[17]
 
     def test_large_degree_finite(self, ternary):
         result = fast_moments(ternary, 256, 1e-9)
@@ -279,7 +253,7 @@ class TestShiftedFastMoments:
     def test_two_branch_uniform_against_oracle(self):
         w = weight_vector([F(1, 2), F(1, 2)])
         result = shifted_fast_moments(w, 2, 1e-10)
-        oracle = shifted_moments(exact_moments(w, 2))
+        oracle = shifted_moments(w, 2)
         assert result.moments[2] == pytest.approx(float(oracle.values[2]), abs=1e-10)
 
     def test_certified_bound_covers_error(self):
@@ -288,17 +262,40 @@ class TestShiftedFastMoments:
             n = rng.choice([2, 3, 4, 5])
             w = random_weight_vector(rng, n, palindromic=True)
             result = shifted_fast_moments(w, 10, 1e-9)
-            oracle = shifted_moments(exact_moments(w, 10))
+            oracle = shifted_moments(w, 10)
             for m in range(11):
                 err = abs(result.moments[m] - float(oracle.values[m]))
                 assert err <= max(result.certified_bound[m], 1e-9)
 
     def test_factor_is_centered(self, ternary):
-        s = shifted_truncated_factor(ternary, 6, 1)
+        s = truncated_factor(ternary, 6, 1, shifted=True)
         # Weighted cosh: even coefficients positive, odd ones vanish.
         assert s.coeffs[0] == 1.0
         assert np.all(s.coeffs[2::2] > 0)
         assert s.coeffs[1::2] == pytest.approx([0.0, 0.0, 0.0], abs=1e-17)
+
+
+class TestCertifiedSweep:
+    def test_seeded_exact_sweep(self):
+        # The bound covers float rounding (~1e-17) as well as truncation.
+        rng = random.Random(4096)
+        cases = [
+            (weight_vector([F(1, 5), F(3, 10), F(1, 10), F(2, 5)]), 20, 1e-10, False),
+            (weight_vector([F(1, 2), 0, F(1, 2)]), 40, 1e-10, True),
+        ]
+        for i in range(24):
+            shifted = i % 2 == 1
+            w = random_weight_vector(rng, rng.randint(2, 5), palindromic=shifted)
+            cases.append((w, rng.randint(2, 160), 10 ** rng.uniform(-12, -6), shifted))
+        for w, m, eps, shifted in cases:
+            if shifted:
+                result, exact = shifted_fast_moments(w, m, eps), shifted_moments(w, m)
+            else:
+                result, exact = fast_moments(w, m, eps), exact_moments(w, m)
+            for n in range(m + 1):
+                error = abs(F(result.moments[n]) - exact.values[n])
+                bound = F(result.certified_bound[n])
+                assert error <= bound <= F(eps), (str(w), m, eps, n)
 
 
 class TestMgfEval:
@@ -324,6 +321,11 @@ class TestMgfEval:
         with pytest.raises(ValueError):
             mgf_eval(ternary, 1.0, 0)
 
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+    def test_non_finite_argument_is_a_domain_error(self, ternary, s):
+        with pytest.raises(OutOfDomain):
+            mgf_eval(ternary, s, 10)
+
     @pytest.mark.parametrize("s", [1e6, 1400.0])
     def test_overflow_is_a_domain_error(self, s):
         # 1e6 overflows math.exp; at 1400 every factor is finite but the
@@ -335,7 +337,9 @@ class TestMgfEval:
 class TestFastResultType:
     def test_certified_bound_formula(self, ternary):
         result = moments_at_depth(ternary, 12, 7)
-        assert result.certified_bound[0] == result.certified_bound[1] == 0.0
+        assert result.certified_bound[0] == 0.0
+        # The depth-7 product has I_1 * (1 - 3**-7), not I_1.
+        assert abs(F(result.moments[1]) - F(1, 2)) <= F(result.certified_bound[1])
         for m in range(2, 13):
             expected = math.e * m * math.sqrt(m - 1) / 3**7
             assert result.certified_bound[m] == pytest.approx(expected, rel=1e-12)
@@ -355,3 +359,21 @@ class TestFastResultType:
         result = fast_moments(ternary, 3, 1e-9)
         with pytest.raises(ValueError):
             result.moments[0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: truncated_factor(w, -1),
+        lambda w: truncated_factor(w, 3, 0),
+        lambda w: series_mul_trunc(series_from_coeffs([1.0]), series_from_coeffs([1.0]), -1),
+        lambda w: partial_product_series(w, 4, -1),
+        lambda w: depth_for_eps(3, 1, 1e-6),
+        lambda w: moments_at_depth(w, 4, 0),
+        lambda w: fast_moments(w, -1, 1e-6),
+        lambda w: shifted_fast_moments(w, -1, 1e-6),
+    ],
+)
+def test_range_errors(ternary, call):
+    with pytest.raises(OutOfRange):
+        call(ternary)

@@ -201,28 +201,23 @@ class TestPalindromicOddMoment:
 
 class TestShiftedMoments:
     def test_ternary_values(self, ternary):
-        shifted = shifted_moments(exact_moments(ternary, 4))
+        shifted = shifted_moments(ternary, 4)
         assert shifted.values == (F(1), F(0), F(1, 8), F(0), F(7, 320))
         assert shifted.kind == "shifted"
 
     def test_dirac_at_one_powers_of_half(self):
-        shifted = shifted_moments(exact_moments(weight_vector([0, 1]), 6))
+        shifted = shifted_moments(weight_vector([0, 1]), 6)
         assert shifted.values == tuple(F(1, 2) ** m for m in range(7))
-
-    def test_requires_raw_kind(self, ternary):
-        shifted = shifted_moments(exact_moments(ternary, 4))
-        with pytest.raises(ValueError):
-            shifted_moments(shifted)
 
     @given(weight_vectors_st())
     def test_exponential_bound_any_weights(self, w):
-        shifted = shifted_moments(exact_moments(w, 12))
+        shifted = shifted_moments(w, 12)
         for m, v in enumerate(shifted.values):
             assert abs(v) <= F(1, 2) ** m
 
     @given(weight_vectors_st(palindromic=True))
     def test_odd_values_vanish_for_palindromic(self, w):
-        shifted = shifted_moments(exact_moments(w, 9))
+        shifted = shifted_moments(w, 9)
         assert all(v == 0 for v in shifted.values[1::2])
 
     @given(weight_vectors_st(n_max=3), st.integers(0, 40))
@@ -234,7 +229,7 @@ class TestShiftedMoments:
             math.comb(m, i) * F(-1, 2) ** (m - i) * raw.values[i]
             for i in range(m + 1)
         )
-        assert shifted_moments(raw).values[m] == expected
+        assert shifted_moments(w, m).values[m] == expected
 
 
 class TestMomentSequenceType:
@@ -267,5 +262,5 @@ class TestMomentSequenceType:
         assert F(int(Decimal(num)), int(Decimal(den))) == ms.values[-1]
 
     def test_json_round_trip_shifted(self, ternary):
-        ms = shifted_moments(exact_moments(ternary, 6))
+        ms = shifted_moments(ternary, 6)
         assert MomentSequence.from_json(ms.to_json()) == ms
