@@ -18,6 +18,7 @@ from .analysis import (
 )
 from .errors import (
     BadDigit,
+    BadSetting,
     BadTolerance,
     CantorMeasureError,
     Degenerate,
@@ -83,6 +84,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadDigit",
+    "BadSetting",
     "BadTolerance",
     "CantorMeasureError",
     "CdfTable",

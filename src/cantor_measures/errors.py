@@ -19,6 +19,10 @@ class DepthOverflow(CantorMeasureError):
     """A requested table of N**k entries exceeds the configured cap."""
 
 
+class BadSetting(CantorMeasureError):
+    """An environment setting such as ``CANTOR_DEPTH_CAP`` is malformed."""
+
+
 class BadDigit(CantorMeasureError):
     """A base-N digit lies outside ``0..N-1``."""
 

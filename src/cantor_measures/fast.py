@@ -154,17 +154,47 @@ def _log_truncation(n_base: int, depth: int, n, shifted: bool):
     return log_b + n * math.log(1.5) if shifted else log_b
 
 
+def _rounding(n_base: int, depth: int, n):
+    """Relative rounding bound at index n (scalar or array) at depth k.
+
+    ``rho / (1 - 2 rho)`` for the ``rho(n)`` unit roundoffs counted in
+    :func:`_certified`: gamma_rho relative to the computed, not the true,
+    value.
+    """
+    mults = depth.bit_length() + bin(depth).count("1") - 2
+    rho = ((4 + 3 * mults) * n + depth * (n_base + 5) - 4) * 2.0**-53  # times u
+    return rho / (1.0 - 2.0 * rho)
+
+
 def depth_for_eps(n_base: int, m: int, eps: float, shifted: bool = False) -> int:
-    """Smallest depth k whose truncation bound at index ``m >= 2`` is at most eps."""
+    """Smallest depth k whose truncation term at index ``m >= 2`` is at most
+    eps and whose certified run keeps every bound up to index m within eps.
+
+    The certified driver runs k rounded up to a power of two.  There the
+    bound at index ``2 <= n <= m`` is at most the truncation term plus the
+    rounding term (:func:`_rounding`) at index m, both growing with n, on a
+    value of at most 1 (raw moments) or 1/4 (``|J_n| <= 2**-n``).  Raises
+    :class:`BadTolerance` when that rounding term alone reaches eps.
+    """
     if m < 2:
         raise OutOfRange(f"the error bound needs m >= 2, got {m}")
-    log_eps = math.log(_check_tolerance(eps))
-    # The bound falls by log N per level: start just below the estimate.
+    eps = _check_tolerance(eps)
+    log_eps = math.log(eps)
+    # The truncation term falls by log N per level: start just below the
+    # depth at which it meets eps.
     estimate = (_log_truncation(n_base, 0, m, shifted) - log_eps) / math.log(n_base)
     k = max(1, int(estimate) - 1)
-    while _log_truncation(n_base, k, m, shifted) > log_eps:
+    while True:
+        run = 1 << (k - 1).bit_length()
+        slack = eps - _rounding(n_base, run, m) * (0.25 if shifted else 1.0)
+        if slack <= 0:  # the rounding term only grows with the depth
+            raise BadTolerance(
+                f"eps = {eps} is below the rounding error at index {m} (depth {run})"
+            )
+        if (_log_truncation(n_base, k, m, shifted) <= log_eps
+                and _log_truncation(n_base, run, m, shifted) <= math.log(slack)):
+            return k
         k += 1
-    return k
 
 
 def partial_product_series(
@@ -243,11 +273,8 @@ def _certified(
     series = partial_product_series(w, m_max, depth, shifted)
     moments = _split_reconstruct(series.coeffs)
     n = np.arange(m_max + 1, dtype=np.float64)
-    mults = depth.bit_length() + bin(depth).count("1") - 2
-    rho = ((4 + 3 * mults) * n + depth * (w.n_branches + 5) - 4) * 2.0**-53  # times u
-    # rho / (1 - 2 rho) is gamma_rho relative to the computed, not the true, value.
     scale = 0.5**n if shifted else np.abs(moments)
-    bounds = rho / (1.0 - 2.0 * rho) * scale
+    bounds = _rounding(w.n_branches, depth, n) * scale
     bounds[2:] += np.exp(_log_truncation(w.n_branches, depth, n[2:], shifted))
     # The constant coefficient is a product of exact ones.
     bounds[0] = 0.0
@@ -350,9 +377,9 @@ def _certified_to_eps(w: WeightVector, m_max: int, eps: float, shifted: bool) ->
 def fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:
     """First ``m_max`` moments within certified uniform error ``eps``.
 
-    Picks the smallest depth whose truncation bound meets ``eps``, rounds it
-    up to a power of two (extra depth only tightens the bound) and runs the
-    doubling product, performing exactly ``log2(depth)`` truncated
+    Picks the smallest depth whose truncation and rounding terms together
+    meet ``eps`` (:func:`depth_for_eps`), rounds it up to a power of two and
+    runs the doubling product, performing exactly ``log2(depth)`` truncated
     multiplications.  Index 0 is exact; index 1 is the double nearest the
     exact ``I_1`` and its bound is that rounding error.
     """

@@ -8,47 +8,61 @@ N-adic interval addressed by digits ``n_0..n_{k-1}`` is the product
 ``alpha_{n_0} * ... * alpha_{n_{k-1}}``, which makes CDF values on the
 depth-k grid exactly computable.
 
-All arithmetic in this module is exact rational; floats appear only when the
-caller evaluates the CDF interpolant at a float.  Every type is immutable and
-every operation is a pure function, so concurrent use needs no locking.
+CDF tables are integers.  With A the lcm of the weight denominators every
+weight is ``p_n / A``, every cell mass is a digit product of the integers
+``p_n`` over ``A**k``, and every depth-k CDF value is a cumulative sum of
+those products over the same denominator.  A table stores these integers
+only; the exact ``Fraction`` pairs ``(j / N**k, F)`` are built per index on
+request, and rendering reduces each coordinate with one ``math.gcd``.
+Floats appear only when the caller evaluates the CDF interpolant at a float.
+Every type is immutable and every operation is a pure function, so
+concurrent use needs no locking.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     BadDigit,
+    BadSetting,
     DepthOverflow,
     MeshMismatch,
     NotASimplexPoint,
     OutOfDomain,
     OutOfRange,
 )
-from .rational import RationalLike, as_fraction, format_rational, parse_rational
+from .rational import (
+    RationalLike, as_fraction, format_int, format_rational, parse_rational
+)
 
-#: Default cap on the number of table entries N**k (about 4.3e7).
-DEFAULT_DEPTH_CAP = 3**16
+#: Default cap on the number of table entries N**k (about 4.8e6).
+DEFAULT_DEPTH_CAP = 3**14
 
 #: Environment variable overriding the cap for CLI and library defaults.
 DEPTH_CAP_ENV = "CANTOR_DEPTH_CAP"
 
 
 def depth_cap() -> int:
-    """Return the active N**k cap: env override or :data:`DEFAULT_DEPTH_CAP`."""
+    """Return the active N**k cap: env override or :data:`DEFAULT_DEPTH_CAP`.
+
+    Raises :class:`BadSetting` when the override is not an integer >= 2.
+    """
     raw = os.environ.get(DEPTH_CAP_ENV)
     if raw is None:
         return DEFAULT_DEPTH_CAP
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{DEPTH_CAP_ENV} must be an integer, got {raw!r}") from exc
+        raise BadSetting(f"{DEPTH_CAP_ENV} must be an integer, got {raw!r}") from exc
     if cap < 2:
-        raise ValueError(f"{DEPTH_CAP_ENV} must be at least 2, got {cap}")
+        raise BadSetting(f"{DEPTH_CAP_ENV} must be at least 2, got {cap}")
     return cap
 
 
@@ -140,6 +154,22 @@ def parse_weights(text: str) -> WeightVector:
     return weight_vector(values)
 
 
+def _digit_products(w: WeightVector, k: int) -> tuple[list[int], int]:
+    """Integer masses of the ``N**k`` depth-k cells, and their denominator.
+
+    With A the lcm of the weight denominators, ``alpha_n = p_n / A``; cell n
+    has mass ``prod_l p_{n_l} / A**k`` over the digits of
+    ``n = n_0 + n_1*N + ... + n_{k-1}*N**(k-1)``, ``n_0`` least significant.
+    """
+    common = math.lcm(*(a.denominator for a in w.weights))
+    numerators = [a.numerator * (common // a.denominator) for a in w.weights]
+    masses = [1]
+    # Prepending the most-significant digit keeps n_0 least significant.
+    for _ in range(k):
+        masses = [p * q for p in numerators for q in masses]
+    return masses, common**k
+
+
 def kronecker_power(w: WeightVector, k: int, cap: int | None = None) -> WeightVector:
     """Return ``beta`` of length ``N**k`` with ``beta_n`` the digit product of n.
 
@@ -149,11 +179,8 @@ def kronecker_power(w: WeightVector, k: int, cap: int | None = None) -> WeightVe
     depth-k tables computable at depth 1 over ``beta``.
     """
     _check_depth(w.n_branches, k, cap)
-    beta: tuple[Fraction, ...] = w.weights
-    # Prepending the most-significant digit keeps n_0 least significant.
-    for _ in range(k - 1):
-        beta = tuple(a * b for a in w.weights for b in beta)
-    return WeightVector(beta)
+    masses, denominator = _digit_products(w, k)
+    return WeightVector(tuple(Fraction(p, denominator) for p in masses))
 
 
 def interval_mass(w: WeightVector, digits: Sequence[int]) -> Fraction:
@@ -175,44 +202,75 @@ def interval_mass(w: WeightVector, digits: Sequence[int]) -> Fraction:
 class CdfTable:
     """Exact CDF samples on the uniform depth-k grid ``j / N**k``.
 
-    ``points[j] = (j / N**k, F(j / N**k))`` for ``j = 0 .. N**k``, where F is
-    the CDF of the measure generated by the weight vector of base ``n_base``.
-    Linear interpolation between consecutive points gives the depth-k
-    interpolant of the CDF.
+    ``F(j / N**k) = numerators[j] / denominator`` for ``j = 0 .. N**k``,
+    where F is the CDF of the measure generated by a weight vector of base
+    ``n_base``.  Linear interpolation between consecutive samples gives the
+    depth-k interpolant of the CDF.  The representation is canonical: the
+    common gcd of the denominator and all numerators is divided out, so
+    equal tables compare equal.
     """
 
     depth: int
     n_base: int
-    points: tuple[tuple[Fraction, Fraction], ...]
+    numerators: tuple[int, ...]
+    denominator: int
+
+    def __post_init__(self) -> None:
+        numerators = tuple(self.numerators)
+        if len(numerators) != self.n_base**self.depth + 1 or self.denominator < 1:
+            raise ValueError(
+                f"{len(numerators)} numerators over {self.denominator} do not "
+                f"form a depth-{self.depth} base-{self.n_base} table"
+            )
+        common = math.gcd(self.denominator, *numerators)
+        if common > 1:
+            numerators = tuple(s // common for s in numerators)
+            object.__setattr__(self, "denominator", self.denominator // common)
+        object.__setattr__(self, "numerators", numerators)
 
     @property
     def mesh_size(self) -> int:
         """Number of grid cells, ``N**depth``."""
-        return len(self.points) - 1
+        return len(self.numerators) - 1
+
+    @property
+    def points(self) -> "_CdfPoints":
+        """The samples as exact ``(x, F)`` pairs, built per index on access."""
+        return _CdfPoints(self)
+
+    def _rows(self, sep: str) -> Iterator[str]:
+        """``x{sep}F`` per sample in reduced ``p/q`` form, one gcd per coordinate.
+
+        x never passes the int/str digit limit (its denominator is the table
+        size); F may, so it goes through :func:`format_int`.
+        """
+        cells, den, gcd = self.mesh_size, self.denominator, math.gcd
+        for j, s in enumerate(self.numerators):
+            g, h = gcd(j, cells), gcd(s, den)
+            yield f"{j // g}/{cells // g}{sep}{format_int(s // h)}/{format_int(den // h)}"
 
     def to_csv(self) -> str:
-        lines = ["x,F"]
-        lines += [f"{format_rational(x)},{format_rational(f)}" for x, f in self.points]
-        return "\n".join(lines) + "\n"
+        return "\n".join(["x,F", *self._rows(",")]) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "depth": self.depth,
-                "points": [
-                    [format_rational(x), format_rational(f)] for x, f in self.points
-                ],
-            }
-        )
+        # Equal to json.dumps({"depth": ..., "points": [[x, F], ...]}): the
+        # coordinates are digits and "/", which JSON does not escape.
+        points = '"], ["'.join(self._rows('", "'))
+        return f'{{"depth": {self.depth}, "points": [["{points}"]]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "CdfTable":
+        """Parse :meth:`to_json` output; a malformed table is a ValueError.
+
+        Row j must hold ``x = j / N**k``, and F must rise from 0 to 1
+        without decreasing.
+        """
         data = json.loads(text)
         depth = int(data["depth"])
-        points = tuple(
-            (parse_rational(x), parse_rational(f)) for x, f in data["points"]
-        )
-        cells = len(points) - 1
+        rows = data["points"]
+        cells = len(rows) - 1
+        if depth < 1 or cells < 2:
+            raise ValueError(f"{cells} cells is not a depth-{depth} table")
         n_base = round(cells ** (1.0 / depth))
         # Float root may be off by one for large grids; repair by neighbor check.
         while n_base**depth < cells:
@@ -221,18 +279,59 @@ class CdfTable:
             n_base -= 1
         if n_base**depth != cells:
             raise ValueError(f"{cells} cells is not a perfect depth-{depth} power")
-        return cls(depth=depth, n_base=n_base, points=points)
+        values = []
+        for j, (x, f) in enumerate(rows):
+            if parse_rational(x) != Fraction(j, cells):
+                raise ValueError(f"row {j}: x = {x}, expected {j}/{cells}")
+            values.append(parse_rational(f))
+        if values[0] != 0 or values[-1] != 1:
+            raise ValueError(f"F runs from {values[0]} to {values[-1]}, not 0 to 1")
+        for j in range(cells):
+            if values[j + 1] < values[j]:
+                raise ValueError(f"F decreases from row {j} to row {j + 1}")
+        denominator = math.lcm(*(v.denominator for v in values))
+        numerators = tuple(v.numerator * (denominator // v.denominator) for v in values)
+        return cls(depth=depth, n_base=n_base, numerators=numerators,
+                   denominator=denominator)
+
+
+class _CdfPoints(Sequence):
+    """Read-only view of a :class:`CdfTable` as exact ``(x, F)`` pairs.
+
+    Its length is the table's; a pair is built only when indexed.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: CdfTable) -> None:
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table.numerators)
+
+    def __getitem__(self, index: int) -> tuple[Fraction, Fraction]:
+        j = range(len(self))[index]  # negative indices and IndexError as for a tuple
+        t = self._table
+        return Fraction(j, t.mesh_size), Fraction(t.numerators[j], t.denominator)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def cdf_table(w: WeightVector, k: int, cap: int | None = None) -> CdfTable:
-    """Exact depth-k CDF table: cumulative sums of the k-fold Kronecker power."""
-    size = _check_depth(w.n_branches, k, cap)
-    beta = kronecker_power(w, k, cap)
-    values = (Fraction(0),) + tuple(accumulate(beta.weights))
-    points = tuple(
-        (Fraction(j, size), f) for j, f in enumerate(values)
+    """Exact depth-k CDF table: cumulative sums of the integer cell masses."""
+    _check_depth(w.n_branches, k, cap)
+    masses, denominator = _digit_products(w, k)
+    return CdfTable(
+        depth=k,
+        n_base=w.n_branches,
+        numerators=tuple(accumulate(masses, initial=0)),
+        denominator=denominator,
     )
-    return CdfTable(depth=k, n_base=w.n_branches, points=points)
 
 
 def cdf_eval(table: CdfTable, x: RationalLike | float):
@@ -240,34 +339,33 @@ def cdf_eval(table: CdfTable, x: RationalLike | float):
 
     Exact ``Fraction`` output for rational ``x``; float output for float ``x``.
     """
+    cells, nums, den = table.mesh_size, table.numerators, table.denominator
     if isinstance(x, float):
         if not 0.0 <= x <= 1.0:
             raise OutOfDomain(f"x = {x} outside [0, 1]")
-        cells = table.mesh_size
         j = min(int(x * cells), cells - 1)
-        f_lo = float(table.points[j][1])
-        f_hi = float(table.points[j + 1][1])
+        f_lo, f_hi = nums[j] / den, nums[j + 1] / den
         return f_lo + (x * cells - j) * (f_hi - f_lo)
     xq = as_fraction(x)
     if not 0 <= xq <= 1:
         raise OutOfDomain(f"x = {xq} outside [0, 1]")
-    cells = table.mesh_size
     j = min(int(xq * cells), cells - 1)
-    f_lo = table.points[j][1]
-    f_hi = table.points[j + 1][1]
-    return f_lo + (xq * cells - j) * (f_hi - f_lo)
+    return Fraction(nums[j] + (xq * cells - j) * (nums[j + 1] - nums[j]), den)
 
 
 def cdf_sup_distance(a: CdfTable, b: CdfTable) -> Fraction:
     """Sup distance of two interpolants sharing the same grid.
 
     Both interpolants are piecewise linear on the same breakpoints, so the
-    supremum of their difference is attained at a breakpoint; the result is
-    exact.  Note this is the distance between the depth-k interpolants, not
-    between the underlying true CDFs.
+    supremum of their difference is attained at a breakpoint:
+    ``max_j |S_a[j] D_b - S_b[j] D_a| / (D_a D_b)`` in integers.  Note this is
+    the distance between the depth-k interpolants, not between the
+    underlying true CDFs.
     """
-    if len(a.points) != len(b.points):
+    if a.mesh_size != b.mesh_size:
         raise MeshMismatch(
             f"grids differ: {a.mesh_size} cells vs {b.mesh_size} cells"
         )
-    return max(abs(fa - fb) for (_, fa), (_, fb) in zip(a.points, b.points))
+    da, db = a.denominator, b.denominator
+    gap = max(abs(sa * db - sb * da) for sa, sb in zip(a.numerators, b.numerators))
+    return Fraction(gap, da * db)

@@ -26,7 +26,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import BadTolerance, NotOdd, OutOfRange
-from .measure import WeightVector, _check_depth, weight_vector
+from .measure import WeightVector, _check_depth, _digit_products, weight_vector
 from .rational import (
     RationalLike, as_fraction, format_int, format_rational, parse_rational
 )
@@ -177,20 +177,15 @@ def left_endpoint_estimate(
     """Depth-k left-endpoint lower sum for the m-th moment.
 
     Sums ``mass(address) * (address / N**k)**m`` over all ``N**k`` addresses,
-    with the mass computed as an explicit digit product via iterated outer
-    products of the weight numerators.  Always a lower bound for ``I_m``.
+    with the mass the integer digit product of the weight numerators
+    (:func:`measure._digit_products`).  Always a lower bound for ``I_m``.
     """
     if m < 0:
         raise OutOfRange(f"m must be nonnegative, got {m}")
     size = _check_depth(w.n_branches, k, cap)
-    common = math.lcm(*(a.denominator for a in w.weights))
-    numerators = [int(a * common) for a in w.weights]
-    masses = [1]
-    for _ in range(k):
-        masses = [p * q for p in numerators for q in masses]
-    assert len(masses) == size
+    masses, denominator = _digit_products(w, k)
     total = sum(p * n**m for n, p in enumerate(masses) if p)
-    return Fraction(total, common**k * size**m)
+    return Fraction(total, denominator * size**m)
 
 
 def approx_error_depth(n_base: int, m: int, eps: RationalLike | float) -> int:

@@ -100,6 +100,20 @@ class TestInputContract:
         assert out == ""
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "value,argv",
+        [
+            ("many", ("cdf", "--weights", "1/2,1/2", "--depth", "2")),
+            ("1", ("lipschitz", *TERNARY, "--weights-b", "1/3,1/3,1/3", "--depth", "1")),
+        ],
+    )
+    def test_malformed_depth_cap(self, capsys, monkeypatch, value, argv):
+        monkeypatch.setenv("CANTOR_DEPTH_CAP", value)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: CANTOR_DEPTH_CAP") and err.count("\n") == 1
+
 
 class TestMomentsCommand:
     def test_exact_csv_last_row(self, capsys):

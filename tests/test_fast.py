@@ -111,6 +111,8 @@ class TestDepthForEps:
             depth_for_eps(3, 4, -1e-3)
         with pytest.raises(BadTolerance):
             depth_for_eps(3, 4, 1e-13)
+        with pytest.raises(BadTolerance):  # below the rounding error at m = 4096
+            depth_for_eps(3, 4096, 1e-12)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerances(self, eps):
@@ -296,6 +298,16 @@ class TestCertifiedSweep:
                 error = abs(F(result.moments[n]) - exact.values[n])
                 bound = F(result.certified_bound[n])
                 assert error <= bound <= F(eps), (str(w), m, eps, n)
+
+    @pytest.mark.parametrize(
+        "m,eps",
+        # eps just above the truncation term at depth 16 (m = 20) or 32
+        # (m = 100): stopping there left the rounding term above eps.
+        [(20, 5.505049172184772e-06), (100, 1.4595935252641823e-12)],
+    )
+    def test_eps_within_rounding_of_truncation_term(self, ternary, m, eps):
+        result = fast_moments(ternary, m, eps)
+        assert max(result.certified_bound) <= eps
 
 
 class TestMgfEval:

@@ -1,6 +1,7 @@
 """Weight vectors, Kronecker powers and exact CDF tables."""
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,27 @@ from cantor_measures import (
     parse_weights,
     weight_vector,
 )
+from cantor_measures.rational import format_rational
 
 from conftest import weight_vectors_st
 
 F = Fraction
+
+
+def fraction_cdf(w, k):
+    """``F(j / N**k)`` for j = 0..N**k as Fraction sums of ``interval_mass``."""
+    n = w.n_branches
+    values = [F(0)]
+    for j in range(n**k):
+        digits = [j // n**l % n for l in range(k)]
+        values.append(values[-1] + interval_mass(w, digits))
+    return values
+
+
+@st.composite
+def same_base_pairs_st(draw, n_max=4):
+    n = draw(st.integers(2, n_max))
+    return draw(weight_vectors_st(n, n)), draw(weight_vectors_st(n, n))
 
 
 class TestWeightVector:
@@ -168,6 +186,11 @@ class TestCdfTable:
                 rem //= n
             assert values[j + 1] - values[j] == interval_mass(w, digits)
 
+    @given(weight_vectors_st(), st.integers(1, 4))
+    def test_numerators_are_cumulative_masses(self, w, k):
+        t = cdf_table(w, k, cap=10**6)
+        assert [F(s, t.denominator) for s in t.numerators] == fraction_cdf(w, k)
+
     @given(weight_vectors_st(n_max=4), st.integers(1, 3))
     def test_kronecker_consistency(self, w, k):
         direct = cdf_table(w, k, cap=10**6)
@@ -252,6 +275,12 @@ class TestSupDistance:
         d = cdf_sup_distance(cdf_table(a, 1), cdf_table(b, 1))
         assert d == F(1, 2)
 
+    @given(same_base_pairs_st(), st.integers(1, 3))
+    def test_matches_fraction_max(self, pair, k):
+        wa, wb = pair
+        d = cdf_sup_distance(cdf_table(wa, k), cdf_table(wb, k))
+        assert d == max(abs(a - b) for a, b in zip(fraction_cdf(wa, k), fraction_cdf(wb, k)))
+
     def test_mesh_mismatch(self, ternary):
         with pytest.raises(MeshMismatch):
             cdf_sup_distance(cdf_table(ternary, 1), cdf_table(ternary, 2))
@@ -272,7 +301,7 @@ class TestDepthCap:
         monkeypatch.delenv("CANTOR_DEPTH_CAP", raising=False)
         from cantor_measures import DEFAULT_DEPTH_CAP, depth_cap
 
-        assert depth_cap() == DEFAULT_DEPTH_CAP == 3**16
+        assert depth_cap() == DEFAULT_DEPTH_CAP == 3**14
 
     def test_env_override_tightens(self, monkeypatch, ternary):
         monkeypatch.setenv("CANTOR_DEPTH_CAP", "10")
@@ -315,3 +344,47 @@ class TestSerialization:
         again = CdfTable.from_json(t.to_json())
         assert again == t
         assert again.n_base == 3 and again.depth == 3
+
+    @given(weight_vectors_st(), st.integers(1, 3))
+    def test_rendering_matches_fraction_pairs(self, w, k):
+        t = cdf_table(w, k, cap=10**6)
+        cells = w.n_branches**k
+        rows = [[format_rational(F(j, cells)), format_rational(f)]
+                for j, f in enumerate(fraction_cdf(w, k))]
+        assert t.to_csv() == "x,F\n" + "".join(f"{x},{f}\n" for x, f in rows)
+        assert t.to_json() == json.dumps({"depth": k, "points": rows})
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_canonical_round_trip(self, k):
+        # Reduced values such as 1/2 = 3/6 have denominators below 6**k.
+        t = cdf_table(parse_weights("1/2,1/3,1/6"), k)
+        assert t.denominator == 6**k
+        assert CdfTable.from_json(t.to_json()) == t
+
+    def test_constructor_divides_out_common_factor(self):
+        assert CdfTable(1, 2, (0, 2, 4), 4) == CdfTable(1, 2, (0, 1, 2), 2)
+
+    @pytest.mark.parametrize(
+        "row,pair,message",
+        [
+            (1, ["1/4", "1/2"], "expected 1/3"),  # x off the grid
+            (2, ["2/3", "1/4"], "decreases"),
+            (0, ["0/1", "1/8"], "not 0 to 1"),
+            (3, ["1/1", "7/8"], "not 0 to 1"),
+        ],
+    )
+    def test_from_json_rejects_malformed_rows(self, ternary, row, pair, message):
+        data = json.loads(cdf_table(ternary, 1).to_json())
+        data["points"][row] = pair
+        with pytest.raises(ValueError, match=message):
+            CdfTable.from_json(json.dumps(data))
+
+    def test_points_view(self, ternary):
+        t = cdf_table(ternary, 2)
+        assert len(t.points) == 10
+        assert t.points[-1] == (F(1), F(1))
+        assert t.points[-10] == t.points[0] == (F(0), F(0))
+        assert t.points[1] == (F(1, 9), F(1, 4))
+        for index in (10, -11):
+            with pytest.raises(IndexError):
+                t.points[index]
