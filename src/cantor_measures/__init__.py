@@ -36,14 +36,11 @@ from .errors import (
 from .fast import (
     MIN_TOLERANCE,
     FastResult,
-    TruncatedSeries,
     depth_for_eps,
     fast_moments,
     mgf_eval,
     moments_at_depth,
     partial_product_series,
-    rescale_argument,
-    series_from_coeffs,
     series_mul_trunc,
     shifted_fast_moments,
     truncated_factor,
@@ -105,7 +102,6 @@ __all__ = [
     "OrthoBasis",
     "OutOfDomain",
     "OutOfRange",
-    "TruncatedSeries",
     "WeightVector",
     "ZeroNorm",
     "approx_error_depth",
@@ -134,8 +130,6 @@ __all__ = [
     "palindromic_odd_moment",
     "parse_weights",
     "partial_product_series",
-    "rescale_argument",
-    "series_from_coeffs",
     "series_mul_trunc",
     "shifted_fast_moments",
     "shifted_moments",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -21,25 +20,6 @@ from .legendre import grid_csv, monic_basis_general
 from .measure import WeightVector, cdf_table, parse_weights
 from .moments import exact_moments, shifted_moments
 from .rational import format_float, format_rational
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation options, normalized from parsed flags."""
-
-    command: str
-    weights: WeightVector
-    mode: str = "exact"
-    m_max: int = 0
-    degree: int = 0
-    depth: int = 1
-    eps: float | None = None
-    s: float = 0.0
-    threshold: float | None = None
-    grid_points: int = 201
-    weights_b: WeightVector | None = None
-    format: str = "csv"
-    output: str | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,84 +86,67 @@ _MINIMUMS = (("m", "--m", 0), ("degree", "--degree", 0),
              ("depth", "--depth", 1), ("grid_points", "--grid-points", 2))
 
 
-def _config_from_args(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> RunConfig:
+def _parse(
+    parser: argparse.ArgumentParser, argv: Sequence[str] | None
+) -> tuple[argparse.Namespace, WeightVector]:
+    """Parsed flags and weights; a usage error exits 2, bad weights raise."""
+    args = parser.parse_args(argv)
     for attr, flag, low in _MINIMUMS:
         value = getattr(args, attr, low)
         if value < low:
             parser.error(f"{args.command} {flag} must be at least {low}, got {value}")
     weights = parse_weights(args.weights)
-    cfg = RunConfig(
-        command=args.command,
-        weights=weights,
-        mode=getattr(args, "mode", "exact"),
-        m_max=getattr(args, "m", 0),
-        degree=getattr(args, "degree", 0),
-        depth=getattr(args, "depth", 1),
-        eps=getattr(args, "eps", None),
-        s=getattr(args, "s", 0.0),
-        threshold=getattr(args, "threshold", None),
-        grid_points=getattr(args, "grid_points", 201),
-        weights_b=(
-            parse_weights(args.weights_b) if getattr(args, "weights_b", None) else None
-        ),
-        format=args.format,
-        output=args.output,
-    )
-    if cfg.mode == "fast" and cfg.eps is None:
-        parser.error(f"{cfg.command} --mode fast requires --eps")
-    return cfg
+    if getattr(args, "mode", None) == "fast" and args.eps is None:
+        parser.error(f"{args.command} --mode fast requires --eps")
+    return args, weights
 
 
-def _render_moments(cfg: RunConfig) -> str:
-    if cfg.mode == "fast":
-        result = fast_moments(cfg.weights, cfg.m_max, cfg.eps)
-        return result.to_csv() if cfg.format == "csv" else result.to_json()
-    ms = exact_moments(cfg.weights, cfg.m_max)
-    return ms.to_csv() if cfg.format == "csv" else ms.to_json()
+def _render_moments(w: WeightVector, args: argparse.Namespace) -> str:
+    if args.mode == "fast":
+        result = fast_moments(w, args.m, args.eps)
+        return result.to_csv() if args.format == "csv" else result.to_json()
+    ms = exact_moments(w, args.m)
+    return ms.to_csv() if args.format == "csv" else ms.to_json()
 
 
-def _render_shifted(cfg: RunConfig) -> str:
-    if not cfg.weights.is_palindromic:
+def _render_shifted(w: WeightVector, args: argparse.Namespace) -> str:
+    if not w.is_palindromic:
         raise CantorMeasureError(
             f"shifted-moments requires a palindromic weight vector "
-            f"(alpha[N-1-n] == alpha[n] for all n), got {cfg.weights}"
+            f"(alpha[N-1-n] == alpha[n] for all n), got {w}"
         )
-    if cfg.mode == "fast":
-        result = shifted_fast_moments(cfg.weights, cfg.m_max, cfg.eps)
-        return result.to_csv() if cfg.format == "csv" else result.to_json()
-    ms = shifted_moments(cfg.weights, cfg.m_max)
-    return ms.to_csv() if cfg.format == "csv" else ms.to_json()
+    if args.mode == "fast":
+        result = shifted_fast_moments(w, args.m, args.eps)
+        return result.to_csv() if args.format == "csv" else result.to_json()
+    ms = shifted_moments(w, args.m)
+    return ms.to_csv() if args.format == "csv" else ms.to_json()
 
 
-def _render_cdf(cfg: RunConfig) -> str:
-    table = cdf_table(cfg.weights, cfg.depth)
-    return table.to_csv() if cfg.format == "csv" else table.to_json()
+def _render_cdf(w: WeightVector, args: argparse.Namespace) -> str:
+    table = cdf_table(w, args.depth)
+    return table.to_csv() if args.format == "csv" else table.to_json()
 
 
-def _render_legendre(cfg: RunConfig) -> str:
-    basis = monic_basis_general(cfg.weights, cfg.degree)
-    if cfg.format == "json":
+def _render_legendre(w: WeightVector, args: argparse.Namespace) -> str:
+    basis = monic_basis_general(w, args.degree)
+    if args.format == "json":
         return basis.to_json()
-    return grid_csv(basis, cfg.grid_points)
+    return grid_csv(basis, args.grid_points)
 
 
-def _render_mgf(cfg: RunConfig) -> str:
-    value = mgf_eval(cfg.weights, cfg.s, cfg.depth)
-    if cfg.format == "json":
-        return json.dumps({"s": cfg.s, "depth": cfg.depth, "value": value})
+def _render_mgf(w: WeightVector, args: argparse.Namespace) -> str:
+    value = mgf_eval(w, args.s, args.depth)
+    if args.format == "json":
+        return json.dumps({"s": args.s, "depth": args.depth, "value": value})
     return (
         "s,depth,value\n"
-        f"{format_float(cfg.s)},{cfg.depth},{format_float(value)}\n"
+        f"{format_float(args.s)},{args.depth},{format_float(value)}\n"
     )
 
 
-def _render_decay(cfg: RunConfig) -> str:
-    report = check_decay(
-        cfg.weights, exact_moments(cfg.weights, cfg.m_max), cfg.threshold
-    )
-    if cfg.format == "json":
+def _render_decay(w: WeightVector, args: argparse.Namespace) -> str:
+    report = check_decay(w, exact_moments(w, args.m), args.threshold)
+    if args.format == "json":
         return report.to_json()
     gamma = "inf" if report.regime == "exponential" else format_float(report.gamma)
     lines = ["regime,gamma,witness_constant,max_m_checked,ok"]
@@ -194,9 +157,9 @@ def _render_decay(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_lipschitz(cfg: RunConfig) -> str:
-    result = check_lipschitz(cfg.weights, cfg.weights_b, cfg.depth)
-    if cfg.format == "json":
+def _render_lipschitz(w: WeightVector, args: argparse.Namespace) -> str:
+    result = check_lipschitz(w, parse_weights(args.weights_b), args.depth)
+    if args.format == "json":
         return result.to_json()
     return (
         "distance,bound,ok\n"
@@ -220,22 +183,21 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse flags, dispatch, write output; return the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(parser, args)
+        args, weights = _parse(parser, argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except CantorMeasureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        text = _RENDERERS[cfg.command](cfg)
+        text = _RENDERERS[args.command](weights, args)
     except CantorMeasureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.output is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(cfg.output).write_text(text, encoding="utf-8")
+        Path(args.output).write_text(text, encoding="utf-8")
     return 0
 
 

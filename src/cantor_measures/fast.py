@@ -13,13 +13,13 @@ so depth k (rounded up to a power of two) costs exactly log2(k) truncated
 series multiplications of degree m.  The centred measure (shifted to
 ``[-1/2, 1/2]``) runs the same pipeline with branch offsets ``n - (N-1)/2``.
 
-Series coefficients are stored in exponential-generating-function form
-(coefficient of ``s**n`` is ``moment / n!``), which keeps every stored value
-at most e.  Moments are reconstructed by an incremental factorial carried in
-(mantissa, exponent) split form, so no intermediate overflows.  Each bound is
-the truncation term plus a rounding term (:func:`_certified`), valid only
-while ``I_n / n!`` is a normal double: up to n of about 170, where it starts
-to underflow and the values are no longer certified.
+A truncated series is a float64 array of its ``degree + 1`` coefficients,
+in exponential-generating-function form (coefficient of ``s**n`` is
+``moment / n!``), which keeps every stored value at most e.  Moment n is
+coefficient n times ``n!``.  Each bound is the truncation term plus a
+rounding term plus an underflow term (:func:`_certified`).  The underflow
+term grows like ``n!``: it stays below eps up to n of about 165, and from
+n = 171, where ``n!`` leaves the double range, values are 0 and bounds inf.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -37,42 +36,6 @@ from .rational import format_float
 
 #: Smallest tolerance the double-precision pipeline certifies.
 MIN_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedSeries:
-    """Degree-m truncation of a power series in EGF coefficient form.
-
-    ``coeffs[n]`` is the coefficient of ``s**n``; for a moment generating
-    function this is ``moment_n / n!``.
-    """
-
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.float64)
-        if arr.ndim != 1 or len(arr) != self.degree + 1:
-            raise ValueError(
-                f"expected {self.degree + 1} coefficients, got shape {arr.shape}"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.degree == other.degree and np.array_equal(self.coeffs, other.coeffs)
-
-    def __len__(self) -> int:
-        return self.degree + 1
-
-
-def series_from_coeffs(coeffs: Iterable[float]) -> TruncatedSeries:
-    """Build a :class:`TruncatedSeries` from raw coefficient values."""
-    arr = np.asarray(list(coeffs), dtype=np.float64)
-    return TruncatedSeries(degree=len(arr) - 1, coeffs=arr)
 
 
 def _exp_terms(x: float, degree: int) -> np.ndarray:
@@ -107,10 +70,10 @@ def truncated_factor(
     # The constant term is sum(alpha) = 1 exactly; don't let the float
     # conversions of the individual weights smear it.
     coeffs[0] = 1.0
-    return TruncatedSeries(degree=degree, coeffs=coeffs)
+    return coeffs
 
 
-def series_mul_trunc(a: TruncatedSeries, b: TruncatedSeries, degree: int) -> TruncatedSeries:
+def series_mul_trunc(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
     """Degree-m truncation of the product of two truncated series.
 
     Missing coefficients are treated as zero.  The direct sum of products
@@ -119,16 +82,10 @@ def series_mul_trunc(a: TruncatedSeries, b: TruncatedSeries, degree: int) -> Tru
     """
     if degree < 0:
         raise OutOfRange(f"degree must be nonnegative, got {degree}")
-    out = np.convolve(a.coeffs, b.coeffs)[: degree + 1]
+    out = np.convolve(a, b)[: degree + 1]
     if len(out) < degree + 1:
         out = np.concatenate([out, np.zeros(degree + 1 - len(out))])
-    return TruncatedSeries(degree=degree, coeffs=out)
-
-
-def rescale_argument(a: TruncatedSeries, factor: float) -> TruncatedSeries:
-    """Series of ``s -> F(factor * s)``: multiply ``coeffs[n]`` by ``factor**n``."""
-    scale = float(factor) ** np.arange(a.degree + 1)
-    return TruncatedSeries(degree=a.degree, coeffs=a.coeffs * scale)
+    return out
 
 
 def _check_tolerance(eps: float) -> float:
@@ -154,6 +111,11 @@ def _log_truncation(n_base: int, depth: int, n, shifted: bool):
     return log_b + n * math.log(1.5) if shifted else log_b
 
 
+def _multiplications(depth: int) -> int:
+    """Truncated multiplications of :func:`partial_product_series` at depth k."""
+    return depth.bit_length() + bin(depth).count("1") - 2
+
+
 def _rounding(n_base: int, depth: int, n):
     """Relative rounding bound at index n (scalar or array) at depth k.
 
@@ -161,7 +123,7 @@ def _rounding(n_base: int, depth: int, n):
     :func:`_certified`: gamma_rho relative to the computed, not the true,
     value.
     """
-    mults = depth.bit_length() + bin(depth).count("1") - 2
+    mults = _multiplications(depth)
     rho = ((4 + 3 * mults) * n + depth * (n_base + 5) - 4) * 2.0**-53  # times u
     return rho / (1.0 - 2.0 * rho)
 
@@ -174,7 +136,9 @@ def depth_for_eps(n_base: int, m: int, eps: float, shifted: bool = False) -> int
     bound at index ``2 <= n <= m`` is at most the truncation term plus the
     rounding term (:func:`_rounding`) at index m, both growing with n, on a
     value of at most 1 (raw moments) or 1/4 (``|J_n| <= 2**-n``).  Raises
-    :class:`BadTolerance` when that rounding term alone reaches eps.
+    :class:`BadTolerance` when that rounding term alone reaches eps.  The
+    underflow term of :func:`_certified` is left out: it keeps bounds within
+    eps only up to about n = 165, and they are inf from n = 171.
     """
     if m < 2:
         raise OutOfRange(f"the error bound needs m >= 2, got {m}")
@@ -199,7 +163,7 @@ def depth_for_eps(n_base: int, m: int, eps: float, shifted: bool = False) -> int
 
 def partial_product_series(
     w: WeightVector, degree: int, depth: int, shifted: bool = False
-) -> TruncatedSeries:
+) -> np.ndarray:
     """Degree-m truncation of the depth-k partial product of the MGF.
 
     Blocks of ``2**j`` consecutive factors are built by squaring with an
@@ -211,51 +175,29 @@ def partial_product_series(
     if depth < 1:
         raise OutOfRange(f"depth must be a positive integer, got {depth}")
     n_base = w.n_branches
+    powers = np.arange(degree + 1)
     top = depth.bit_length() - 1
     blocks = [truncated_factor(w, degree, 1, shifted)]
     for j in range(top):
-        squared = series_mul_trunc(
-            blocks[j], rescale_argument(blocks[j], float(n_base) ** -(1 << j)), degree
-        )
-        blocks.append(squared)
-    result: TruncatedSeries | None = None
+        sigma = float(n_base) ** -(1 << j)
+        blocks.append(series_mul_trunc(blocks[j], blocks[j] * sigma**powers, degree))
+    result = None
     offset = 0
     for j in range(top, -1, -1):
         if not (depth >> j) & 1:
             continue
         block = blocks[j]
         if offset:
-            block = rescale_argument(block, float(n_base) ** -offset)
+            block = block * (float(n_base) ** -offset) ** powers
         result = block if result is None else series_mul_trunc(result, block, degree)
         offset += 1 << j
-    assert result is not None
     return result
-
-
-def _split_reconstruct(coeffs: np.ndarray) -> np.ndarray:
-    """Moments ``n! * coeffs[n]`` via (mantissa, exponent) split arithmetic.
-
-    The split form never forms ``n!`` as a double, so no intermediate
-    overflows for any n.
-    """
-    mant, exp2 = np.frexp(coeffs)
-    out_m = np.empty(len(coeffs))
-    out_e = np.empty(len(coeffs), dtype=np.int64)
-    fact_m, fact_e = 1.0, 0
-    for n in range(len(coeffs)):
-        if n > 1:
-            fact_m, shift = math.frexp(fact_m * n)
-            fact_e += shift
-        value_m, value_e = math.frexp(mant[n] * fact_m)
-        out_m[n] = value_m
-        out_e[n] = int(exp2[n]) + fact_e + value_e
-    return np.ldexp(out_m, out_e)
 
 
 def _certified(
     w: WeightVector, m_max: int, depth: int, shifted: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Depth-k moments and bounds: truncation plus rounding error.
+    """Depth-k moments and bounds: truncation, rounding and underflow error.
 
     ``rho(n)`` counts the unit roundoffs u from the weights to moment n, per
     coefficient j <= n and with libm ``pow`` within 1 ulp (2 roundoffs):
@@ -266,16 +208,39 @@ def _certified(
     ``(3 + 3L) n + k (N + 5) - 4``, and the factorial adds n.  The error is
     then ``gamma_rho = rho u / (1 - rho u)`` relative to the depth-k moment
     on the raw path (nonnegative terms), or to ``2**-n`` on the centred path
-    (every ``|offset| / N <= 1/2`` bounds the absolute-value series).  An
-    underflowed term adds about ``2**-1074``, below u times the result only
-    while ``I_n / n!`` is a normal double.
+    (every ``|offset| / N <= 1/2`` bounds the absolute-value series).
+
+    That count assumes no product underflows.  A product or quotient that
+    does is off by at most ``eta = 2**-1075`` more (half the smallest
+    subnormal), ``pow`` by ``2 eta``; sums of doubles are exact there.  In
+    units of eta, the absolute error of a coefficient at index ``j <= n``:
+    ``x**j/j!`` by ``t_j = t_(j-1) * x / j`` with ``|x| < 1`` is within
+    ``(E + 1) / j + 1 <= 4``, and the N weight products make a factor
+    within ``N + 5``.  The rescale by ``sigma**j <= 1`` adds 3 (pow and
+    product).  A product whose inputs are within A and B is within
+    ``3A + 3B + n + 2``: the absolute-value series of every input sums to at
+    most e at s = 1 (below 3 with rounding), its n + 1 products add eta each
+    and the cross terms of two errors less than one.  Over L
+    multiplications with one rescaled input each, ``E <- 6E + n + 11`` from
+    ``N + 5`` gives at most ``6**L (n + 5N + 36) / 5``.  Moment n multiplies
+    by ``n!`` and adds one eta; the count ``6**L (n + N + 20)`` exceeds that
+    sum by at least one more, which covers the rounding of the term itself.
+    The term is negligible below n of about 160 and reaches eps near
+    n = 166..170; from n = 171 ``n!`` overflows, so values there are 0 and
+    bounds inf.
     """
     series = partial_product_series(w, m_max, depth, shifted)
-    moments = _split_reconstruct(series.coeffs)
     n = np.arange(m_max + 1, dtype=np.float64)
+    top = min(m_max, 170) + 1  # 171! is past the double range
+    factorial = np.cumprod(np.maximum(n[:top], 1.0))
+    moments = np.zeros(m_max + 1)
+    moments[:top] = series[:top] * factorial
     scale = 0.5**n if shifted else np.abs(moments)
     bounds = _rounding(w.n_branches, depth, n) * scale
     bounds[2:] += np.exp(_log_truncation(w.n_branches, depth, n[2:], shifted))
+    count = 6.0 ** _multiplications(depth) * (n[:top] + w.n_branches + 20)
+    bounds[:top] += count * (factorial * 2.0**-1074) * 0.5
+    bounds[top:] = math.inf
     # The constant coefficient is a product of exact ones.
     bounds[0] = 0.0
     return moments, bounds
@@ -381,7 +346,9 @@ def fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:
     meet ``eps`` (:func:`depth_for_eps`), rounds it up to a power of two and
     runs the doubling product, performing exactly ``log2(depth)`` truncated
     multiplications.  Index 0 is exact; index 1 is the double nearest the
-    exact ``I_1`` and its bound is that rounding error.
+    exact ``I_1`` and its bound is that rounding error.  Bounds stay within
+    eps only up to about n = 165, where the underflow of ``I_n / n!`` starts
+    to count; from n = 171 values are 0 and bounds inf.
     """
     return _certified_to_eps(w, m_max, eps, shifted=False)
 
@@ -403,9 +370,12 @@ def mgf_eval(w: WeightVector, s: float, depth: int) -> float:
 
     Nondecreasing in ``depth`` for ``s > 0`` (every factor is at least 1
     there) and converges to the moment generating function as depth grows.
-    Raises :class:`OutOfDomain` for a non-finite ``s``, :class:`OutOfRange`
-    for ``depth < 1`` and :class:`FloatOverflow` when the value exceeds the
-    largest double, as for ``s = 1e6`` on ternary.
+    Once ``N**r`` passes the double range the factors from r on change the
+    value by a factor within ``exp(|s| / N**(r-1))`` of 1; the loop stops
+    when that is below ``2**-60``, so any depth costs at most a few thousand
+    factors.  Raises :class:`OutOfDomain` for a non-finite ``s``,
+    :class:`OutOfRange` for ``depth < 1`` and :class:`FloatOverflow` when the
+    value exceeds the largest double, as for ``s = 1e6`` on ternary.
     """
     if not math.isfinite(s):
         raise OutOfDomain(f"the MGF argument must be finite, got s = {s}")
@@ -414,12 +384,19 @@ def mgf_eval(w: WeightVector, s: float, depth: int) -> float:
     n_base = w.n_branches
     weights = [float(a) for a in w.weights]
     value = 1.0
-    try:
-        for r in range(1, depth + 1):
-            scale = s / n_base**r
+    for r in range(1, depth + 1):
+        power = n_base**r
+        if power.bit_length() > 1024 and abs(s) < power >> (60 + n_base.bit_length()):
+            break
+        try:
+            scale = s / power
+        except OverflowError:  # power is past the double range, s / power is not
+            scale = float(Fraction(s) / power)
+        try:
             value *= sum(a * math.exp(n * scale) for n, a in enumerate(weights) if a)
-    except OverflowError:
-        value = math.inf
+        except OverflowError:
+            value = math.inf
+            break
     if value == math.inf:
         raise FloatOverflow(f"MGF partial product at s = {s} exceeds the double range")
     return value

@@ -199,7 +199,10 @@ def approx_error_depth(n_base: int, m: int, eps: RationalLike | float) -> int:
         raise OutOfRange(f"base must be at least 2, got {n_base}")
     if m < 1:
         raise OutOfRange(f"m must be a positive integer, got {m}")
-    tol = Fraction(eps)
+    try:
+        tol = Fraction(eps)
+    except (OverflowError, ValueError):  # inf, nan or malformed text
+        raise BadTolerance(f"eps must be positive and finite, got {eps}") from None
     if tol <= 0:
         raise BadTolerance(f"eps must be positive, got {eps}")
     k = 1

@@ -91,6 +91,8 @@ class TestInputContract:
             (("moments", "--weights", "1", "--m", "2"), 1),
             (("moments", "--weights", "1/0,1", "--m", "2"), 1),
             (("legendre", "--weights", "0,1,0", "--degree", "2"), 1),
+            # An empty --weights-b used to reach check_lipschitz as None.
+            (("lipschitz", *TERNARY, "--weights-b", "", "--depth", "1"), 1),
         ],
     )
     def test_malformed_argv(self, capsys, argv, expected):
@@ -113,6 +115,27 @@ class TestInputContract:
         assert code == 1
         assert out == ""
         assert err.startswith("error: CANTOR_DEPTH_CAP") and err.count("\n") == 1
+
+
+class TestInfiniteBounds:
+    """Bounds past n = 170 are inf: ``inf`` in CSV, ``Infinity`` in JSON."""
+
+    ARGV = ("moments", "--weights", "1/2,0,1/2", "--m", "173", "--mode", "fast",
+            "--eps", "1e-10")
+
+    def test_csv(self, capsys):
+        code, out, _ = invoke(capsys, *self.ARGV, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-3:] == ["171,0,inf", "172,0,inf", "173,0,inf"]
+
+    def test_json_round_trip(self, capsys):
+        code, out, _ = invoke(capsys, *self.ARGV, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["bounds"][171:] == [float("inf")] * 3
+        assert out.count("Infinity") == 3
+        result = FastResult.from_json(out)
+        assert list(result.certified_bound[171:]) == [float("inf")] * 3
+        assert FastResult.from_json(result.to_json()) == result
 
 
 class TestMomentsCommand:

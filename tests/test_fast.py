@@ -22,9 +22,8 @@ from cantor_measures import (
     fast_moments,
     mgf_eval,
     moments_at_depth,
+    parse_weights,
     partial_product_series,
-    rescale_argument,
-    series_from_coeffs,
     series_mul_trunc,
     shifted_fast_moments,
     shifted_moments,
@@ -41,59 +40,44 @@ class TestTruncatedFactor:
     def test_dirac_at_zero_constant(self):
         w = weight_vector([1, 0, 0])
         s = truncated_factor(w, 5, 1)
-        assert s.coeffs[0] == 1.0
-        assert np.all(s.coeffs[1:] == 0.0)
+        assert s[0] == 1.0
+        assert np.all(s[1:] == 0.0)
 
     def test_ternary_first_scale(self, ternary):
         s = truncated_factor(ternary, 2, 1)
-        assert s.coeffs == pytest.approx([1.0, 1 / 3, 1 / 9], rel=1e-15)
+        assert s == pytest.approx([1.0, 1 / 3, 1 / 9], rel=1e-15)
 
     def test_dirac_quarter_scale(self):
         s = truncated_factor(weight_vector([0, 1]), 1, 2)
-        assert list(s.coeffs) == [1.0, 0.25]
+        assert list(s) == [1.0, 0.25]
 
     @given(weight_vectors_st(), st.integers(0, 12), st.integers(1, 3))
     @settings(max_examples=40)
     def test_nonnegative_with_unit_constant(self, w, degree, r):
         s = truncated_factor(w, degree, r)
-        assert s.coeffs[0] == 1.0
-        assert np.all(s.coeffs >= 0)
+        assert s[0] == 1.0
+        assert np.all(s >= 0)
 
 
 class TestSeriesMulTrunc:
     def test_multiplicative_identity(self):
-        a = series_from_coeffs([1.0, 0.5, 0.25])
-        one = series_from_coeffs([1.0, 0.0, 0.0])
-        assert series_mul_trunc(a, one, 2) == a
+        a = np.array([1.0, 0.5, 0.25])
+        one = np.array([1.0, 0.0, 0.0])
+        assert np.array_equal(series_mul_trunc(a, one, 2), a)
 
     def test_binomial_square(self):
-        a = series_from_coeffs([1.0, 1.0])
-        assert list(series_mul_trunc(a, a, 2).coeffs) == [1.0, 2.0, 1.0]
+        a = np.array([1.0, 1.0])
+        assert list(series_mul_trunc(a, a, 2)) == [1.0, 2.0, 1.0]
 
     def test_truncated_exp_square(self):
-        a = series_from_coeffs([1.0, 1.0, 0.5])
-        assert list(series_mul_trunc(a, a, 2).coeffs) == [1.0, 2.0, 2.0]
+        a = np.array([1.0, 1.0, 0.5])
+        assert list(series_mul_trunc(a, a, 2)) == [1.0, 2.0, 2.0]
 
     def test_short_inputs_padded(self):
-        a = series_from_coeffs([2.0])
-        b = series_from_coeffs([3.0])
+        a = np.array([2.0])
+        b = np.array([3.0])
         out = series_mul_trunc(a, b, 3)
-        assert list(out.coeffs) == [6.0, 0.0, 0.0, 0.0]
-
-
-class TestRescaleArgument:
-    def test_unit_factor(self):
-        a = series_from_coeffs([1.0, 1.0, 0.5])
-        assert rescale_argument(a, 1.0) == a
-
-    def test_one_third(self):
-        a = series_from_coeffs([1.0, 1.0, 0.5])
-        out = rescale_argument(a, 1 / 3)
-        assert out.coeffs == pytest.approx([1.0, 1 / 3, 1 / 18], rel=1e-15)
-
-    def test_constant_series_unchanged(self):
-        a = series_from_coeffs([1.0, 0.0, 0.0])
-        assert list(rescale_argument(a, 17.5).coeffs) == [1.0, 0.0, 0.0]
+        assert list(out) == [6.0, 0.0, 0.0, 0.0]
 
 
 class TestDepthForEps:
@@ -213,18 +197,16 @@ class TestFastMoments:
         for k, j in ((2, 3), (4, 4), (1, 6)):
             whole = partial_product_series(ternary, m, k + j)
             left = partial_product_series(ternary, m, k)
-            block = rescale_argument(
-                partial_product_series(ternary, m, j), 3.0**-k
-            )
+            block = partial_product_series(ternary, m, j) * (3.0**-k) ** np.arange(m + 1)
             combined = series_mul_trunc(left, block, m)
-            assert combined.coeffs == pytest.approx(list(whole.coeffs), rel=1e-12)
+            assert combined == pytest.approx(list(whole), rel=1e-12)
 
     def test_partial_series_invariants(self, ternary):
         s = partial_product_series(ternary, 12, 11)  # non power of two depth
-        assert s.coeffs[0] == 1.0
-        assert np.all(s.coeffs >= 0)
+        assert s[0] == 1.0
+        assert np.all(s >= 0)
         direct = partial_product_series(ternary, 12, 8)
-        assert s.coeffs[1] >= direct.coeffs[1]
+        assert s[1] >= direct[1]
 
     def test_large_degree_finite(self, ternary):
         result = fast_moments(ternary, 256, 1e-9)
@@ -272,9 +254,9 @@ class TestShiftedFastMoments:
     def test_factor_is_centered(self, ternary):
         s = truncated_factor(ternary, 6, 1, shifted=True)
         # Weighted cosh: even coefficients positive, odd ones vanish.
-        assert s.coeffs[0] == 1.0
-        assert np.all(s.coeffs[2::2] > 0)
-        assert s.coeffs[1::2] == pytest.approx([0.0, 0.0, 0.0], abs=1e-17)
+        assert s[0] == 1.0
+        assert np.all(s[2::2] > 0)
+        assert s[1::2] == pytest.approx([0.0, 0.0, 0.0], abs=1e-17)
 
 
 class TestCertifiedSweep:
@@ -310,6 +292,45 @@ class TestCertifiedSweep:
         assert max(result.certified_bound) <= eps
 
 
+class TestCertifiedRange:
+    """Underflow of ``I_n / n!`` is in the bound; from n = 171 it is inf."""
+
+    @pytest.mark.parametrize(
+        "weights,m,eps,shifted",
+        [
+            ("1/2,0,1/2", 200, 1e-10, False),  # broke its bound from n = 173
+            ("1/3,1/9,1/9,1/9,1/3", 3101, 2.38e-6, True),  # depth 1024, from n = 152
+            ("1/5,3/10,1/10,2/5", 200, 1e-9, False),  # from n = 172
+            ("0,1/2,1/2,0", 200, 1e-8, True),
+        ],
+    )
+    def test_bound_covers_exact_error_to_200(self, weights, m, eps, shifted):
+        w = parse_weights(weights)
+        if shifted:
+            result, exact = shifted_fast_moments(w, m, eps), shifted_moments(w, 200)
+        else:
+            result, exact = fast_moments(w, m, eps), exact_moments(w, 200)
+        for n in range(201):
+            bound = result.certified_bound[n]
+            if n > 170:
+                assert result.moments[n] == 0.0
+                assert bound == math.inf or (shifted and n % 2 == 1 and bound == 0.0)
+            else:
+                assert abs(F(result.moments[n]) - exact.values[n]) <= F(bound), n
+                assert bound <= eps or n > 165, n
+
+    def test_moments_are_series_times_running_factorial(self, ternary):
+        # The n roundings of the factorial loop the split reconstruction ran.
+        series = partial_product_series(ternary, 180, 16)
+        expected, fact = [], 1.0
+        for n in range(171):
+            fact *= max(n, 1)
+            expected.append(series[n] * fact)
+        result = moments_at_depth(ternary, 180, 16)
+        assert list(result.moments[:171]) == expected
+        assert not result.moments[171:].any()
+
+
 class TestMgfEval:
     def test_normalization_at_zero(self, ternary):
         assert mgf_eval(ternary, 0.0, 12) == 1.0
@@ -337,6 +358,21 @@ class TestMgfEval:
     def test_non_finite_argument_is_a_domain_error(self, ternary, s):
         with pytest.raises(OutOfDomain):
             mgf_eval(ternary, s, 10)
+
+    @pytest.mark.parametrize(
+        "weights,s,last",
+        [("1/2,0,1/2", 1.0, 646), ("1/2,1/2", -3.0, 1023), ("1/2,1/2", -1e300, None)],
+    )
+    def test_depth_past_the_double_range_of_n_to_the_r(self, weights, s, last):
+        # From N**r = 3**647 (2**1024) on, s / N**r raised OverflowError,
+        # which was reported as an infinite value.
+        w = parse_weights(weights)
+        converged = mgf_eval(w, s, 2000)
+        assert mgf_eval(w, s, 10**9) == converged
+        if last is not None:  # every factor past the last printable depth is 1.0
+            assert mgf_eval(w, s, last) == converged
+        else:  # uniform on [0, 1]: (1 - e**s) / -s
+            assert converged == pytest.approx(1e-300, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("s", [1e6, 1400.0])
     def test_overflow_is_a_domain_error(self, s):
@@ -378,7 +414,7 @@ class TestFastResultType:
     [
         lambda w: truncated_factor(w, -1),
         lambda w: truncated_factor(w, 3, 0),
-        lambda w: series_mul_trunc(series_from_coeffs([1.0]), series_from_coeffs([1.0]), -1),
+        lambda w: series_mul_trunc(np.array([1.0]), np.array([1.0]), -1),
         lambda w: partial_product_series(w, 4, -1),
         lambda w: depth_for_eps(3, 1, 1e-6),
         lambda w: moments_at_depth(w, 4, 0),

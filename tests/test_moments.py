@@ -155,6 +155,9 @@ class TestApproxErrorDepth:
             approx_error_depth(3, 5, 0)
         with pytest.raises(BadTolerance):
             approx_error_depth(3, 5, F(-1, 10))
+        for eps in (math.inf, math.nan):  # raised OverflowError, bare ValueError
+            with pytest.raises(BadTolerance):
+                approx_error_depth(3, 4, eps)
 
     @given(st.integers(2, 6), st.integers(1, 12), st.fractions(F(1, 500), F(2)))
     @settings(max_examples=40)
