@@ -62,7 +62,6 @@ from .measure import (
     cdf_sup_distance,
     cdf_table,
     depth_cap,
-    interval_mass,
     kronecker_power,
     parse_weights,
     weight_vector,
@@ -71,7 +70,6 @@ from .moments import (
     MomentSequence,
     approx_error_depth,
     exact_moments,
-    exact_moments_via_depth,
     left_endpoint_estimate,
     palindromic_odd_moment,
     shifted_moments,
@@ -114,12 +112,10 @@ __all__ = [
     "depth_for_eps",
     "eval_poly",
     "exact_moments",
-    "exact_moments_via_depth",
     "fast_moments",
     "grid_csv",
     "holder_exponent",
     "inner_product",
-    "interval_mass",
     "kronecker_power",
     "left_endpoint_estimate",
     "mgf_eval",

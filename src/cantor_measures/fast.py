@@ -370,10 +370,12 @@ def mgf_eval(w: WeightVector, s: float, depth: int) -> float:
 
     Nondecreasing in ``depth`` for ``s > 0`` (every factor is at least 1
     there) and converges to the moment generating function as depth grows.
-    Once ``N**r`` passes the double range the factors from r on change the
-    value by a factor within ``exp(|s| / N**(r-1))`` of 1; the loop stops
-    when that is below ``2**-60``, so any depth costs at most a few thousand
-    factors.  Raises :class:`OutOfDomain` for a non-finite ``s``,
+    Every exponent of factor r is within ``|s| / N**(r-1)`` of 0; the loop
+    stops once that is below ``2**-60``, where every remaining ``exp`` term
+    is exactly 1.0 and a factor could only multiply the value by the float
+    sum of the weights (0.9999999999999999 for ten weights 1/10), so the
+    value stops changing with depth and any depth costs at most a few
+    thousand factors.  Raises :class:`OutOfDomain` for a non-finite ``s``,
     :class:`OutOfRange` for ``depth < 1`` and :class:`FloatOverflow` when the
     value exceeds the largest double, as for ``s = 1e6`` on ternary.
     """
@@ -386,7 +388,7 @@ def mgf_eval(w: WeightVector, s: float, depth: int) -> float:
     value = 1.0
     for r in range(1, depth + 1):
         power = n_base**r
-        if power.bit_length() > 1024 and abs(s) < power >> (60 + n_base.bit_length()):
+        if abs(s) < power >> (60 + n_base.bit_length()):
             break
         try:
             scale = s / power

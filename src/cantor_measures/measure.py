@@ -30,7 +30,6 @@ from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import (
-    BadDigit,
     BadSetting,
     DepthOverflow,
     MeshMismatch,
@@ -181,21 +180,6 @@ def kronecker_power(w: WeightVector, k: int, cap: int | None = None) -> WeightVe
     _check_depth(w.n_branches, k, cap)
     masses, denominator = _digit_products(w, k)
     return WeightVector(tuple(Fraction(p, denominator) for p in masses))
-
-
-def interval_mass(w: WeightVector, digits: Sequence[int]) -> Fraction:
-    """Mass of the depth-k N-adic interval addressed by base-N ``digits``.
-
-    Returns ``prod_l alpha_{digits[l]}``, the increment of the CDF across the
-    interval ``[x, x + N**-k]`` with ``x = sum_l digits[l] * N**(l-k)``.
-    """
-    n = w.n_branches
-    mass = Fraction(1)
-    for d in digits:
-        if not 0 <= d < n:
-            raise BadDigit(f"digit {d} out of range 0..{n - 1}")
-        mass *= w.weights[d]
-    return mass
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,15 @@ Splitting the integral over the N branches gives a closed recurrence
 
     I_m = (N**m - 1)**-1 * sum_n alpha_n * sum_{i<m} C(m,i) n**(m-i) I_i
 
-with ``I_0 = 1``, and a depth-k generalization whose inner sums run over all
-k-digit addresses.  Both are evaluated here in exact rational arithmetic.
-The left-endpoint lower sum over the depth-k grid serves as an independent
-brute-force check: it never exceeds ``I_m`` and converges to it as k grows,
-with gap strictly below ``(1 + N**-k)**m - 1``.
+with ``I_0 = 1``, evaluated here in exact integer arithmetic.  The branch
+sum collapses into integer power sums of the offsets, computed once in
+O(N * m) products; each step is then a Horner sum over the step factors
+``A * (N**j - 1)`` (A the lcm of the weight denominators), O(m**2) big
+products in all, on numerators that are never rescaled; and each value is
+reduced once, by one gcd per index.  The left-endpoint lower sum over the
+depth-k grid serves as an independent brute-force check: it never exceeds
+``I_m`` and converges to it as k grows, with gap strictly below
+``(1 + N**-k)**m - 1``.
 
 Shifted moments ``J_m`` (measure translated to ``[-1/2, 1/2]``) satisfy
 the same recurrence with the branch offsets ``n`` replaced by
@@ -22,7 +26,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .errors import BadTolerance, NotOdd, OutOfRange
@@ -95,80 +98,53 @@ def _self_similar_moments(
 ) -> tuple[Fraction, ...]:
     """Moments ``E[Y**m]`` of ``Y = (c_n / q + Y') / N`` (branch n w.p. ``alpha_n``).
 
-    The loop runs on integer numerators of ``E[(qY)**m]`` over one common
-    denominator ``prod_{j<=m} A*(N**j - 1)`` (A the lcm of the weight
-    denominators), which avoids per-step gcd normalization; the fractions are
-    reduced once at the end.  Cost is O(m_max**2 * N) big-int operations.
+    With A the lcm of the weight denominators, ``alpha_n = p_n / A``, the
+    integer power sums ``P_j = sum_n p_n * c_n**j`` and the step factors
+    ``s_j = A * (N**j - 1)``, the moments ``X_m = E[(qY)**m]`` satisfy
+    ``s_m X_m = sum_{i<m} C(m,i) P_{m-i} X_i``.  The loop keeps the integer
+    numerators ``u_m = X_m * s_1 * ... * s_m``, so
+
+        u_m = sum_{i<m} C(m,i) P_{m-i} u_i * s_{i+1} * ... * s_{m-1},
+
+    evaluated as a Horner sum over the step factors: one big-integer product
+    per i, and no stored ``u_i`` is ever rescaled.  The power sums cost
+    O(N * m_max) products, the steps O(m_max**2) big products, and each
+    value is reduced once at the end by one ``Fraction`` gcd.
     """
     if m_max < 0:
         raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
     n_base = w.n_branches
     common = math.lcm(*(a.denominator for a in w.weights))
     branches = [(int(a * common), c) for a, c in zip(w.weights, offsets) if a and c]
-    scaled = [1]  # scaled[i] == E[Y**i] * denom
-    denom = 1
+    power_sums = [0]  # power_sums[j] == P_j for j >= 1
+    terms = [p_n for p_n, _ in branches]
+    for _ in range(m_max):
+        terms = [t * c for t, (_, c) in zip(terms, branches)]
+        power_sums.append(sum(terms))
+    steps = [common * (n_base**j - 1) for j in range(m_max + 1)]
+    scaled = [1]  # scaled[i] == u_i
     row = [1]
     for m in range(1, m_max + 1):
         row = _pascal_row(row)
-        total = 0
-        for p_n, c in branches:
-            acc = 0
-            power = 1
-            for i in range(m - 1, -1, -1):
-                power *= c
-                acc += scaled[i] * (row[i] * power)
-            total += p_n * acc
-        step = common * (n_base**m - 1)
-        scaled = [u * step for u in scaled]
-        scaled.append(total)
-        denom *= step
-    return tuple(Fraction(u, denom * q**m) for m, u in enumerate(scaled))
+        acc = power_sums[m]
+        for i in range(1, m):
+            acc *= steps[i]
+            coefficient = row[i] * power_sums[m - i]
+            if coefficient:  # odd P_j vanish for centred palindromic offsets
+                acc += coefficient * scaled[i]
+        scaled.append(acc)
+    values = [Fraction(1)]
+    denom = 1
+    for m in range(1, m_max + 1):
+        denom *= steps[m] * q
+        values.append(Fraction(scaled[m], denom))
+    return tuple(values)
 
 
 def exact_moments(w: WeightVector, m_max: int) -> MomentSequence:
     """Exact raw moments ``I_0..I_{m_max}``: branch offsets ``0..N-1``."""
     values = _self_similar_moments(w, range(w.n_branches), m_max)
     return MomentSequence(weights=w, kind="raw", values=values)
-
-
-def exact_moments_via_depth(
-    w: WeightVector, k: int, m_max: int, cap: int | None = None
-) -> MomentSequence:
-    """Exact raw moments via the depth-k recurrence (cross-validation path).
-
-    Enumerates all k-digit addresses to evaluate the inner weighted power
-    sums exactly, then solves the same telescoping identity at depth k.  The
-    result equals :func:`exact_moments` for every k; this independence is
-    what makes the pair a useful consistency check.
-    """
-    if m_max < 0:
-        raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
-    n_base = w.n_branches
-    size = _check_depth(n_base, k, cap)
-    # digit_sums[j] = sum over addresses of (mass * (address / N**k)**j)
-    digit_sums = [Fraction(0)] * (m_max + 1)
-    digit_sums[0] = Fraction(1)
-    for digits in product(range(n_base), repeat=k):
-        mass = Fraction(1)
-        for d in digits:
-            mass *= w.weights[d]
-        if mass == 0:
-            continue
-        x = Fraction(sum(d * n_base**j for j, d in enumerate(digits)), size)
-        term = mass
-        for j in range(1, m_max + 1):
-            term *= x
-            digit_sums[j] += term
-
-    values = [Fraction(1)]
-    row = [1]
-    for m in range(1, m_max + 1):
-        row = _pascal_row(row)
-        acc = Fraction(0)
-        for i in range(m):
-            acc += row[i] * size ** (m - i) * values[i] * digit_sums[m - i]
-        values.append(acc / (size**m - 1))
-    return MomentSequence(weights=w, kind="raw", values=tuple(values))
 
 
 def left_endpoint_estimate(

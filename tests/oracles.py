@@ -1,0 +1,96 @@
+"""Independent oracles: slow, direct forms of what the package computes fast.
+
+None of these is package API.  Each one recomputes a quantity by another
+route than the package does, so that agreement between the two is evidence
+for both.
+"""
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import product
+from typing import Sequence
+
+from cantor_measures import BadDigit, MomentSequence, WeightVector
+
+
+def branch_recurrence_moments(
+    w: WeightVector, m_max: int, shifted: bool = False
+) -> tuple[Fraction, ...]:
+    """Raw moments ``I_0..I_{m_max}``, or shifted ``J_0..J_{m_max}``.
+
+    Solves ``A (N**m - 1) X_m = sum_n p_n sum_{i<m} C(m,i) c_n**(m-i) X_i``
+    for ``X_m = E[(qY)**m]``, branch by branch inside the i loop, with the
+    offsets ``c_n = n`` (q = 1) or ``c_n = 2n - N + 1`` (q = 2).  All stored
+    numerators share one denominator, and the whole prefix is rescaled by
+    each new step factor ``A (N**m - 1)``.  This is the kernel the package
+    used before its power-sum Horner form.
+    """
+    n_base = w.n_branches
+    q = 2 if shifted else 1
+    offsets = range(1 - n_base, n_base, 2) if shifted else range(n_base)
+    common = math.lcm(*(a.denominator for a in w.weights))
+    branches = [(int(a * common), c) for a, c in zip(w.weights, offsets) if a and c]
+    scaled = [1]
+    denom = 1
+    for m in range(1, m_max + 1):
+        total = 0
+        for p_n, c in branches:
+            total += p_n * sum(
+                scaled[i] * (math.comb(m, i) * c ** (m - i)) for i in range(m)
+            )
+        step = common * (n_base**m - 1)
+        scaled = [u * step for u in scaled]
+        scaled.append(total)
+        denom *= step
+    return tuple(Fraction(u, denom * q**m) for m, u in enumerate(scaled))
+
+
+def exact_moments_via_depth(w: WeightVector, k: int, m_max: int) -> MomentSequence:
+    """Raw moments ``I_0..I_{m_max}`` from the depth-k recurrence.
+
+    Enumerates all ``N**k`` addresses to evaluate the inner weighted power
+    sums exactly, then solves the same telescoping identity at depth k.  The
+    result equals the depth-one recurrence for every k.
+    """
+    n_base = w.n_branches
+    size = n_base**k
+    # digit_sums[j] = sum over addresses of (mass * (address / N**k)**j)
+    digit_sums = [Fraction(0)] * (m_max + 1)
+    digit_sums[0] = Fraction(1)
+    for digits in product(range(n_base), repeat=k):
+        mass = Fraction(1)
+        for d in digits:
+            mass *= w.weights[d]
+        if mass == 0:
+            continue
+        x = Fraction(sum(d * n_base**j for j, d in enumerate(digits)), size)
+        term = mass
+        for j in range(1, m_max + 1):
+            term *= x
+            digit_sums[j] += term
+
+    values = [Fraction(1)]
+    for m in range(1, m_max + 1):
+        acc = sum(
+            math.comb(m, i) * size ** (m - i) * values[i] * digit_sums[m - i]
+            for i in range(m)
+        )
+        values.append(acc / (size**m - 1))
+    return MomentSequence(weights=w, kind="raw", values=tuple(values))
+
+
+def interval_mass(w: WeightVector, digits: Sequence[int]) -> Fraction:
+    """Mass of the depth-k N-adic interval addressed by base-N ``digits``.
+
+    Returns ``prod_l alpha_{digits[l]}``, the increment of the CDF across the
+    interval ``[x, x + N**-k]`` with ``x = sum_l digits[l] * N**(l-k)``.
+    Raises :class:`BadDigit` for a digit outside ``0..N-1``.
+    """
+    n = w.n_branches
+    mass = Fraction(1)
+    for d in digits:
+        if not 0 <= d < n:
+            raise BadDigit(f"digit {d} out of range 0..{n - 1}")
+        mass *= w.weights[d]
+    return mass

@@ -21,7 +21,6 @@ from cantor_measures import (
     exact_moments,
     fast_moments,
     inner_product,
-    interval_mass,
     kronecker_power,
     left_endpoint_estimate,
     mgf_eval,
@@ -35,6 +34,7 @@ from cantor_measures import (
 )
 
 from conftest import random_weight_vector
+from oracles import interval_mass
 
 F = Fraction
 

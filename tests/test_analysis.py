@@ -17,13 +17,13 @@ from cantor_measures import (
     check_lipschitz,
     exact_moments,
     holder_exponent,
-    interval_mass,
     parse_weights,
     shifted_moments,
     weight_vector,
 )
 
 from conftest import weight_vectors_st
+from oracles import interval_mass
 
 F = Fraction
 

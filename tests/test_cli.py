@@ -1,6 +1,7 @@
 """Command-line interface: flags, formats, exit codes, round-trips."""
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -345,3 +346,36 @@ class TestOutputHandling:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("4,87,320")
+
+
+FOUR_BRANCH = ("--weights", "1/5,3/10,1/10,2/5")
+
+
+class TestGoldenOutput:
+    """Exact outputs pinned byte for byte by the sha256 of their stdout.
+
+    The digests were computed before the power-sum kernel replaced the
+    per-branch recurrence; any change to an exact byte fails here.
+    """
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("moments", *FOUR_BRANCH, "--m", "133"),
+             "a91bf38ed9343fd888d7ceb2514dc1c4a0b800507820bb88d7ad33aae12886ba"),
+            (("moments", *FOUR_BRANCH, "--m", "133", "--format", "json"),
+             "3c3e96b38940492a003ccc2eb9b04f2546f290573f0c98cee68b55bd295c22f7"),
+            (("shifted-moments", "--weights", "1/5,1/10,2/5,1/10,1/5", "--m", "100"),
+             "9b7ea521427236563bbeb6cdc8a2ed84ceb966dc65a36bfd95f87362ef4b7171"),
+            (("decay", "--weights", "2/7,1/7,3/7,1/7", "--m", "120"),
+             "c0d08bfb0aa6751a54352b3e9341e06e1315820465f1a65e55db9764b9d69d35"),
+            (("legendre", *TERNARY, "--degree", "18"),
+             "5833c7d3ffd7b171564e91c79414879eb3485a280d3dabbfe8d4b1316f32a2b8"),
+            (("legendre", *FOUR_BRANCH, "--degree", "18", "--format", "json"),
+             "3f453698db7d51c0c1aaa5ff74ac72b69a48da33016531d57ba482b0a693587a"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

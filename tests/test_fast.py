@@ -374,6 +374,14 @@ class TestMgfEval:
         else:  # uniform on [0, 1]: (1 - e**s) / -s
             assert converged == pytest.approx(1e-300, rel=1e-12, abs=0)
 
+    def test_no_drift_once_factors_are_one(self):
+        # The float sum of ten weights 1/10 is 0.9999999999999999; each
+        # level past the point where every exp term is 1.0 used to multiply
+        # the value by it (3.1945280494653274 at depth 20, ...203 at 300).
+        w = parse_weights(",".join(["1/10"] * 10))
+        assert sum(float(a) for a in w.weights) < 1.0
+        assert mgf_eval(w, 2.0, 300) == mgf_eval(w, 2.0, 20)
+
     @pytest.mark.parametrize("s", [1e6, 1400.0])
     def test_overflow_is_a_domain_error(self, s):
         # 1e6 overflows math.exp; at 1400 every factor is finite but the

@@ -18,7 +18,6 @@ from cantor_measures import (
     cdf_eval,
     cdf_sup_distance,
     cdf_table,
-    interval_mass,
     kronecker_power,
     parse_weights,
     weight_vector,
@@ -26,6 +25,7 @@ from cantor_measures import (
 from cantor_measures.rational import format_rational
 
 from conftest import weight_vectors_st
+from oracles import interval_mass
 
 F = Fraction
 

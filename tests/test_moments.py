@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantor_measures import (
     BadTolerance,
@@ -16,7 +16,6 @@ from cantor_measures import (
     OutOfRange,
     approx_error_depth,
     exact_moments,
-    exact_moments_via_depth,
     left_endpoint_estimate,
     palindromic_odd_moment,
     parse_weights,
@@ -25,6 +24,7 @@ from cantor_measures import (
 )
 
 from conftest import weight_vectors_st
+from oracles import branch_recurrence_moments, exact_moments_via_depth
 
 F = Fraction
 
@@ -105,6 +105,50 @@ class TestExactMomentsViaDepth:
             exact_moments_via_depth(w, k, m_max).values
             == exact_moments(w, m_max).values
         )
+
+
+class TestKernelOracle:
+    """The power-sum Horner kernel against the per-branch recurrence."""
+
+    @given(
+        st.one_of(weight_vectors_st(), weight_vectors_st(zero_last=True)),
+        st.integers(0, 60),
+    )
+    @example(parse_weights("1/2,0,0,1/2"), 60)  # interior zeros
+    @example(parse_weights("1/3,0,2/3,0"), 60)  # zero last weight
+    @example(parse_weights("0,0,0,0,1"), 30)  # Dirac at one
+    @settings(max_examples=60)
+    def test_raw_equals_oracle(self, w, m_max):
+        assert exact_moments(w, m_max).values == branch_recurrence_moments(w, m_max)
+
+    @given(
+        st.one_of(
+            weight_vectors_st(palindromic=True),
+            weight_vectors_st(palindromic=True, zero_last=True),
+        ),
+        st.integers(0, 60),
+    )
+    @example(parse_weights("1/4,0,1/2,0,1/4"), 60)  # interior zeros
+    @example(parse_weights("0,1/2,1/2,0"), 60)  # zero end weights
+    @settings(max_examples=60)
+    def test_shifted_equals_oracle(self, w, m_max):
+        assert shifted_moments(w, m_max).values == branch_recurrence_moments(
+            w, m_max, shifted=True
+        )
+
+    @pytest.mark.parametrize(
+        "weights,m_max,shifted",
+        [
+            ("1/2,0,1/2", 200, False),
+            ("1/5,3/10,1/10,2/5", 150, False),
+            ("1/2,0,1/2", 150, True),
+        ],
+    )
+    def test_large_cases(self, weights, m_max, shifted):
+        w = parse_weights(weights)
+        kernel = shifted_moments if shifted else exact_moments
+        expected = branch_recurrence_moments(w, m_max, shifted)
+        assert kernel(w, m_max).values == expected
 
 
 class TestLeftEndpointEstimate:
