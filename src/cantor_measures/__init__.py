@@ -33,18 +33,6 @@ from .errors import (
     OutOfRange,
     ZeroNorm,
 )
-from .fast import (
-    MIN_TOLERANCE,
-    FastResult,
-    depth_for_eps,
-    fast_moments,
-    mgf_eval,
-    moments_at_depth,
-    partial_product_series,
-    series_mul_trunc,
-    shifted_fast_moments,
-    truncated_factor,
-)
 from .legendre import (
     OrthoBasis,
     eval_poly,
@@ -76,6 +64,33 @@ from .moments import (
 )
 
 __version__ = "0.1.0"
+
+#: Names re-exported from :mod:`.fast`, resolved on first use (PEP 562) so
+#: that the exact paths never import numpy.
+_FAST_NAMES = frozenset({
+    "MIN_TOLERANCE",
+    "FastResult",
+    "depth_for_eps",
+    "fast_moments",
+    "mgf_eval",
+    "moments_at_depth",
+    "partial_product_series",
+    "series_mul_trunc",
+    "shifted_fast_moments",
+    "truncated_factor",
+})
+
+
+def __getattr__(name: str):
+    if name in _FAST_NAMES:
+        from . import fast
+
+        return getattr(fast, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _FAST_NAMES)
 
 __all__ = [
     "BadDigit",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import Degenerate, InsufficientMoments, MeshMismatch
+from .errors import BadTolerance, Degenerate, InsufficientMoments, MeshMismatch
 from .measure import WeightVector, cdf_sup_distance, cdf_table
 from .moments import MomentSequence
 from .rational import format_rational, parse_rational
@@ -90,7 +90,8 @@ def check_decay(
     Exponential regime (last weight zero): verifies ``I_m <= ((N-1)/N)**m``
     for every supplied m by exact rational comparison.  Polynomial regime:
     reports the empirical infimum of ``I_m * m**gamma`` and, when
-    ``threshold`` is given, flags indices falling below it.
+    ``threshold`` is given, flags indices falling below it.  A non-finite
+    ``threshold`` raises :class:`BadTolerance` in both regimes.
     """
     if moments.kind != "raw":
         raise ValueError(f"raw moments expected, got kind={moments.kind!r}")
@@ -98,6 +99,8 @@ def check_decay(
         raise ValueError("moments were computed for a different weight vector")
     if moments.m_max < 1:
         raise InsufficientMoments("need at least the first moment")
+    if threshold is not None and not math.isfinite(threshold):
+        raise BadTolerance(f"decay threshold must be finite, got {threshold}")
     n_base = w.n_branches
     last = w.weights[-1]
     if last == 0:

@@ -1,9 +1,11 @@
 """Command-line interface: moments, CDF tables, MGF, polynomials, checks.
 
 Exit codes: 0 on success, 1 on a domain error (the message names the
-violated invariant), 2 on usage errors.  Output is deterministic UTF-8 with
-exact rationals rendered as ``p/q`` and floats with 17 significant digits,
-so identical invocations produce byte-identical files.
+violated invariant), 2 on usage errors, an ``--output`` path that cannot be
+written included.  Output is deterministic UTF-8 with exact rationals
+rendered as ``p/q`` and floats with 17 significant digits, so identical
+invocations produce byte-identical files.  Only the float renderers
+(``--mode fast`` and ``mgf``) import :mod:`.fast`, and with it numpy.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ from typing import Sequence
 
 from .analysis import check_decay, check_lipschitz
 from .errors import CantorMeasureError
-from .fast import fast_moments, mgf_eval, shifted_fast_moments
 from .legendre import grid_csv, monic_basis_general
 from .measure import WeightVector, cdf_table, parse_weights
 from .moments import exact_moments, shifted_moments
@@ -86,23 +87,28 @@ _MINIMUMS = (("m", "--m", 0), ("degree", "--degree", 0),
              ("depth", "--depth", 1), ("grid_points", "--grid-points", 2))
 
 
-def _parse(
-    parser: argparse.ArgumentParser, argv: Sequence[str] | None
-) -> tuple[argparse.Namespace, WeightVector]:
+#: Built once per process: ``parse_args`` leaves a parser unchanged, so every
+#: in-process ``run`` shares it.
+_PARSER = _build_parser()
+
+
+def _parse(argv: Sequence[str] | None) -> tuple[argparse.Namespace, WeightVector]:
     """Parsed flags and weights; a usage error exits 2, bad weights raise."""
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     for attr, flag, low in _MINIMUMS:
         value = getattr(args, attr, low)
         if value < low:
-            parser.error(f"{args.command} {flag} must be at least {low}, got {value}")
+            _PARSER.error(f"{args.command} {flag} must be at least {low}, got {value}")
     weights = parse_weights(args.weights)
     if getattr(args, "mode", None) == "fast" and args.eps is None:
-        parser.error(f"{args.command} --mode fast requires --eps")
+        _PARSER.error(f"{args.command} --mode fast requires --eps")
     return args, weights
 
 
 def _render_moments(w: WeightVector, args: argparse.Namespace) -> str:
     if args.mode == "fast":
+        from .fast import fast_moments
+
         result = fast_moments(w, args.m, args.eps)
         return result.to_csv() if args.format == "csv" else result.to_json()
     ms = exact_moments(w, args.m)
@@ -116,6 +122,8 @@ def _render_shifted(w: WeightVector, args: argparse.Namespace) -> str:
             f"(alpha[N-1-n] == alpha[n] for all n), got {w}"
         )
     if args.mode == "fast":
+        from .fast import shifted_fast_moments
+
         result = shifted_fast_moments(w, args.m, args.eps)
         return result.to_csv() if args.format == "csv" else result.to_json()
     ms = shifted_moments(w, args.m)
@@ -135,6 +143,8 @@ def _render_legendre(w: WeightVector, args: argparse.Namespace) -> str:
 
 
 def _render_mgf(w: WeightVector, args: argparse.Namespace) -> str:
+    from .fast import mgf_eval
+
     value = mgf_eval(w, args.s, args.depth)
     if args.format == "json":
         return json.dumps({"s": args.s, "depth": args.depth, "value": value})
@@ -181,9 +191,8 @@ _RENDERERS = {
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse flags, dispatch, write output; return the process exit code."""
-    parser = _build_parser()
     try:
-        args, weights = _parse(parser, argv)
+        args, weights = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except CantorMeasureError as exc:
@@ -196,8 +205,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
     if args.output is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         Path(args.output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -49,7 +49,7 @@ def _exp_terms(x: float, degree: int) -> np.ndarray:
 
 def truncated_factor(
     w: WeightVector, degree: int, scale_power: int = 1, shifted: bool = False
-) -> TruncatedSeries:
+) -> np.ndarray:
     """Degree-m truncation of ``sum_n alpha_n * exp(c_n * s / N**r)``.
 
     ``coeffs[j] = sum_n alpha_n * (c_n / N**r)**j / j!``, the scale-r factor

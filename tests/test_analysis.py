@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantor_measures import (
+    BadTolerance,
     DecayReport,
     Degenerate,
     LipschitzCheck,
@@ -86,6 +87,15 @@ class TestCheckDecay:
     def test_threshold_flags_violations(self, ternary):
         report = check_decay(ternary, exact_moments(ternary, 8), threshold=10.0)
         assert report.violations  # everything sits below an absurd threshold
+
+    @pytest.mark.parametrize("weights", ["1/2,0,1/2", "1/2,1/2,0"])
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, weights, threshold):
+        # NaN compares false with every scaled moment, so it used to flag
+        # nothing and report ok.  Both regimes reject it.
+        w = parse_weights(weights)
+        with pytest.raises(BadTolerance):
+            check_decay(w, exact_moments(w, 10), threshold)
 
     def test_weights_must_match(self, ternary, lebesgue3):
         with pytest.raises(ValueError):

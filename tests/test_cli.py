@@ -1,12 +1,22 @@
 """Command-line interface: flags, formats, exit codes, round-trips."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import inspect
+import io
 import json
+import os
+import subprocess
+import sys
+import typing
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cantor_measures
 from cantor_measures import (
     CdfTable,
     DecayReport,
@@ -94,6 +104,9 @@ class TestInputContract:
             (("legendre", "--weights", "0,1,0", "--degree", "2"), 1),
             # An empty --weights-b used to reach check_lipschitz as None.
             (("lipschitz", *TERNARY, "--weights-b", "", "--depth", "1"), 1),
+            # A NaN threshold used to flag no index and print ok = True.
+            (("decay", *TERNARY, "--m", "10", "--threshold", "nan"), 1),
+            (("decay", "--weights", "1/2,1/2,0", "--m", "10", "--threshold", "1e400"), 1),
         ],
     )
     def test_malformed_argv(self, capsys, argv, expected):
@@ -325,6 +338,20 @@ class TestOutputHandling:
         assert code == 0 and out == ""
         assert target.read_text(encoding="utf-8").strip().endswith("3,5,16")
 
+    @pytest.mark.parametrize("missing_dir", [True, False])
+    def test_unwritable_output(self, capsys, tmp_path, missing_dir):
+        # A missing parent directory, or a path that is a directory, used to
+        # raise out of run() with a traceback.
+        target = tmp_path / "missing" / "out.csv" if missing_dir else tmp_path
+        code, out, err = invoke(
+            capsys, "moments", "--weights", "1/2,1/2", "--m", "3",
+            "--output", str(target),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns(self, capsys):
         argv = [
             "legendre", "--weights", "1/2,0,1/2", "--degree", "4",
@@ -351,6 +378,23 @@ class TestOutputHandling:
 FOUR_BRANCH = ("--weights", "1/5,3/10,1/10,2/5")
 
 
+#: Exact requests and the sha256 of their stdout.
+GOLDEN = [
+    (("moments", *FOUR_BRANCH, "--m", "133"),
+     "a91bf38ed9343fd888d7ceb2514dc1c4a0b800507820bb88d7ad33aae12886ba"),
+    (("moments", *FOUR_BRANCH, "--m", "133", "--format", "json"),
+     "3c3e96b38940492a003ccc2eb9b04f2546f290573f0c98cee68b55bd295c22f7"),
+    (("shifted-moments", "--weights", "1/5,1/10,2/5,1/10,1/5", "--m", "100"),
+     "9b7ea521427236563bbeb6cdc8a2ed84ceb966dc65a36bfd95f87362ef4b7171"),
+    (("decay", "--weights", "2/7,1/7,3/7,1/7", "--m", "120"),
+     "c0d08bfb0aa6751a54352b3e9341e06e1315820465f1a65e55db9764b9d69d35"),
+    (("legendre", *TERNARY, "--degree", "18"),
+     "5833c7d3ffd7b171564e91c79414879eb3485a280d3dabbfe8d4b1316f32a2b8"),
+    (("legendre", *FOUR_BRANCH, "--degree", "18", "--format", "json"),
+     "3f453698db7d51c0c1aaa5ff74ac72b69a48da33016531d57ba482b0a693587a"),
+]
+
+
 class TestGoldenOutput:
     """Exact outputs pinned byte for byte by the sha256 of their stdout.
 
@@ -358,24 +402,170 @@ class TestGoldenOutput:
     per-branch recurrence; any change to an exact byte fails here.
     """
 
-    @pytest.mark.parametrize(
-        "argv,digest",
-        [
-            (("moments", *FOUR_BRANCH, "--m", "133"),
-             "a91bf38ed9343fd888d7ceb2514dc1c4a0b800507820bb88d7ad33aae12886ba"),
-            (("moments", *FOUR_BRANCH, "--m", "133", "--format", "json"),
-             "3c3e96b38940492a003ccc2eb9b04f2546f290573f0c98cee68b55bd295c22f7"),
-            (("shifted-moments", "--weights", "1/5,1/10,2/5,1/10,1/5", "--m", "100"),
-             "9b7ea521427236563bbeb6cdc8a2ed84ceb966dc65a36bfd95f87362ef4b7171"),
-            (("decay", "--weights", "2/7,1/7,3/7,1/7", "--m", "120"),
-             "c0d08bfb0aa6751a54352b3e9341e06e1315820465f1a65e55db9764b9d69d35"),
-            (("legendre", *TERNARY, "--degree", "18"),
-             "5833c7d3ffd7b171564e91c79414879eb3485a280d3dabbfe8d4b1316f32a2b8"),
-            (("legendre", *FOUR_BRANCH, "--degree", "18", "--format", "json"),
-             "3f453698db7d51c0c1aaa5ff74ac72b69a48da33016531d57ba482b0a693587a"),
-        ],
-    )
+    @pytest.mark.parametrize("argv,digest", GOLDEN)
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, err = invoke(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_after_usage_and_domain_errors(self, capsys):
+        # run() shares one parser across calls: errors on earlier calls must
+        # not change what a later call prints.
+        assert invoke(capsys, "moments", *TERNARY, "--m", "two")[0] == 2
+        assert invoke(capsys, "moments", "--weights", "1/2,1/3", "--m", "2")[0] == 1
+        argv, digest = GOLDEN[0]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def capture(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process ``run(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _values(*items: str):
+    return st.sampled_from(items)
+
+
+def _mostly(good, bad):
+    """``good`` for five of six integer draws, else ``bad``: most argv parse."""
+    return st.integers(0, 5).flatmap(lambda i: bad if i == 5 else good)
+
+
+def _sizes(low: int, high: int):
+    return _mostly(st.integers(low, high).map(str),
+                   _values("-3", "", "1/0", "nan", "1e400", "two"))
+
+
+def _floats(*good: str):
+    return _mostly(_values(*good), _values("", "1/0", "nan", "inf", "-inf", "1e400"))
+
+
+_WEIGHTS = _mostly(
+    _values("1/2,0,1/2", "1/3,1/3,1/3", "2/3,1/3", "1/2,1/2,0",
+            "1/5,1/10,2/5,1/10,1/5", "0,1"),
+    _values("1/2,1/3", "", "1/0,1", "nan", "-3", "1e400", "abc"),
+)
+_DEPTH = _sizes(0, 6)
+#: Flags of each command and their values.  Size flags are always given, so
+#: no default above the small sizes runs; any other flag may be left out.
+_FLAGS = {
+    "moments": {"--m": _sizes(0, 40), "--mode": _mostly(_values("exact", "fast"), st.just("slow")),
+                "--eps": _floats("1e-9", "1e-3", "0.5", "0", "-3", "1e-300")},
+    "shifted-moments": {"--m": _sizes(0, 40), "--mode": _values("exact", "fast"),
+                        "--eps": _floats("1e-12", "1e-6")},
+    "cdf": {"--depth": _DEPTH},
+    "legendre": {"--degree": _sizes(0, 6), "--grid-points": _sizes(1, 50)},
+    "mgf": {"--s": _floats("0", "0.4", "-3", "40", "1e-300"), "--depth": _DEPTH},
+    "decay": {"--m": _sizes(0, 40), "--threshold": _floats("0.4", "0", "-3", "1e9")},
+    "lipschitz": {"--weights-b": _WEIGHTS, "--depth": _DEPTH},
+}
+_SIZE_FLAGS = {"--m", "--depth", "--degree", "--grid-points"}
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    command = draw(_mostly(_values(*_FLAGS), _values("frobnicate", "moment", "")))
+    flags = {"--weights": _WEIGHTS, "--format": _mostly(_values("csv", "json"), st.just("xml")),
+             **_FLAGS.get(command, {})}
+    argv = [command]
+    for flag, values in flags.items():
+        value = draw(values if flag in _SIZE_FLAGS else _mostly(values, st.none()))
+        if value is not None:
+            argv += [flag, value]
+    if draw(_mostly(st.just(False), st.just(True))):
+        argv.append("--bogus")
+    return argv
+
+
+class TestRunContract:
+    """Any argv ends in exit 0, 1 or 2 without a traceback, and reruns agree."""
+
+    @given(argv=cli_argv(), cap=st.none() | _values("2", "9", "729", "many", "-3", "nan", "1e400", ""))
+    @settings(max_examples=150)
+    def test_generated_argv(self, argv, cap):
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is None:
+                mp.delenv("CANTOR_DEPTH_CAP", raising=False)
+            else:
+                mp.setenv("CANTOR_DEPTH_CAP", cap)
+            first = capture(argv)
+            second = capture(argv)
+        code, _, err = first
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert second == first
+
+
+#: Runs ``run(argv)`` in a fresh interpreter, then reports on stderr whether
+#: numpy was imported.
+_CHILD = (
+    "import sys\n"
+    "from cantor_measures.cli import run\n"
+    "code = run(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_child(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(cantor_measures.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-c", _CHILD, *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestImportIsolation:
+    """numpy is imported only by the float renderers, one process per case."""
+
+    def test_import_cli(self):
+        proc = run_child()
+        assert (proc.returncode, proc.stderr) == (0, "False\n")
+
+    @pytest.mark.parametrize(
+        "argv,numpy_loaded",
+        [
+            (("moments", *TERNARY, "--m", "6", "--mode", "exact"), False),
+            (("shifted-moments", *TERNARY, "--m", "6", "--mode", "exact"), False),
+            (("cdf", *TERNARY, "--depth", "3"), False),
+            (("legendre", *TERNARY, "--degree", "3", "--grid-points", "5"), False),
+            (("decay", *TERNARY, "--m", "10"), False),
+            (("lipschitz", *TERNARY, "--weights-b", "1/3,1/3,1/3", "--depth", "2"), False),
+            (("mgf", *TERNARY, "--s", "1.5"), True),
+            (("moments", *TERNARY, "--m", "12", *FAST, "1e-10"), True),
+            (("shifted-moments", *TERNARY, "--m", "12", *FAST, "1e-10", "--format", "json"), True),
+        ],
+    )
+    def test_request(self, argv, numpy_loaded):
+        proc = run_child(*argv)
+        code, out, err = capture(argv)
+        assert (proc.returncode, proc.stderr) == (code, f"{err}{numpy_loaded}\n")
+        assert proc.stdout == out
+
+
+class TestPackageExports:
+    def test_fast_names_resolve_to_fast_module(self):
+        from cantor_measures import fast, fast_moments
+
+        assert cantor_measures.fast_moments is fast.fast_moments is fast_moments
+
+    def test_all_names_resolve_and_are_listed(self):
+        listed = dir(cantor_measures)
+        for name in cantor_measures.__all__:
+            assert getattr(cantor_measures, name) is not None
+            assert name in listed
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cantor_measures.no_such_name
+
+    def test_type_hints_resolve(self):
+        for name in cantor_measures.__all__:
+            obj = getattr(cantor_measures, name)
+            if inspect.isfunction(obj):
+                typing.get_type_hints(obj)
