@@ -17,7 +17,6 @@ from .analysis import (
     holder_exponent,
 )
 from .errors import (
-    BadDigit,
     BadSetting,
     BadTolerance,
     CantorMeasureError,
@@ -93,7 +92,6 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | _FAST_NAMES)
 
 __all__ = [
-    "BadDigit",
     "BadSetting",
     "BadTolerance",
     "CantorMeasureError",

@@ -91,7 +91,8 @@ def check_decay(
     for every supplied m by exact rational comparison.  Polynomial regime:
     reports the empirical infimum of ``I_m * m**gamma`` and, when
     ``threshold`` is given, flags indices falling below it.  A non-finite
-    ``threshold`` raises :class:`BadTolerance` in both regimes.
+    ``threshold``, or any ``threshold`` in the exponential regime, where it
+    has no meaning, raises :class:`BadTolerance`.
     """
     if moments.kind != "raw":
         raise ValueError(f"raw moments expected, got kind={moments.kind!r}")
@@ -104,6 +105,11 @@ def check_decay(
     n_base = w.n_branches
     last = w.weights[-1]
     if last == 0:
+        if threshold is not None:
+            raise BadTolerance(
+                f"a decay threshold applies only to the polynomial regime, got "
+                f"{threshold} for {w} (last weight 0: exponential regime)"
+            )
         ratio = Fraction(n_base - 1, n_base)
         violations = []
         witness = 0.0

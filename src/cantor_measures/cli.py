@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decay", help="moment decay regime report")
     common(p)
     p.add_argument("--m", type=int, default=64, help="highest moment to check")
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=float, default=None,
+                   help="polynomial regime only: flag m with I_m * m**gamma below it")
 
     p = sub.add_parser("lipschitz", help="CDF Lipschitz bound check for two vectors")
     common(p)
@@ -100,8 +101,11 @@ def _parse(argv: Sequence[str] | None) -> tuple[argparse.Namespace, WeightVector
         if value < low:
             _PARSER.error(f"{args.command} {flag} must be at least {low}, got {value}")
     weights = parse_weights(args.weights)
-    if getattr(args, "mode", None) == "fast" and args.eps is None:
+    fast = getattr(args, "mode", None) == "fast"
+    if fast and args.eps is None:
         _PARSER.error(f"{args.command} --mode fast requires --eps")
+    if not fast and getattr(args, "eps", None) is not None:
+        _PARSER.error(f"{args.command} --eps applies only to --mode fast")
     return args, weights
 
 

@@ -23,10 +23,6 @@ class BadSetting(CantorMeasureError):
     """An environment setting such as ``CANTOR_DEPTH_CAP`` is malformed."""
 
 
-class BadDigit(CantorMeasureError):
-    """A base-N digit lies outside ``0..N-1``."""
-
-
 class OutOfDomain(CantorMeasureError):
     """An evaluation point lies outside its domain.
 
@@ -47,7 +43,11 @@ class NotPalindromic(CantorMeasureError):
 
 
 class BadTolerance(CantorMeasureError):
-    """A tolerance is not finite, nonpositive or below double precision."""
+    """A tolerance is not finite, nonpositive or below double precision.
+
+    Also a decay threshold given in the exponential regime, where it has no
+    meaning.
+    """
 
 
 class OutOfRange(CantorMeasureError):

@@ -10,8 +10,11 @@ a power series whose m-th coefficient ``I_{m;k} / m!`` converges to
 
 Doubling the depth squares the partial product up to an argument rescaling,
 so depth k (rounded up to a power of two) costs exactly log2(k) truncated
-series multiplications of degree m.  The centred measure (shifted to
-``[-1/2, 1/2]``) runs the same pipeline with branch offsets ``n - (N-1)/2``.
+series multiplications.  The certified path takes them to degree
+``min(m, 170)`` only, the last index it returns a value for: the products
+cost O(min(m, 170)**2 log k) and the tail of 0 values and inf bounds O(m).
+The centred measure (shifted to ``[-1/2, 1/2]``) runs the same pipeline with
+branch offsets ``n - (N-1)/2``.
 
 A truncated series is a float64 array of its ``degree + 1`` coefficients,
 in exponential-generating-function form (coefficient of ``s**n`` is
@@ -32,10 +35,13 @@ import numpy as np
 
 from .errors import BadTolerance, FloatOverflow, NotPalindromic, OutOfDomain, OutOfRange
 from .measure import WeightVector
-from .rational import format_float
 
 #: Smallest tolerance the double-precision pipeline certifies.
 MIN_TOLERANCE = 1e-12
+
+#: Highest moment index the pipeline returns a value for: 171! is past the
+#: double range.
+MAX_FINITE_INDEX = 170
 
 
 def _exp_terms(x: float, degree: int) -> np.ndarray:
@@ -171,6 +177,9 @@ def partial_product_series(
     starting at scale 1 evaluated at ``s / N**a``), then the binary digits of
     ``depth`` are combined most-significant first.  For power-of-two depth
     this performs exactly ``log2(depth)`` truncated multiplications.
+    Coefficient n reads only inputs 0..n, so the result is, bit for bit, the
+    prefix of the result at any higher degree; :func:`_certified` asks for
+    degree ``min(m, 170)``.
     """
     if depth < 1:
         raise OutOfRange(f"depth must be a positive integer, got {depth}")
@@ -227,23 +236,25 @@ def _certified(
     sum by at least one more, which covers the rounding of the term itself.
     The term is negligible below n of about 160 and reaches eps near
     n = 166..170; from n = 171 ``n!`` overflows, so values there are 0 and
-    bounds inf.
+    bounds inf.  The product is therefore taken to degree ``min(m, 170)``
+    only (:data:`MAX_FINITE_INDEX`), and indices above it are filled in.
     """
-    series = partial_product_series(w, m_max, depth, shifted)
-    n = np.arange(m_max + 1, dtype=np.float64)
-    top = min(m_max, 170) + 1  # 171! is past the double range
-    factorial = np.cumprod(np.maximum(n[:top], 1.0))
-    moments = np.zeros(m_max + 1)
-    moments[:top] = series[:top] * factorial
+    # Coefficient n of a truncated product reads only inputs 0..n, so the
+    # product to degree ``top`` is the prefix of the degree-m one, bit for bit.
+    top = min(m_max, MAX_FINITE_INDEX)
+    n = np.arange(top + 1, dtype=np.float64)
+    factorial = np.cumprod(np.maximum(n, 1.0))
+    moments = partial_product_series(w, top, depth, shifted) * factorial
     scale = 0.5**n if shifted else np.abs(moments)
     bounds = _rounding(w.n_branches, depth, n) * scale
     bounds[2:] += np.exp(_log_truncation(w.n_branches, depth, n[2:], shifted))
-    count = 6.0 ** _multiplications(depth) * (n[:top] + w.n_branches + 20)
-    bounds[:top] += count * (factorial * 2.0**-1074) * 0.5
-    bounds[top:] = math.inf
+    count = 6.0 ** _multiplications(depth) * (n + w.n_branches + 20)
+    bounds += count * (factorial * 2.0**-1074) * 0.5
     # The constant coefficient is a product of exact ones.
     bounds[0] = 0.0
-    return moments, bounds
+    tail = m_max - top
+    return (np.concatenate([moments, np.zeros(tail)]),
+            np.concatenate([bounds, np.full(tail, math.inf)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,19 +289,19 @@ class FastResult:
         return len(self.moments)
 
     def to_csv(self) -> str:
+        # Python floats from tolist() format as format_float does, without
+        # a numpy scalar conversion per value.
+        pairs = zip(self.moments.tolist(), self.certified_bound.tolist())
         lines = ["m,value,bound"]
-        lines += [
-            f"{m},{format_float(v)},{format_float(b)}"
-            for m, (v, b) in enumerate(zip(self.moments, self.certified_bound))
-        ]
+        lines += [f"{m},{v:.17g},{b:.17g}" for m, (v, b) in enumerate(pairs)]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "depth": self.depth_used,
-                "moments": [float(v) for v in self.moments],
-                "bounds": [float(b) for b in self.certified_bound],
+                "moments": self.moments.tolist(),
+                "bounds": self.certified_bound.tolist(),
             }
         )
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from cantor_measures import BadDigit, MomentSequence, WeightVector
+from cantor_measures import MomentSequence, OutOfRange, WeightVector
 
 
 def branch_recurrence_moments(
@@ -85,12 +85,12 @@ def interval_mass(w: WeightVector, digits: Sequence[int]) -> Fraction:
 
     Returns ``prod_l alpha_{digits[l]}``, the increment of the CDF across the
     interval ``[x, x + N**-k]`` with ``x = sum_l digits[l] * N**(l-k)``.
-    Raises :class:`BadDigit` for a digit outside ``0..N-1``.
+    Raises :class:`OutOfRange` for a digit outside ``0..N-1``.
     """
     n = w.n_branches
     mass = Fraction(1)
     for d in digits:
         if not 0 <= d < n:
-            raise BadDigit(f"digit {d} out of range 0..{n - 1}")
+            raise OutOfRange(f"digit {d} out of range 0..{n - 1}")
         mass *= w.weights[d]
     return mass

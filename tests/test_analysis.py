@@ -88,6 +88,13 @@ class TestCheckDecay:
         report = check_decay(ternary, exact_moments(ternary, 8), threshold=10.0)
         assert report.violations  # everything sits below an absurd threshold
 
+    @pytest.mark.parametrize("threshold", [1e9, 0.0, -3.0])
+    def test_threshold_rejected_in_exponential_regime(self, threshold):
+        # It compared with nothing there, so any threshold reported ok.
+        w = parse_weights("1/2,1/2,0")
+        with pytest.raises(BadTolerance, match="polynomial regime"):
+            check_decay(w, exact_moments(w, 5), threshold)
+
     @pytest.mark.parametrize("weights", ["1/2,0,1/2", "1/2,1/2,0"])
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_rejected(self, weights, threshold):

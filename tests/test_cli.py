@@ -107,6 +107,12 @@ class TestInputContract:
             # A NaN threshold used to flag no index and print ok = True.
             (("decay", *TERNARY, "--m", "10", "--threshold", "nan"), 1),
             (("decay", "--weights", "1/2,1/2,0", "--m", "10", "--threshold", "1e400"), 1),
+            # --eps without --mode fast used to be accepted and never read.
+            (("moments", *TERNARY, "--m", "2", "--eps", "nan"), 2),
+            (("moments", *TERNARY, "--m", "2", "--mode", "exact", "--eps", "1e-9"), 2),
+            (("shifted-moments", *TERNARY, "--m", "2", "--eps", "1e-9"), 2),
+            # A threshold in the exponential regime used to print ok = True.
+            (("decay", "--weights", "1/2,1/2,0", "--m", "5", "--threshold", "1e9"), 1),
         ],
     )
     def test_malformed_argv(self, capsys, argv, expected):

@@ -1,6 +1,8 @@
 """Certified fast moment pipeline: factors, truncated products, bounds."""
 from __future__ import annotations
 
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -30,6 +32,7 @@ from cantor_measures import (
     truncated_factor,
     weight_vector,
 )
+from cantor_measures.rational import format_float
 
 from conftest import random_weight_vector, weight_vectors_st
 
@@ -319,16 +322,26 @@ class TestCertifiedRange:
                 assert abs(F(result.moments[n]) - exact.values[n]) <= F(bound), n
                 assert bound <= eps or n > 165, n
 
-    def test_moments_are_series_times_running_factorial(self, ternary):
-        # The n roundings of the factorial loop the split reconstruction ran.
-        series = partial_product_series(ternary, 180, 16)
-        expected, fact = [], 1.0
-        for n in range(171):
-            fact *= max(n, 1)
-            expected.append(series[n] * fact)
-        result = moments_at_depth(ternary, 180, 16)
-        assert list(result.moments[:171]) == expected
-        assert not result.moments[171:].any()
+    def test_moments_are_series_times_running_factorial(self):
+        # The n roundings of the factorial loop the split reconstruction ran,
+        # on the degree-m product.  The certified path multiplies only to
+        # degree 170, so this is also the prefix identity it relies on:
+        # coefficient n of a truncated product is the same double for every
+        # degree from n up.  N = 2..5, raw and centred, depth 7 = 4 + 2 + 1.
+        weights = ("1/2,1/2", "1/2,0,1/2", "1/5,3/10,1/10,2/5", "1/3,1/9,1/9,1/9,1/3")
+        cases = ((180, False), (4096, False), (4096, True))
+        for text, (m_max, shifted), depth in itertools.product(weights, cases, (7, 16)):
+            w = parse_weights(text)
+            series = partial_product_series(w, m_max, depth, shifted)
+            capped = partial_product_series(w, 170, depth, shifted)
+            assert np.array_equal(series[:171], capped)
+            expected, fact = [], 1.0
+            for n in range(171):
+                fact *= max(n, 1)
+                expected.append(series[n] * fact)
+            moments, _ = fast_module._certified(w, m_max, depth, shifted)
+            assert np.array_equal(moments[:171], expected)
+            assert not moments[171:].any()
 
 
 class TestMgfEval:
@@ -410,6 +423,21 @@ class TestFastResultType:
     def test_json_round_trip(self, ternary):
         result = fast_moments(ternary, 6, 1e-9)
         assert FastResult.from_json(result.to_json()) == result
+
+    def test_renderers_match_format_float_and_json(self):
+        values = [1.0, 0.30000000000000004, 5e-324, 0.0, -0.0]
+        bounds = [0.0, 1e-17, math.inf, math.inf, 1e-17]
+        result = FastResult(moments=np.array(values), depth_used=4,
+                            certified_bound=np.array(bounds))
+        # The per-element renderers they replaced, on the numpy scalars.
+        rows = [f"{m},{format_float(v)},{format_float(b)}"
+                for m, (v, b) in enumerate(zip(result.moments, result.certified_bound))]
+        assert result.to_csv() == "\n".join(["m,value,bound", *rows]) + "\n"
+        text = result.to_json()
+        assert text == json.dumps({"depth": 4,
+                                   "moments": [float(v) for v in result.moments],
+                                   "bounds": [float(b) for b in result.certified_bound]})
+        assert text.count("Infinity") == 2
 
     def test_arrays_read_only(self, ternary):
         result = fast_moments(ternary, 3, 1e-9)

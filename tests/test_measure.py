@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cantor_measures import (
-    BadDigit,
     CdfTable,
     DepthOverflow,
     MeshMismatch,
@@ -142,7 +141,7 @@ class TestIntervalMass:
 
     def test_bad_digit(self):
         w = parse_weights("1/2,1/2")
-        with pytest.raises(BadDigit):
+        with pytest.raises(OutOfRange):
             interval_mass(w, [0, 2])
 
 
