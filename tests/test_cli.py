@@ -398,6 +398,17 @@ GOLDEN = [
      "5833c7d3ffd7b171564e91c79414879eb3485a280d3dabbfe8d4b1316f32a2b8"),
     (("legendre", *FOUR_BRANCH, "--degree", "18", "--format", "json"),
      "3f453698db7d51c0c1aaa5ff74ac72b69a48da33016531d57ba482b0a693587a"),
+    (("cdf", *FOUR_BRANCH, "--depth", "5", "--format", "json"),
+     "5eab7084b5a0c42b2b6cbe919f64d21de71eb2434640dbe5e7e879b9db01eda8"),
+    (("lipschitz", *FOUR_BRANCH, "--weights-b", "1/4,1/4,1/4,1/4", "--depth", "5",
+      "--format", "json"),
+     "2a2a57c0c126f9b24e0baac762807ef4c28aed075c8a0506b82072a8161e5416"),
+    (("decay", "--weights", "2/7,1/7,3/7,1/7", "--m", "120", "--threshold", "0.5",
+      "--format", "json"),
+     "ee5c0b50bd2c3205613444d6dbb9e6a3a516414aa092ffafdba082bcfe34e4a4"),
+    (("shifted-moments", "--weights", "1/5,1/10,2/5,1/10,1/5", "--m", "100",
+      "--format", "json"),
+     "41b23fe3406679795a5e5a9fd30335ec73593e3388aeae3ad01fc933dc58906a"),
 ]
 
 
