@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .errors import BadTolerance, Degenerate, InsufficientMoments, MeshMismatch
 from .measure import WeightVector, cdf_sup_distance, cdf_table
 from .moments import MomentSequence
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 
 
 def holder_exponent(w: WeightVector) -> float:
@@ -67,17 +67,6 @@ class DecayReport:
         data["max_m_checked"] = self.max_m_checked
         data["violations"] = list(self.violations)
         return json.dumps(data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DecayReport":
-        data = json.loads(text)
-        return cls(
-            regime=data["regime"],
-            gamma=float(data.get("gamma", math.inf)),
-            witness_constant=float(data["witness_constant"]),
-            max_m_checked=int(data["max_m_checked"]),
-            violations=tuple(int(v) for v in data["violations"]),
-        )
 
 
 def check_decay(
@@ -160,15 +149,6 @@ class LipschitzCheck(NamedTuple):
                 "bound": format_rational(self.bound),
                 "ok": self.ok,
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LipschitzCheck":
-        data = json.loads(text)
-        return cls(
-            distance=parse_rational(data["distance"]),
-            bound=parse_rational(data["bound"]),
-            ok=bool(data["ok"]),
         )
 
 

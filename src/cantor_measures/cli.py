@@ -39,17 +39,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
 
-    p = sub.add_parser("moments", help="raw moments, exact or certified-fast")
-    common(p)
-    p.add_argument("--m", type=int, required=True, help="highest moment index")
-    p.add_argument("--mode", choices=("exact", "fast"), default="exact")
-    p.add_argument("--eps", type=float, default=None, help="fast-mode error budget")
-
-    p = sub.add_parser("shifted-moments", help="moments on [-1/2,1/2] (palindromic)")
-    common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "fast"), default="exact")
-    p.add_argument("--eps", type=float, default=None)
+    for name, text in (("moments", "raw moments, exact or certified-fast"),
+                       ("shifted-moments", "moments on [-1/2,1/2] (palindromic)")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--m", type=int, required=True, help="highest moment index")
+        p.add_argument("--mode", choices=("exact", "fast"), default="exact")
+        p.add_argument("--eps", type=float, default=None, help="fast-mode error budget")
 
     p = sub.add_parser("cdf", help="exact CDF table on the depth-k grid")
     common(p)
@@ -110,28 +106,20 @@ def _parse(argv: Sequence[str] | None) -> tuple[argparse.Namespace, WeightVector
 
 
 def _render_moments(w: WeightVector, args: argparse.Namespace) -> str:
-    if args.mode == "fast":
-        from .fast import fast_moments
-
-        result = fast_moments(w, args.m, args.eps)
-        return result.to_csv() if args.format == "csv" else result.to_json()
-    ms = exact_moments(w, args.m)
-    return ms.to_csv() if args.format == "csv" else ms.to_json()
-
-
-def _render_shifted(w: WeightVector, args: argparse.Namespace) -> str:
-    if not w.is_palindromic:
+    shifted = args.command == "shifted-moments"
+    if shifted and not w.is_palindromic:
         raise CantorMeasureError(
             f"shifted-moments requires a palindromic weight vector "
             f"(alpha[N-1-n] == alpha[n] for all n), got {w}"
         )
     if args.mode == "fast":
-        from .fast import shifted_fast_moments
+        from . import fast
 
-        result = shifted_fast_moments(w, args.m, args.eps)
-        return result.to_csv() if args.format == "csv" else result.to_json()
-    ms = shifted_moments(w, args.m)
-    return ms.to_csv() if args.format == "csv" else ms.to_json()
+        compute = fast.shifted_fast_moments if shifted else fast.fast_moments
+        result = compute(w, args.m, args.eps)
+    else:
+        result = (shifted_moments if shifted else exact_moments)(w, args.m)
+    return result.to_csv() if args.format == "csv" else result.to_json()
 
 
 def _render_cdf(w: WeightVector, args: argparse.Namespace) -> str:
@@ -184,7 +172,7 @@ def _render_lipschitz(w: WeightVector, args: argparse.Namespace) -> str:
 
 _RENDERERS = {
     "moments": _render_moments,
-    "shifted-moments": _render_shifted,
+    "shifted-moments": _render_moments,
     "cdf": _render_cdf,
     "legendre": _render_legendre,
     "mgf": _render_mgf,
@@ -197,13 +185,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse flags, dispatch, write output; return the process exit code."""
     try:
         args, weights = _parse(argv)
+        text = _RENDERERS[args.command](weights, args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except CantorMeasureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        text = _RENDERERS[args.command](weights, args)
     except CantorMeasureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -54,25 +54,23 @@ def _exp_terms(x: float, degree: int) -> np.ndarray:
 
 
 def truncated_factor(
-    w: WeightVector, degree: int, scale_power: int = 1, shifted: bool = False
+    w: WeightVector, degree: int, *, shifted: bool = False
 ) -> np.ndarray:
-    """Degree-m truncation of ``sum_n alpha_n * exp(c_n * s / N**r)``.
+    """Degree-m truncation of ``sum_n alpha_n * exp(c_n * s / N)``.
 
-    ``coeffs[j] = sum_n alpha_n * (c_n / N**r)**j / j!``, the scale-r factor
-    of the MGF's infinite product, with offsets ``c_n = n``, or with
+    ``coeffs[j] = sum_n alpha_n * (c_n / N)**j / j!``, the first (scale-1)
+    factor of the MGF's infinite product, with offsets ``c_n = n``, or with
     ``c_n = n - (N-1)/2`` when ``shifted`` (measure on ``[-1/2, 1/2]``).
     """
     if degree < 0:
         raise OutOfRange(f"degree must be nonnegative, got {degree}")
-    if scale_power < 1:
-        raise OutOfRange(f"scale power must be at least 1, got {scale_power}")
     n_base = w.n_branches
     center = (n_base - 1) / 2 if shifted else 0
     coeffs = np.zeros(degree + 1)
     for n, a in enumerate(w.weights):
         if a == 0:
             continue
-        coeffs += float(a) * _exp_terms((n - center) / n_base**scale_power, degree)
+        coeffs += float(a) * _exp_terms((n - center) / n_base, degree)
     # The constant term is sum(alpha) = 1 exactly; don't let the float
     # conversions of the individual weights smear it.
     coeffs[0] = 1.0
@@ -186,7 +184,7 @@ def partial_product_series(
     n_base = w.n_branches
     powers = np.arange(degree + 1)
     top = depth.bit_length() - 1
-    blocks = [truncated_factor(w, degree, 1, shifted)]
+    blocks = [truncated_factor(w, degree, shifted=shifted)]
     for j in range(top):
         sigma = float(n_base) ** -(1 << j)
         blocks.append(series_mul_trunc(blocks[j], blocks[j] * sigma**powers, degree))
@@ -276,15 +274,6 @@ class FastResult:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FastResult):
-            return NotImplemented
-        return (
-            self.depth_used == other.depth_used
-            and np.array_equal(self.moments, other.moments)
-            and np.array_equal(self.certified_bound, other.certified_bound)
-        )
-
     def __len__(self) -> int:
         return len(self.moments)
 
@@ -303,15 +292,6 @@ class FastResult:
                 "moments": self.moments.tolist(),
                 "bounds": self.certified_bound.tolist(),
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FastResult":
-        data = json.loads(text)
-        return cls(
-            moments=np.array(data["moments"], dtype=np.float64),
-            depth_used=int(data["depth"]),
-            certified_bound=np.array(data["bounds"], dtype=np.float64),
         )
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 from .errors import InsufficientMoments, NotPalindromic, OutOfRange, ZeroNorm
 from .measure import WeightVector
 from .moments import MomentSequence, exact_moments
-from .rational import as_fraction, format_float, format_rational, parse_rational
+from .rational import as_fraction, format_float, format_rational
 
 Polynomial = tuple[Fraction, ...]
 
@@ -91,16 +91,6 @@ class OrthoBasis:
                 "polys": [[format_rational(c) for c in p] for p in self.polys],
                 "norms_sq": [format_rational(v) for v in self.norms_sq],
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "OrthoBasis":
-        data = json.loads(text)
-        return cls(
-            polys=tuple(
-                tuple(parse_rational(c) for c in poly) for poly in data["polys"]
-            ),
-            norms_sq=tuple(parse_rational(v) for v in data["norms_sq"]),
         )
 
 

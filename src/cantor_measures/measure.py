@@ -20,7 +20,6 @@ concurrent use needs no locking.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Sequence
@@ -114,11 +113,6 @@ class WeightVector:
     def is_degenerate(self) -> bool:
         """True iff some weight equals 1 (the measure is a Dirac mass)."""
         return any(w == 1 for w in self.weights)
-
-    @property
-    def is_interior(self) -> bool:
-        """True iff every weight is below 1 (no Dirac component)."""
-        return not self.is_degenerate
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -241,42 +235,6 @@ class CdfTable:
         # coordinates are digits and "/", which JSON does not escape.
         points = '"], ["'.join(self._rows('", "'))
         return f'{{"depth": {self.depth}, "points": [["{points}"]]}}'
-
-    @classmethod
-    def from_json(cls, text: str) -> "CdfTable":
-        """Parse :meth:`to_json` output; a malformed table is a ValueError.
-
-        Row j must hold ``x = j / N**k``, and F must rise from 0 to 1
-        without decreasing.
-        """
-        data = json.loads(text)
-        depth = int(data["depth"])
-        rows = data["points"]
-        cells = len(rows) - 1
-        if depth < 1 or cells < 2:
-            raise ValueError(f"{cells} cells is not a depth-{depth} table")
-        n_base = round(cells ** (1.0 / depth))
-        # Float root may be off by one for large grids; repair by neighbor check.
-        while n_base**depth < cells:
-            n_base += 1
-        while n_base > 2 and (n_base - 1) ** depth >= cells:
-            n_base -= 1
-        if n_base**depth != cells:
-            raise ValueError(f"{cells} cells is not a perfect depth-{depth} power")
-        values = []
-        for j, (x, f) in enumerate(rows):
-            if parse_rational(x) != Fraction(j, cells):
-                raise ValueError(f"row {j}: x = {x}, expected {j}/{cells}")
-            values.append(parse_rational(f))
-        if values[0] != 0 or values[-1] != 1:
-            raise ValueError(f"F runs from {values[0]} to {values[-1]}, not 0 to 1")
-        for j in range(cells):
-            if values[j + 1] < values[j]:
-                raise ValueError(f"F decreases from row {j} to row {j + 1}")
-        denominator = math.lcm(*(v.denominator for v in values))
-        numerators = tuple(v.numerator * (denominator // v.denominator) for v in values)
-        return cls(depth=depth, n_base=n_base, numerators=numerators,
-                   denominator=denominator)
 
 
 class _CdfPoints(Sequence):

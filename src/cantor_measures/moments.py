@@ -29,10 +29,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BadTolerance, NotOdd, OutOfRange
-from .measure import WeightVector, _check_depth, _digit_products, weight_vector
-from .rational import (
-    RationalLike, as_fraction, format_int, format_rational, parse_rational
-)
+from .measure import WeightVector, _check_depth, _digit_products
+from .rational import RationalLike, as_fraction, format_int, format_rational
 
 
 @dataclass(frozen=True)
@@ -76,15 +74,6 @@ class MomentSequence:
                 "moments": [format_rational(v) for v in self.values],
                 "weights": [format_rational(w) for w in self.weights],
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MomentSequence":
-        data = json.loads(text)
-        return cls(
-            weights=weight_vector(parse_rational(w) for w in data["weights"]),
-            kind=data["kind"],
-            values=tuple(parse_rational(v) for v in data["moments"]),
         )
 
 

@@ -1,6 +1,7 @@
 """Holder exponents, moment decay regimes, Lipschitz CDF bound."""
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -9,9 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantor_measures import (
     BadTolerance,
-    DecayReport,
     Degenerate,
-    LipschitzCheck,
     MeshMismatch,
     cdf_table,
     check_decay,
@@ -22,6 +21,7 @@ from cantor_measures import (
     shifted_moments,
     weight_vector,
 )
+from cantor_measures.rational import parse_rational
 
 from conftest import weight_vectors_st
 from oracles import interval_mass
@@ -125,10 +125,18 @@ class TestCheckDecay:
 
     def test_json_round_trip(self, ternary):
         report = check_decay(ternary, exact_moments(ternary, 16), threshold=0.4)
-        assert DecayReport.from_json(report.to_json()) == report
+        assert json.loads(report.to_json()) == {
+            "regime": "polynomial", "gamma": report.gamma,
+            "witness_constant": report.witness_constant, "max_m_checked": 16,
+            "violations": list(report.violations),
+        }
         w = parse_weights("1/2,1/2,0")
         report = check_decay(w, exact_moments(w, 16))
-        assert DecayReport.from_json(report.to_json()) == report
+        # No gamma key in the exponential regime, where it is inf.
+        assert json.loads(report.to_json()) == {
+            "regime": "exponential", "witness_constant": report.witness_constant,
+            "max_m_checked": 16, "violations": [],
+        }
 
 
 class TestCheckLipschitz:
@@ -170,4 +178,7 @@ class TestCheckLipschitz:
 
     def test_json_round_trip(self, ternary, lebesgue3):
         result = check_lipschitz(ternary, lebesgue3, 2)
-        assert LipschitzCheck.from_json(result.to_json()) == result
+        data = json.loads(result.to_json())
+        assert parse_rational(data["distance"]) == result.distance
+        assert parse_rational(data["bound"]) == result.bound
+        assert data["ok"] is result.ok

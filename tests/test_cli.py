@@ -1,4 +1,8 @@
-"""Command-line interface: flags, formats, exit codes, round-trips."""
+"""Command-line interface: flags, formats, exit codes, output bytes.
+
+JSON and CSV output must equal the rendering of the library object computed
+in the same process, byte for byte.
+"""
 from __future__ import annotations
 
 import contextlib
@@ -10,7 +14,6 @@ import os
 import subprocess
 import sys
 import typing
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,16 +21,18 @@ from hypothesis import given, settings, strategies as st
 
 import cantor_measures
 from cantor_measures import (
-    CdfTable,
-    DecayReport,
-    FastResult,
-    LipschitzCheck,
-    MomentSequence,
-    OrthoBasis,
+    cdf_table,
+    check_decay,
+    check_lipschitz,
+    exact_moments,
+    fast_moments,
+    mgf_eval,
+    monic_basis_general,
+    parse_weights,
+    shifted_fast_moments,
+    shifted_moments,
 )
 from cantor_measures.cli import run
-
-F = Fraction
 
 
 def invoke(capsys, *argv):
@@ -148,14 +153,12 @@ class TestInfiniteBounds:
         assert code == 0
         assert out.splitlines()[-3:] == ["171,0,inf", "172,0,inf", "173,0,inf"]
 
-    def test_json_round_trip(self, capsys):
+    def test_json_round_trip(self, capsys, ternary):
         code, out, _ = invoke(capsys, *self.ARGV, "--format", "json")
         assert code == 0
+        assert out == fast_moments(ternary, 173, 1e-10).to_json()
         assert json.loads(out)["bounds"][171:] == [float("inf")] * 3
         assert out.count("Infinity") == 3
-        result = FastResult.from_json(out)
-        assert list(result.certified_bound[171:]) == [float("inf")] * 3
-        assert FastResult.from_json(result.to_json()) == result
 
 
 class TestMomentsCommand:
@@ -170,47 +173,50 @@ class TestMomentsCommand:
         assert lines[0] == "m,numerator,denominator"
         assert lines[-1] == "4,87,320"
 
-    def test_exact_json_round_trip(self, capsys):
+    def test_exact_json_round_trip(self, capsys, ternary):
         code, out, _ = invoke(
             capsys,
             "moments", "--weights", "1/2,0,1/2", "--m", "5", "--format", "json",
         )
         assert code == 0
-        ms = MomentSequence.from_json(out)
-        assert ms.values[4] == F(87, 320)
-        assert str(ms.weights) == "1/2,0/1,1/2"
+        assert out == exact_moments(ternary, 5).to_json()
+        data = json.loads(out)
+        assert data["moments"][4] == "87/320"
+        assert data["weights"] == ["1/2", "0/1", "1/2"]
 
-    def test_fast_json_round_trip(self, capsys):
+    def test_fast_json_round_trip(self, capsys, ternary):
         code, out, _ = invoke(
             capsys,
             "moments", "--weights", "1/2,0,1/2", "--m", "6",
             "--mode", "fast", "--eps", "1e-9", "--format", "json",
         )
         assert code == 0
-        result = FastResult.from_json(out)
-        assert result.moments[1] == 0.5
-        assert result.depth_used >= 1
+        assert out == fast_moments(ternary, 6, 1e-9).to_json()
+        data = json.loads(out)
+        assert data["moments"][1] == 0.5
+        assert data["depth"] >= 1
 
-    def test_shifted_exact(self, capsys):
+    def test_shifted_exact(self, capsys, ternary):
         code, out, _ = invoke(
             capsys,
             "shifted-moments", "--weights", "1/2,0,1/2", "--m", "4",
             "--format", "json",
         )
         assert code == 0
-        ms = MomentSequence.from_json(out)
-        assert ms.kind == "shifted"
-        assert ms.values == (F(1), F(0), F(1, 8), F(0), F(7, 320))
+        assert out == shifted_moments(ternary, 4).to_json()
+        data = json.loads(out)
+        assert data["kind"] == "shifted"
+        assert data["moments"] == ["1/1", "0/1", "1/8", "0/1", "7/320"]
 
-    def test_shifted_fast(self, capsys):
+    def test_shifted_fast(self, capsys, ternary):
         code, out, _ = invoke(
             capsys,
             "shifted-moments", "--weights", "1/2,0,1/2", "--m", "4",
             "--mode", "fast", "--eps", "1e-9", "--format", "json",
         )
         assert code == 0
-        result = FastResult.from_json(out)
-        assert result.moments[2] == pytest.approx(0.125, abs=1e-9)
+        assert out == shifted_fast_moments(ternary, 4, 1e-9).to_json()
+        assert json.loads(out)["moments"][2] == pytest.approx(0.125, abs=1e-9)
 
 
 class TestCdfCommand:
@@ -223,26 +229,28 @@ class TestCdfCommand:
         assert lines[0] == "x,F"
         assert len(lines) - 1 == 3**6 + 1 == 730
 
-    def test_json_round_trip(self, capsys):
+    def test_json_round_trip(self, capsys, ternary):
         code, out, _ = invoke(
             capsys, "cdf", "--weights", "1/2,0,1/2", "--depth", "3", "--format", "json"
         )
         assert code == 0
-        table = CdfTable.from_json(out)
-        assert table.depth == 3 and table.n_base == 3
-        assert table.points[-1] == (F(1), F(1))
+        assert out == cdf_table(ternary, 3).to_json()
+        data = json.loads(out)
+        assert data["depth"] == 3 and len(data["points"]) == 3**3 + 1
+        assert data["points"][-1] == ["1/1", "1/1"]
 
 
 class TestLegendreCommand:
-    def test_json_round_trip(self, capsys):
+    def test_json_round_trip(self, capsys, ternary):
         code, out, _ = invoke(
             capsys,
             "legendre", "--weights", "1/2,0,1/2", "--degree", "3", "--format", "json",
         )
         assert code == 0
-        basis = OrthoBasis.from_json(out)
-        assert basis.degree == 3
-        assert basis.polys[2] == (F(1, 8), F(-1), F(1))
+        assert out == monic_basis_general(ternary, 3).to_json()
+        data = json.loads(out)
+        assert data["degree"] == 3
+        assert data["polys"][2] == ["1/8", "-1/1", "1/1"]
 
     def test_grid_csv(self, capsys):
         code, out, _ = invoke(
@@ -261,8 +269,8 @@ class TestLegendreCommand:
             "legendre", "--weights", "2/3,1/3", "--degree", "1", "--format", "json",
         )
         assert code == 0
-        basis = OrthoBasis.from_json(out)
-        assert basis.polys[1] == (F(-1, 3), F(1))
+        assert out == monic_basis_general(parse_weights("2/3,1/3"), 1).to_json()
+        assert json.loads(out)["polys"][1] == ["-1/3", "1/1"]
 
 
 class TestMgfCommand:
@@ -276,16 +284,16 @@ class TestMgfCommand:
         value = float(lines[1].split(",")[2])
         assert value == pytest.approx(2.718281828, rel=1e-8)
 
-    def test_json_round_trip(self, capsys):
+    def test_json_round_trip(self, capsys, ternary):
         code, out, _ = invoke(
             capsys,
             "mgf", "--weights", "1/2,0,1/2", "--s", "1.0", "--depth", "30",
             "--format", "json",
         )
         assert code == 0
-        data = json.loads(out)
-        assert data["depth"] == 30
-        assert data["value"] == pytest.approx(1.7532792046, rel=1e-9)
+        value = mgf_eval(ternary, 1.0, 30)
+        assert out == json.dumps({"s": 1.0, "depth": 30, "value": value})
+        assert value == pytest.approx(1.7532792046, rel=1e-9)
 
 
 class TestDecayCommand:
@@ -295,9 +303,11 @@ class TestDecayCommand:
             "decay", "--weights", "1/2,1/2,0", "--m", "16", "--format", "json",
         )
         assert code == 0
-        report = DecayReport.from_json(out)
-        assert report.regime == "exponential"
-        assert report.violations == ()
+        w = parse_weights("1/2,1/2,0")
+        assert out == check_decay(w, exact_moments(w, 16)).to_json()
+        data = json.loads(out)
+        assert data["regime"] == "exponential" and "gamma" not in data
+        assert data["violations"] == []
 
     def test_csv_table(self, capsys):
         code, out, _ = invoke(
@@ -312,16 +322,17 @@ class TestDecayCommand:
 
 
 class TestLipschitzCommand:
-    def test_json_round_trip(self, capsys):
+    def test_json_round_trip(self, capsys, ternary, lebesgue3):
         code, out, _ = invoke(
             capsys,
             "lipschitz", "--weights", "1/2,0,1/2", "--weights-b", "1/3,1/3,1/3",
             "--depth", "1", "--format", "json",
         )
         assert code == 0
-        result = LipschitzCheck.from_json(out)
-        assert result.distance == F(1, 6)
-        assert result.ok
+        assert out == check_lipschitz(ternary, lebesgue3, 1).to_json()
+        data = json.loads(out)
+        assert data["distance"] == "1/6"
+        assert data["ok"] is True
 
     def test_csv(self, capsys):
         code, out, _ = invoke(
@@ -368,14 +379,12 @@ class TestOutputHandling:
         assert first == second
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "cantor_measures", "moments",
              "--weights", "1/2,0,1/2", "--m", "4"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("4,87,320")
@@ -529,12 +538,16 @@ _CHILD = (
 )
 
 
-def run_child(*argv: str) -> subprocess.CompletedProcess:
+def child_env() -> dict[str, str]:
+    """This environment, with the tested package first on ``PYTHONPATH``."""
     src = str(Path(cantor_measures.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def run_child(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", _CHILD, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
 
 
 class TestImportIsolation:

@@ -21,7 +21,7 @@ from cantor_measures import (
     parse_weights,
     weight_vector,
 )
-from cantor_measures.rational import format_rational
+from cantor_measures.rational import format_rational, parse_rational
 
 from conftest import weight_vectors_st
 from oracles import interval_mass
@@ -50,13 +50,11 @@ class TestWeightVector:
         w = weight_vector([F(1, 2), 0, F(1, 2)])
         assert w.n_branches == 3
         assert w.is_palindromic
-        assert w.is_interior
         assert not w.is_degenerate
 
     def test_dirac_is_degenerate(self):
         w = weight_vector([0, 1])
         assert w.is_degenerate
-        assert not w.is_interior
 
     def test_sum_must_be_one(self):
         with pytest.raises(NotASimplexPoint):
@@ -340,9 +338,10 @@ class TestSerialization:
 
     def test_json_round_trip(self, ternary):
         t = cdf_table(ternary, 3)
-        again = CdfTable.from_json(t.to_json())
-        assert again == t
-        assert again.n_base == 3 and again.depth == 3
+        data = json.loads(t.to_json())
+        assert data["depth"] == 3
+        points = [(parse_rational(x), parse_rational(f)) for x, f in data["points"]]
+        assert points == list(t.points)
 
     @given(weight_vectors_st(), st.integers(1, 3))
     def test_rendering_matches_fraction_pairs(self, w, k):
@@ -358,25 +357,11 @@ class TestSerialization:
         # Reduced values such as 1/2 = 3/6 have denominators below 6**k.
         t = cdf_table(parse_weights("1/2,1/3,1/6"), k)
         assert t.denominator == 6**k
-        assert CdfTable.from_json(t.to_json()) == t
+        rows = json.loads(t.to_json())["points"]
+        assert [parse_rational(f) for _, f in rows] == [f for _, f in t.points]
 
     def test_constructor_divides_out_common_factor(self):
         assert CdfTable(1, 2, (0, 2, 4), 4) == CdfTable(1, 2, (0, 1, 2), 2)
-
-    @pytest.mark.parametrize(
-        "row,pair,message",
-        [
-            (1, ["1/4", "1/2"], "expected 1/3"),  # x off the grid
-            (2, ["2/3", "1/4"], "decreases"),
-            (0, ["0/1", "1/8"], "not 0 to 1"),
-            (3, ["1/1", "7/8"], "not 0 to 1"),
-        ],
-    )
-    def test_from_json_rejects_malformed_rows(self, ternary, row, pair, message):
-        data = json.loads(cdf_table(ternary, 1).to_json())
-        data["points"][row] = pair
-        with pytest.raises(ValueError, match=message):
-            CdfTable.from_json(json.dumps(data))
 
     def test_points_view(self, ternary):
         t = cdf_table(ternary, 2)
