@@ -13,7 +13,9 @@ weight is ``p_n / A``, every cell mass is a digit product of the integers
 ``p_n`` over ``A**k``, and every depth-k CDF value is a cumulative sum of
 those products over the same denominator.  A table stores these integers
 only; the exact ``Fraction`` pairs ``(j / N**k, F)`` are built per index on
-request, and rendering reduces each coordinate with one ``math.gcd``.
+request.  Rendering writes both coordinates in lowest terms, block by block:
+the grid column follows the self-similarity of ``j / N**k`` and needs no gcd
+for j coprime to N, and the F column takes its gcds in bulk.
 Floats appear only when the caller evaluates the CDF interpolant at a float.
 Every type is immutable and every operation is a pure function, so
 concurrent use needs no locking.
@@ -21,12 +23,13 @@ concurrent use needs no locking.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Iterator
+from itertools import accumulate, repeat
+from typing import Iterable
 
 from .errors import (
     BadSetting,
@@ -45,6 +48,9 @@ DEFAULT_DEPTH_CAP = 3**14
 
 #: Environment variable overriding the cap for CLI and library defaults.
 DEPTH_CAP_ENV = "CANTOR_DEPTH_CAP"
+
+#: Rows of a CDF table rendered per joined block of text.
+BLOCK_ROWS = 4096
 
 
 def depth_cap() -> int:
@@ -183,9 +189,10 @@ class CdfTable:
     ``F(j / N**k) = numerators[j] / denominator`` for ``j = 0 .. N**k``,
     where F is the CDF of the measure generated by a weight vector of base
     ``n_base``.  Linear interpolation between consecutive samples gives the
-    depth-k interpolant of the CDF.  The representation is canonical: the
-    common gcd of the denominator and all numerators is divided out, so
-    equal tables compare equal.
+    depth-k interpolant of the CDF.  The integers are stored as given, so
+    tables that scale one another by a common factor render the same text
+    and have equal ``points`` but do not compare equal; :func:`cdf_table`
+    always returns them with no common factor.
     """
 
     depth: int
@@ -200,10 +207,6 @@ class CdfTable:
                 f"{len(numerators)} numerators over {self.denominator} do not "
                 f"form a depth-{self.depth} base-{self.n_base} table"
             )
-        common = math.gcd(self.denominator, *numerators)
-        if common > 1:
-            numerators = tuple(s // common for s in numerators)
-            object.__setattr__(self, "denominator", self.denominator // common)
         object.__setattr__(self, "numerators", numerators)
 
     @property
@@ -216,25 +219,70 @@ class CdfTable:
         """The samples as exact ``(x, F)`` pairs, built per index on access."""
         return _CdfPoints(self)
 
-    def _rows(self, sep: str) -> Iterator[str]:
-        """``x{sep}F`` per sample in reduced ``p/q`` form, one gcd per coordinate.
+    def _render(self, head: str, sep: str, end: str, tail: str) -> str:
+        """``head``, then ``x{sep}F{end}`` per sample in lowest terms, then ``tail``.
 
-        x never passes the int/str digit limit (its denominator is the table
-        size); F may, so it goes through :func:`format_int`.
+        The last row ends in ``tail`` in place of ``end``.  Rows render in
+        blocks of :data:`BLOCK_ROWS`; each block fills the eight pieces of
+        its rows by slice and is joined once.
         """
-        cells, den, gcd = self.mesh_size, self.denominator, math.gcd
-        for j, s in enumerate(self.numerators):
-            g, h = gcd(j, cells), gcd(s, den)
-            yield f"{j // g}/{cells // g}{sep}{format_int(s // h)}/{format_int(den // h)}"
+        nums, den, n, k = self.numerators, self.denominator, self.n_base, self.depth
+        reduced_dens: dict[int, str] = {}
+        blocks = [head]
+        for start in range(0, len(nums), BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, len(nums))
+            block = nums[start:stop]
+            gcds = list(map(math.gcd, block, repeat(den)))
+            for g in set(gcds).difference(reduced_dens):
+                reduced_dens[g] = format_int(den // g)
+            reduced = list(map(operator.floordiv, block, gcds))
+            out = [None, "/", None, sep, None, "/", None, end] * (stop - start)
+            out[0::8], out[2::8] = _grid_terms(n, k, start, stop)
+            try:
+                out[4::8] = map(str, reduced)
+            except ValueError:  # past the int/str digit limit
+                out[4::8] = map(format_int, reduced)
+            out[6::8] = map(reduced_dens.__getitem__, gcds)
+            if stop == len(nums):
+                out[-1] = tail
+            blocks.append("".join(out))
+        return "".join(blocks)
 
     def to_csv(self) -> str:
-        return "\n".join(["x,F", *self._rows(",")]) + "\n"
+        return self._render("x,F\n", ",", "\n", "\n")
 
     def to_json(self) -> str:
         # Equal to json.dumps({"depth": ..., "points": [[x, F], ...]}): the
         # coordinates are digits and "/", which JSON does not escape.
-        points = '"], ["'.join(self._rows('", "'))
-        return f'{{"depth": {self.depth}, "points": [["{points}"]]}}'
+        return self._render(
+            f'{{"depth": {self.depth}, "points": [["', '", "', '"], ["', '"]]}'
+        )
+
+
+def _grid_terms(n: int, k: int, start: int, stop: int) -> tuple[list[str], list[str]]:
+    """Numerators and denominators of ``j / n**k`` in lowest terms, ``start <= j < stop``.
+
+    The grid is self-similar: ``j / n**k`` for a multiple j of n is
+    ``(j / n) / n**(k - 1)``, one level up.  A residue coprime to n is
+    already in lowest terms, so only residues sharing a factor with a
+    composite n take a gcd.
+    """
+    if k == 0:  # j is 0 or 1
+        return list(map(str, range(start, stop))), ["1"] * (stop - start)
+    cells = n**k
+    js = range(start, stop)
+    nums, dens = [""] * len(js), [str(cells)] * len(js)
+    for r in range(1, n):
+        at = (r - start) % n
+        if math.gcd(r, n) == 1:
+            nums[at::n] = map(str, js[at::n])
+        else:
+            gcds = list(map(math.gcd, js[at::n], repeat(cells)))
+            nums[at::n] = map(str, map(operator.floordiv, js[at::n], gcds))
+            dens[at::n] = map(str, map(operator.floordiv, repeat(cells), gcds))
+    at = -start % n
+    nums[at::n], dens[at::n] = _grid_terms(n, k - 1, (start + at) // n, (stop - 1) // n + 1)
+    return nums, dens
 
 
 class _CdfPoints(Sequence):

@@ -9,9 +9,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from cantor_measures import MomentSequence, OutOfRange, WeightVector
+from cantor_measures import CdfTable, MomentSequence, OutOfRange, WeightVector
+from cantor_measures.rational import format_int
 
 
 def branch_recurrence_moments(
@@ -94,3 +95,23 @@ def interval_mass(w: WeightVector, digits: Sequence[int]) -> Fraction:
             raise OutOfRange(f"digit {d} out of range 0..{n - 1}")
         mass *= w.weights[d]
     return mass
+
+
+def _cdf_rows(table: CdfTable, sep: str) -> Iterator[str]:
+    """``x{sep}F`` per sample in reduced ``p/q`` form, one gcd per coordinate."""
+    cells, den, gcd = table.mesh_size, table.denominator, math.gcd
+    for j, s in enumerate(table.numerators):
+        g, h = gcd(j, cells), gcd(s, den)
+        yield f"{j // g}/{cells // g}{sep}{format_int(s // h)}/{format_int(den // h)}"
+
+
+def cdf_csv(table: CdfTable) -> str:
+    """CSV of a CDF table rendered row by row: the package's per-row renderer
+    before it rendered in blocks."""
+    return "\n".join(["x,F", *_cdf_rows(table, ",")]) + "\n"
+
+
+def cdf_json(table: CdfTable) -> str:
+    """JSON of a CDF table rendered row by row, as :func:`cdf_csv`."""
+    points = '"], ["'.join(_cdf_rows(table, '", "'))
+    return f'{{"depth": {table.depth}, "points": [["{points}"]]}}'

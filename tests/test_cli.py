@@ -418,6 +418,12 @@ GOLDEN = [
     (("shifted-moments", "--weights", "1/5,1/10,2/5,1/10,1/5", "--m", "100",
       "--format", "json"),
      "41b23fe3406679795a5e5a9fd30335ec73593e3388aeae3ad01fc933dc58906a"),
+    (("cdf", *TERNARY, "--depth", "8"),
+     "e1282eb7f4829ccd9ad96f55e4c4d00adc29475dab9100b2d3039fce9128db9d"),
+    (("cdf", "--weights", "1/6,1/12,1/4,1/12,1/3,1/12", "--depth", "4", "--format", "json"),
+     "9f055cba66cdf178b775385b70a3ed309592dbe77fe9573d6e1afea12fbdd07f"),
+    (("cdf", "--weights", "5/11,6/11", "--depth", "12"),
+     "5ce86c431be6ed044508a9881108397069ec8f19412b49464bc6b9b23151f3dc"),
 ]
 
 
@@ -425,7 +431,8 @@ class TestGoldenOutput:
     """Exact outputs pinned byte for byte by the sha256 of their stdout.
 
     The digests were computed before the power-sum kernel replaced the
-    per-branch recurrence; any change to an exact byte fails here.
+    per-branch recurrence, and the last three cdf digests before tables
+    rendered in blocks; any change to an exact byte fails here.
     """
 
     @pytest.mark.parametrize("argv,digest", GOLDEN)

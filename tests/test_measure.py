@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cantor_measures import (
     CdfTable,
@@ -21,10 +23,11 @@ from cantor_measures import (
     parse_weights,
     weight_vector,
 )
+from cantor_measures.measure import BLOCK_ROWS
 from cantor_measures.rational import format_rational, parse_rational
 
-from conftest import weight_vectors_st
-from oracles import interval_mass
+from conftest import random_weight_vector, weight_vectors_st
+from oracles import cdf_csv, cdf_json, interval_mass
 
 F = Fraction
 
@@ -360,8 +363,18 @@ class TestSerialization:
         rows = json.loads(t.to_json())["points"]
         assert [parse_rational(f) for _, f in rows] == [f for _, f in t.points]
 
-    def test_constructor_divides_out_common_factor(self):
-        assert CdfTable(1, 2, (0, 2, 4), 4) == CdfTable(1, 2, (0, 1, 2), 2)
+    @given(weight_vectors_st(n_max=6), st.integers(1, 4))
+    def test_tables_have_no_common_factor(self, w, k):
+        # A is the lcm of the weight denominators, so no prime of A**k
+        # divides every numerator.
+        t = cdf_table(w, k, cap=10**6)
+        assert math.gcd(t.denominator, *t.numerators) == 1
+
+    def test_common_factor_renders_reduced(self):
+        scaled, reduced = CdfTable(1, 2, (0, 2, 4), 4), CdfTable(1, 2, (0, 1, 2), 2)
+        assert scaled.to_csv() == reduced.to_csv() == "x,F\n0/1,0/1\n1/2,1/2\n1/1,1/1\n"
+        assert scaled.to_json() == reduced.to_json()
+        assert scaled.points == reduced.points
 
     def test_points_view(self, ternary):
         t = cdf_table(ternary, 2)
@@ -372,3 +385,55 @@ class TestSerialization:
         for index in (10, -11):
             with pytest.raises(IndexError):
                 t.points[index]
+
+
+@st.composite
+def rendered_tables_st(draw, max_cells=2 * BLOCK_ROWS):
+    """A CDF table of base 2..7 with at most ``max_cells`` cells."""
+    w = draw(st.one_of(
+        weight_vectors_st(n_min=2, n_max=7),
+        st.sampled_from(["1,0,0", "0,1", "1/1000,999/1000", "1/4,0,0,3/4",
+                         "1/3,0,1/6,0,1/2,0"]).map(parse_weights),
+    ))
+    n = w.n_branches
+    k = draw(st.integers(1, max(k for k in range(1, max_cells.bit_length())
+                                  if n**k <= max_cells)))
+    return cdf_table(w, k, cap=max_cells)
+
+
+class TestBlockRendering:
+    """Block rendering matches the per-row oracle byte for byte."""
+
+    @given(rendered_tables_st())
+    @example(cdf_table(parse_weights("0,1"), 12))
+    @example(cdf_table(parse_weights("1,0,0"), 5))
+    @example(cdf_table(parse_weights("1/1000,999/1000"), 12))
+    @example(cdf_table(parse_weights("1/4,1/4,1/4,1/4"), 6))
+    @example(cdf_table(parse_weights("1/6,1/12,1/4,1/12,1/3,1/12"), 4))
+    def test_matches_row_oracle(self, t):
+        assert t.to_csv() == cdf_csv(t)
+        assert t.to_json() == cdf_json(t)
+
+    @pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                      2 * BLOCK_ROWS + 1])
+    def test_block_boundaries(self, rows):
+        # One-level tables of N = rows - 1 branches, prime or composite,
+        # with zero weights anywhere.
+        w = random_weight_vector(random.Random(rows), rows - 1, interior=False)
+        t = cdf_table(w, 1, cap=rows)
+        assert len(t.points) == rows
+        assert t.to_csv() == cdf_csv(t)
+        assert t.to_json() == cdf_json(t)
+        assert json.loads(t.to_json())["points"][-1] == ["1/1", "1/1"]
+
+    @pytest.mark.parametrize("a", [Fraction(1, 10**1500),
+                                   Fraction(10**1499, 3 * 10**1499 + 1)])
+    def test_past_int_str_digit_limit(self, default_int_str_limit, a):
+        # F's denominator, and for the second vector also reduced numerators
+        # such as F(1/8) = a**3, have more digits than str() converts by default.
+        t = cdf_table(weight_vector([a, 1 - a]), 3)
+        assert t.denominator == a.denominator**3
+        with pytest.raises(ValueError):
+            str(t.denominator)
+        assert t.to_csv() == cdf_csv(t)
+        assert t.to_json() == cdf_json(t)
