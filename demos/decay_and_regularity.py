@@ -25,7 +25,7 @@ CASES = [
 ]
 
 for name, w in CASES:
-    report = check_decay(w, exact_moments(w, 64))
+    report = check_decay(exact_moments(w, 64))
     holder = holder_exponent(w)
     gamma = "inf" if report.regime == "exponential" else f"{report.gamma:.5f}"
     print(f"{name:s}: alpha = ({w})")

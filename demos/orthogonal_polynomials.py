@@ -27,7 +27,7 @@ from cantor_measures import (
 ternary = parse_weights("1/2,0,1/2")
 degree = 5
 moments = exact_moments(ternary, 2 * degree)
-basis = monic_basis_symmetric(ternary, degree, moments)
+basis = monic_basis_symmetric(ternary, degree)
 
 print("monic orthogonal polynomials (ascending coefficients):")
 for n, (poly, norm_sq) in enumerate(zip(basis.polys, basis.norms_sq)):

@@ -51,7 +51,6 @@ from .measure import (
     depth_cap,
     kronecker_power,
     parse_weights,
-    weight_vector,
 )
 from .moments import (
     MomentSequence,
@@ -143,5 +142,4 @@ __all__ = [
     "shifted_fast_moments",
     "shifted_moments",
     "truncated_factor",
-    "weight_vector",
 ]

@@ -147,7 +147,7 @@ def _render_mgf(w: WeightVector, args: argparse.Namespace) -> str:
 
 
 def _render_decay(w: WeightVector, args: argparse.Namespace) -> str:
-    report = check_decay(w, exact_moments(w, args.m), args.threshold)
+    report = check_decay(exact_moments(w, args.m), args.threshold)
     if args.format == "json":
         return report.to_json()
     gamma = "inf" if report.regime == "exponential" else format_float(report.gamma)

@@ -274,9 +274,6 @@ class FastResult:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def __len__(self) -> int:
-        return len(self.moments)
-
     def to_csv(self) -> str:
         # Python floats from tolist() format as format_float does, without
         # a numpy scalar conversion per value.

@@ -94,37 +94,19 @@ class OrthoBasis:
         )
 
 
-def _resolve_moments(
-    w: WeightVector, degree: int, moments: MomentSequence | None
-) -> MomentSequence:
-    if moments is None:
-        return exact_moments(w, 2 * degree)
-    if moments.kind != "raw":
-        raise ValueError(f"raw moments expected, got kind={moments.kind!r}")
-    if moments.weights != w:
-        raise ValueError("moments were computed for a different weight vector")
-    if len(moments) < 2 * degree + 1:
-        raise InsufficientMoments(
-            f"degree {degree} needs moments up to {2 * degree}, got {moments.m_max}"
-        )
-    return moments
-
-
-def monic_basis_general(
-    w: WeightVector, degree: int, moments: MomentSequence | None = None
-) -> OrthoBasis:
+def monic_basis_general(w: WeightVector, degree: int) -> OrthoBasis:
     """Monic orthogonal basis ``p_0..p_degree`` by the Chebyshev algorithm.
 
-    Row k of the mixed moments ``sigma_k[l] = <p_k, x**l>`` gives ``a_k =
-    sigma_k[k+1]/sigma_k[k] - sigma_{k-1}[k]/sigma_{k-1}[k-1]`` and ``b_k =
-    sigma_k[k]/sigma_{k-1}[k-1]``.  Raises :class:`ZeroNorm` at the first k
-    with ``|p_k|^2 = sigma_k[k] = 0``, which happens exactly when the measure
-    is finitely supported.
+    The exact moments ``I_0..I_{2*degree}`` seed the mixed moments
+    ``sigma_k[l] = <p_k, x**l>``; row k gives ``a_k = sigma_k[k+1]/sigma_k[k]
+    - sigma_{k-1}[k]/sigma_{k-1}[k-1]`` and ``b_k = sigma_k[k]/sigma_{k-1}[k-1]``.
+    Raises :class:`ZeroNorm` at the first k with ``|p_k|^2 = sigma_k[k] = 0``,
+    which happens exactly when the measure is finitely supported.
     """
     if degree < 0:
         raise OutOfRange(f"degree must be nonnegative, got {degree}")
     top = 2 * degree
-    sigma_prev, sigma = [0] * (top + 1), _resolve_moments(w, degree, moments).values
+    sigma_prev, sigma = [0] * (top + 1), exact_moments(w, top).values
     ratio_prev, p_prev, p = 0, (), (Fraction(1),)
     polys, norms = [p], [sigma[0]]
     for k in range(degree):
@@ -144,13 +126,11 @@ def monic_basis_general(
     return OrthoBasis(polys=tuple(polys), norms_sq=tuple(norms))
 
 
-def monic_basis_symmetric(
-    w: WeightVector, degree: int, moments: MomentSequence | None = None
-) -> OrthoBasis:
+def monic_basis_symmetric(w: WeightVector, degree: int) -> OrthoBasis:
     """:func:`monic_basis_general` restricted to palindromic weights."""
     if not w.is_palindromic:
         raise NotPalindromic(f"symmetric basis needs palindromic weights: {w}")
-    return monic_basis_general(w, degree, moments)
+    return monic_basis_general(w, degree)
 
 
 def normalize(basis: OrthoBasis) -> list[list[float]]:

@@ -29,7 +29,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import Iterable
 
 from .errors import (
     BadSetting,
@@ -46,7 +45,7 @@ from .rational import (
 #: Default cap on the number of table entries N**k (about 4.8e6).
 DEFAULT_DEPTH_CAP = 3**14
 
-#: Environment variable overriding the cap for CLI and library defaults.
+#: Environment variable overriding the cap; every depth check reads it.
 DEPTH_CAP_ENV = "CANTOR_DEPTH_CAP"
 
 #: Rows of a CDF table rendered per joined block of text.
@@ -70,11 +69,11 @@ def depth_cap() -> int:
     return cap
 
 
-def _check_depth(n_base: int, k: int, cap: int | None) -> int:
-    """Validate ``k >= 1`` and ``n_base**k`` against the cap; return ``n_base**k``."""
+def _check_depth(n_base: int, k: int) -> int:
+    """Validate ``k >= 1`` and ``n_base**k`` against :func:`depth_cap`; return ``n_base**k``."""
     if k < 1:
         raise OutOfRange(f"depth must be a positive integer, got {k}")
-    limit = cap if cap is not None else depth_cap()
+    limit = depth_cap()
     size = n_base**k
     if size > limit:
         raise DepthOverflow(
@@ -101,10 +100,10 @@ class WeightVector:
         if len(coerced) < 2:
             raise NotASimplexPoint("a weight vector needs at least two entries")
         if any(w < 0 for w in coerced):
-            raise NotASimplexPoint(f"negative weight in {coerced}")
+            raise NotASimplexPoint(f"negative weight in {self}")
         total = sum(coerced)
         if total != 1:
-            raise NotASimplexPoint(f"weights sum to {total}, not 1")
+            raise NotASimplexPoint(f"weights sum to {format_rational(total)}, not 1")
 
     @property
     def n_branches(self) -> int:
@@ -120,28 +119,11 @@ class WeightVector:
         """True iff some weight equals 1 (the measure is a Dirac mass)."""
         return any(w == 1 for w in self.weights)
 
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __getitem__(self, index: int) -> Fraction:
-        return self.weights[index]
-
     def __iter__(self):
         return iter(self.weights)
 
     def __str__(self) -> str:
         return ",".join(format_rational(w) for w in self.weights)
-
-
-def weight_vector(values: Iterable[RationalLike]) -> WeightVector:
-    """Build a validated :class:`WeightVector` from exact rational entries.
-
-    Raises
-    ------
-    NotASimplexPoint
-        If any entry is negative or the entries do not sum to 1 exactly.
-    """
-    return WeightVector(tuple(values))
 
 
 def parse_weights(text: str) -> WeightVector:
@@ -150,18 +132,23 @@ def parse_weights(text: str) -> WeightVector:
         values = [parse_rational(p) for p in text.split(",")]
     except ValueError as exc:
         raise NotASimplexPoint(f"bad weight list {text!r}: {exc}") from exc
-    return weight_vector(values)
+    return WeightVector(tuple(values))
+
+
+def _integer_weights(w: WeightVector) -> tuple[list[int], int]:
+    """Integers ``p_n`` and A with ``alpha_n = p_n / A``, A the lcm of the denominators."""
+    common = math.lcm(*(a.denominator for a in w.weights))
+    return [a.numerator * (common // a.denominator) for a in w.weights], common
 
 
 def _digit_products(w: WeightVector, k: int) -> tuple[list[int], int]:
     """Integer masses of the ``N**k`` depth-k cells, and their denominator.
 
-    With A the lcm of the weight denominators, ``alpha_n = p_n / A``; cell n
-    has mass ``prod_l p_{n_l} / A**k`` over the digits of
+    With ``alpha_n = p_n / A`` (:func:`_integer_weights`), cell n has mass
+    ``prod_l p_{n_l} / A**k`` over the digits of
     ``n = n_0 + n_1*N + ... + n_{k-1}*N**(k-1)``, ``n_0`` least significant.
     """
-    common = math.lcm(*(a.denominator for a in w.weights))
-    numerators = [a.numerator * (common // a.denominator) for a in w.weights]
+    numerators, common = _integer_weights(w)
     masses = [1]
     # Prepending the most-significant digit keeps n_0 least significant.
     for _ in range(k):
@@ -169,7 +156,7 @@ def _digit_products(w: WeightVector, k: int) -> tuple[list[int], int]:
     return masses, common**k
 
 
-def kronecker_power(w: WeightVector, k: int, cap: int | None = None) -> WeightVector:
+def kronecker_power(w: WeightVector, k: int) -> WeightVector:
     """Return ``beta`` of length ``N**k`` with ``beta_n`` the digit product of n.
 
     Index convention: ``n = n_0 + n_1*N + ... + n_{k-1}*N**(k-1)`` with ``n_0``
@@ -177,7 +164,7 @@ def kronecker_power(w: WeightVector, k: int, cap: int | None = None) -> WeightVe
     measures induced by ``w`` and ``beta`` coincide, which is what makes
     depth-k tables computable at depth 1 over ``beta``.
     """
-    _check_depth(w.n_branches, k, cap)
+    _check_depth(w.n_branches, k)
     masses, denominator = _digit_products(w, k)
     return WeightVector(tuple(Fraction(p, denominator) for p in masses))
 
@@ -312,9 +299,9 @@ class _CdfPoints(Sequence):
     __hash__ = None  # type: ignore[assignment]
 
 
-def cdf_table(w: WeightVector, k: int, cap: int | None = None) -> CdfTable:
+def cdf_table(w: WeightVector, k: int) -> CdfTable:
     """Exact depth-k CDF table: cumulative sums of the integer cell masses."""
-    _check_depth(w.n_branches, k, cap)
+    _check_depth(w.n_branches, k)
     masses, denominator = _digit_products(w, k)
     return CdfTable(
         depth=k,

@@ -23,13 +23,12 @@ for every weight vector.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import BadTolerance, NotOdd, OutOfRange
-from .measure import WeightVector, _check_depth, _digit_products
+from .measure import WeightVector, _check_depth, _digit_products, _integer_weights
 from .rational import RationalLike, as_fraction, format_int, format_rational
 
 
@@ -103,8 +102,8 @@ def _self_similar_moments(
     if m_max < 0:
         raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
     n_base = w.n_branches
-    common = math.lcm(*(a.denominator for a in w.weights))
-    branches = [(int(a * common), c) for a, c in zip(w.weights, offsets) if a and c]
+    numerators, common = _integer_weights(w)
+    branches = [(p_n, c) for p_n, c in zip(numerators, offsets) if p_n and c]
     power_sums = [0]  # power_sums[j] == P_j for j >= 1
     terms = [p_n for p_n, _ in branches]
     for _ in range(m_max):
@@ -136,9 +135,7 @@ def exact_moments(w: WeightVector, m_max: int) -> MomentSequence:
     return MomentSequence(weights=w, kind="raw", values=values)
 
 
-def left_endpoint_estimate(
-    w: WeightVector, k: int, m: int, cap: int | None = None
-) -> Fraction:
+def left_endpoint_estimate(w: WeightVector, k: int, m: int) -> Fraction:
     """Depth-k left-endpoint lower sum for the m-th moment.
 
     Sums ``mass(address) * (address / N**k)**m`` over all ``N**k`` addresses,
@@ -147,7 +144,7 @@ def left_endpoint_estimate(
     """
     if m < 0:
         raise OutOfRange(f"m must be nonnegative, got {m}")
-    size = _check_depth(w.n_branches, k, cap)
+    size = _check_depth(w.n_branches, k)
     masses, denominator = _digit_products(w, k)
     total = sum(p * n**m for n, p in enumerate(masses) if p)
     return Fraction(total, denominator * size**m)

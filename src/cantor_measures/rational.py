@@ -12,6 +12,7 @@ from fractions import Fraction
 RationalLike = Fraction | int | str
 
 _INTEGER_RATIO = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+_DECIMAL = re.compile(r"\s*[+-]?(?:\d+\.\d*|\.\d+)\s*")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -37,15 +38,19 @@ def format_int(value: int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"``, a plain integer or a decimal such as ``"0.25"``."""
+    """Parse ``"p/q"``, a plain integer or a plain decimal such as ``"0.25"``.
+
+    Any other form raises ``ValueError``, exponent notation included: the
+    exact value of ``"1e100000000"`` alone would take minutes to build.
+    """
+    if _DECIMAL.fullmatch(text):
+        return Fraction(Decimal(text))
     match = _INTEGER_RATIO.fullmatch(text)
-    try:
-        if match is None:
-            return Fraction(text.strip())
-        num, den = match.groups()
-        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    if match is not None:
+        num, den = (int(Decimal(g or 1)) for g in match.groups())
+        if den:
+            return Fraction(num, den)
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 def format_rational(value: Fraction) -> str:

@@ -5,14 +5,18 @@ so every generated vector is an exact simplex point by construction.
 """
 from __future__ import annotations
 
+import os
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
-from cantor_measures import WeightVector, weight_vector
+import cantor_measures
+from cantor_measures import WeightVector
+from cantor_measures.measure import DEPTH_CAP_ENV
 
 settings.register_profile(
     "package",
@@ -24,7 +28,7 @@ settings.load_profile("package")
 
 def parts_to_weights(parts: list[int]) -> WeightVector:
     total = sum(parts)
-    return weight_vector(Fraction(p, total) for p in parts)
+    return WeightVector(tuple(Fraction(p, total) for p in parts))
 
 
 @st.composite
@@ -85,6 +89,21 @@ def random_weight_vector(
         if interior and max(parts) == total:
             continue
         return parts_to_weights(parts)
+
+
+def child_env() -> dict[str, str]:
+    """This environment, with the tested package first on ``PYTHONPATH``."""
+    src = str(Path(cantor_measures.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def default_depth_cap():
+    """Run every test under the default depth cap unless it sets its own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(DEPTH_CAP_ENV, raising=False)
+        yield
 
 
 @pytest.fixture

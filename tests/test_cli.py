@@ -10,11 +10,9 @@ import hashlib
 import inspect
 import io
 import json
-import os
 import subprocess
 import sys
 import typing
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +31,7 @@ from cantor_measures import (
     shifted_moments,
 )
 from cantor_measures.cli import run
+from conftest import child_env
 
 
 def invoke(capsys, *argv):
@@ -118,9 +117,15 @@ class TestInputContract:
             (("shifted-moments", *TERNARY, "--m", "2", "--eps", "1e-9"), 2),
             # A threshold in the exponential regime used to print ok = True.
             (("decay", "--weights", "1/2,1/2,0", "--m", "5", "--threshold", "1e9"), 1),
+            # Weights past the int/str digit limit used to print a traceback
+            # from the error message, and exponent notation built 10**exponent.
+            (("cdf", "--weights", "1" + "0" * 4400 + ",1", "--depth", "2"), 1),
+            (("lipschitz", "--weights", "1/2,1/2", "--weights-b", "1/1" + "0" * 4400 + ",1",
+              "--depth", "2"), 1),
+            (("moments", "--weights", "1e5000,1", "--m", "2"), 1),
         ],
     )
-    def test_malformed_argv(self, capsys, argv, expected):
+    def test_malformed_argv(self, capsys, default_int_str_limit, argv, expected):
         code, out, err = invoke(capsys, *argv)
         assert code in (0, 1, 2)
         assert code == expected
@@ -304,7 +309,7 @@ class TestDecayCommand:
         )
         assert code == 0
         w = parse_weights("1/2,1/2,0")
-        assert out == check_decay(w, exact_moments(w, 16)).to_json()
+        assert out == check_decay(exact_moments(w, 16)).to_json()
         data = json.loads(out)
         assert data["regime"] == "exponential" and "gamma" not in data
         assert data["violations"] == []
@@ -543,13 +548,6 @@ _CHILD = (
     "print('numpy' in sys.modules, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
-
-
-def child_env() -> dict[str, str]:
-    """This environment, with the tested package first on ``PYTHONPATH``."""
-    src = str(Path(cantor_measures.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def run_child(*argv: str) -> subprocess.CompletedProcess:

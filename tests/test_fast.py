@@ -19,6 +19,7 @@ from cantor_measures import (
     NotPalindromic,
     OutOfDomain,
     OutOfRange,
+    WeightVector,
     depth_for_eps,
     exact_moments,
     fast_moments,
@@ -30,7 +31,6 @@ from cantor_measures import (
     shifted_fast_moments,
     shifted_moments,
     truncated_factor,
-    weight_vector,
 )
 from cantor_measures.rational import format_float
 
@@ -41,7 +41,7 @@ F = Fraction
 
 class TestTruncatedFactor:
     def test_dirac_at_zero_constant(self):
-        w = weight_vector([1, 0, 0])
+        w = WeightVector([1, 0, 0])
         s = truncated_factor(w, 5)
         assert s[0] == 1.0
         assert np.all(s[1:] == 0.0)
@@ -135,11 +135,11 @@ class TestFastMoments:
         assert result.moments == pytest.approx([1, 0.5, 1 / 3, 0.25], abs=1e-12)
 
     def test_dirac_at_one(self):
-        result = fast_moments(weight_vector([0, 1]), 2, 1e-10)
+        result = fast_moments(WeightVector([0, 1]), 2, 1e-10)
         assert result.moments == pytest.approx([1.0, 1.0, 1.0], abs=1e-10)
 
     def test_low_indices_exact(self):
-        w = weight_vector([F(2, 3), F(1, 3)])
+        w = WeightVector([F(2, 3), F(1, 3)])
         result = fast_moments(w, 8, 1e-10)
         assert result.moments[0] == 1.0
         assert result.moments[1] == float(F(1, 3))
@@ -237,10 +237,10 @@ class TestShiftedFastMoments:
 
     def test_rejects_non_palindromic(self):
         with pytest.raises(NotPalindromic):
-            shifted_fast_moments(weight_vector([F(2, 3), F(1, 3)]), 4, 1e-8)
+            shifted_fast_moments(WeightVector([F(2, 3), F(1, 3)]), 4, 1e-8)
 
     def test_two_branch_uniform_against_oracle(self):
-        w = weight_vector([F(1, 2), F(1, 2)])
+        w = WeightVector([F(1, 2), F(1, 2)])
         result = shifted_fast_moments(w, 2, 1e-10)
         oracle = shifted_moments(w, 2)
         assert result.moments[2] == pytest.approx(float(oracle.values[2]), abs=1e-10)
@@ -269,8 +269,8 @@ class TestCertifiedSweep:
         # The bound covers float rounding (~1e-17) as well as truncation.
         rng = random.Random(4096)
         cases = [
-            (weight_vector([F(1, 5), F(3, 10), F(1, 10), F(2, 5)]), 20, 1e-10, False),
-            (weight_vector([F(1, 2), 0, F(1, 2)]), 40, 1e-10, True),
+            (WeightVector([F(1, 5), F(3, 10), F(1, 10), F(2, 5)]), 20, 1e-10, False),
+            (WeightVector([F(1, 2), 0, F(1, 2)]), 40, 1e-10, True),
         ]
         for i in range(24):
             shifted = i % 2 == 1
@@ -351,7 +351,7 @@ class TestMgfEval:
         assert mgf_eval(ternary, 0.0, 12) == 1.0
 
     def test_dirac_at_one_tends_to_e(self):
-        w = weight_vector([0, 1])
+        w = WeightVector([0, 1])
         assert mgf_eval(w, 1.0, 40) == pytest.approx(math.e, rel=1e-12)
 
     def test_cross_evaluation_with_moment_series(self, ternary):
@@ -402,7 +402,7 @@ class TestMgfEval:
         # 1e6 overflows math.exp; at 1400 every factor is finite but the
         # product is not.
         with pytest.raises(FloatOverflow):
-            mgf_eval(weight_vector([0, 1]), s, 30)
+            mgf_eval(WeightVector([0, 1]), s, 30)
 
 
 class TestFastResultType:

@@ -14,6 +14,7 @@ from cantor_measures import (
     OrthoBasis,
     OutOfRange,
     ZeroNorm,
+    WeightVector,
     eval_poly,
     exact_moments,
     grid_csv,
@@ -22,7 +23,6 @@ from cantor_measures import (
     monic_basis_symmetric,
     normalize,
     parse_weights,
-    weight_vector,
 )
 from cantor_measures.rational import parse_rational
 
@@ -79,18 +79,11 @@ class TestSymmetricBasis:
 
     def test_rejects_non_palindromic(self):
         with pytest.raises(NotPalindromic):
-            monic_basis_symmetric(weight_vector([F(2, 3), F(1, 3)]), 2)
+            monic_basis_symmetric(WeightVector([F(2, 3), F(1, 3)]), 2)
 
     def test_zero_norm_for_central_dirac(self):
         with pytest.raises(ZeroNorm):
-            monic_basis_symmetric(weight_vector([0, 1, 0]), 1)
-
-    def test_moment_argument_validated(self, ternary, lebesgue3):
-        ms = exact_moments(lebesgue3, 8)
-        with pytest.raises(ValueError):
-            monic_basis_symmetric(ternary, 2, ms)
-        with pytest.raises(InsufficientMoments):
-            monic_basis_symmetric(ternary, 6, exact_moments(ternary, 4))
+            monic_basis_symmetric(WeightVector([0, 1, 0]), 1)
 
     @given(weight_vectors_st(palindromic=True, interior=True), st.integers(1, 6))
     @settings(max_examples=25)
@@ -118,19 +111,19 @@ class TestGeneralBasis:
         assert monic_basis_general(ternary, 3) == monic_basis_symmetric(ternary, 3)
 
     def test_two_branch_mean(self):
-        basis = monic_basis_general(weight_vector([F(2, 3), F(1, 3)]), 1)
+        basis = monic_basis_general(WeightVector([F(2, 3), F(1, 3)]), 1)
         assert basis.polys[1] == (F(-1, 3), F(1))
 
     def test_dirac_zero_norm(self):
         with pytest.raises(ZeroNorm):
-            monic_basis_general(weight_vector([0, 1]), 1)
+            monic_basis_general(WeightVector([0, 1]), 1)
 
     @given(weight_vectors_st(interior=True), st.integers(1, 5))
     @settings(max_examples=25)
     def test_orthogonal_to_lower_monomials(self, w, d):
         # Interior vectors have infinite support, so no ZeroNorm can occur.
         ms = exact_moments(w, 2 * d)
-        basis = monic_basis_general(w, d, ms)
+        basis = monic_basis_general(w, d)
         for n in range(d + 1):
             for j in range(n):
                 monomial = tuple(F(0) for _ in range(j)) + (F(1),)
@@ -141,7 +134,7 @@ class TestGeneralBasis:
         # against the bilinear moment form is independent of it.
         w = parse_weights("1/5,3/10,1/10,2/5")
         ms = exact_moments(w, 32)
-        basis = monic_basis_general(w, 16, ms)
+        basis = monic_basis_general(w, 16)
         for n, poly in enumerate(basis.polys):
             for j in range(n):
                 monomial = tuple(F(0) for _ in range(j)) + (F(1),)
@@ -161,7 +154,7 @@ class TestGeneralBasis:
     @settings(max_examples=20)
     def test_pairwise_orthogonality_exact(self, w, d):
         ms = exact_moments(w, 2 * d)
-        basis = monic_basis_general(w, d, ms)
+        basis = monic_basis_general(w, d)
         for i in range(d + 1):
             for j in range(i):
                 assert inner_product(basis.polys[i], basis.polys[j], ms) == 0

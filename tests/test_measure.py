@@ -16,12 +16,12 @@ from cantor_measures import (
     NotASimplexPoint,
     OutOfDomain,
     OutOfRange,
+    WeightVector,
     cdf_eval,
     cdf_sup_distance,
     cdf_table,
     kronecker_power,
     parse_weights,
-    weight_vector,
 )
 from cantor_measures.measure import BLOCK_ROWS
 from cantor_measures.rational import format_rational, parse_rational
@@ -50,30 +50,30 @@ def same_base_pairs_st(draw, n_max=4):
 
 class TestWeightVector:
     def test_ternary_flags(self):
-        w = weight_vector([F(1, 2), 0, F(1, 2)])
+        w = WeightVector([F(1, 2), 0, F(1, 2)])
         assert w.n_branches == 3
         assert w.is_palindromic
         assert not w.is_degenerate
 
     def test_dirac_is_degenerate(self):
-        w = weight_vector([0, 1])
+        w = WeightVector([0, 1])
         assert w.is_degenerate
 
     def test_sum_must_be_one(self):
         with pytest.raises(NotASimplexPoint):
-            weight_vector([F(1, 2), F(1, 3)])
+            WeightVector([F(1, 2), F(1, 3)])
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NotASimplexPoint):
-            weight_vector([F(3, 2), F(-1, 2)])
+            WeightVector([F(3, 2), F(-1, 2)])
 
     def test_needs_two_entries(self):
         with pytest.raises(ValueError):
-            weight_vector([1])
+            WeightVector([1])
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
-            weight_vector([0.5, 0.5])
+            WeightVector([0.5, 0.5])
 
     def test_parse(self):
         w = parse_weights("1/2,0,1/2")
@@ -91,6 +91,29 @@ class TestWeightVector:
         assert sum(w.weights) == 1
         assert all(a >= 0 for a in w)
 
+    @pytest.mark.parametrize("weights", [(10**4400, 1), (-(10**4400), 10**4400 + 1)])
+    def test_messages_past_digit_limit(self, default_int_str_limit, weights):
+        # The messages used to format the weights with str(Fraction).
+        with pytest.raises(NotASimplexPoint):
+            WeightVector(weights)
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("text,value", [
+        ("3/4", F(3, 4)), (" -2 ", F(-2)), ("0.25", F(1, 4)), (".5", F(1, 2)), ("5.", F(5)),
+    ])
+    def test_documented_forms(self, text, value):
+        assert parse_rational(text) == value
+
+    def test_decimal_past_digit_limit(self, default_int_str_limit):
+        assert parse_rational("0." + "0" * 4999 + "1") == F(1, 10**5000)
+
+    @pytest.mark.parametrize("text", ["1e5", "1E-2", "2.5e1", "1e400", "1_0", "1.5_0"])
+    def test_other_forms_rejected(self, text):
+        # Exponent notation used to build 10**exponent: minutes for "1e100000000".
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
+
 
 class TestKroneckerPower:
     def test_identity_at_depth_one(self):
@@ -104,18 +127,19 @@ class TestKroneckerPower:
         assert kronecker_power(w, 2).weights == tuple(F(e) for e in expected)
 
     def test_dirac_stays_dirac(self):
-        w = weight_vector([1, 0])
+        w = WeightVector([1, 0])
         beta = kronecker_power(w, 3)
         assert beta.weights == (F(1),) + (F(0),) * 7
 
-    def test_overflow_guard(self):
+    def test_overflow_guard(self, monkeypatch):
+        monkeypatch.setenv("CANTOR_DEPTH_CAP", "15")
         w = parse_weights("1/2,1/2")
         with pytest.raises(DepthOverflow):
-            kronecker_power(w, 4, cap=15)
+            kronecker_power(w, 4)
 
     @given(weight_vectors_st(), st.integers(1, 4))
     def test_entries_are_digit_products(self, w, k):
-        beta = kronecker_power(w, k, cap=10**6)
+        beta = kronecker_power(w, k)
         assert sum(beta.weights) == 1
         n = w.n_branches
         for index in (0, n**k - 1, n**k // 2):
@@ -161,13 +185,13 @@ class TestCdfTable:
         assert [f for _, f in t.points] == [F(0), F(1, 3), F(2, 3), F(1)]
 
     def test_dirac_step(self):
-        t = cdf_table(weight_vector([0, 1]), 2)
+        t = cdf_table(WeightVector([0, 1]), 2)
         values = [f for _, f in t.points]
         assert values == [0, 0, 0, 0, 1]
 
     @given(weight_vectors_st(), st.integers(1, 4))
     def test_endpoints_and_monotone(self, w, k):
-        t = cdf_table(w, k, cap=10**6)
+        t = cdf_table(w, k)
         values = [f for _, f in t.points]
         assert values[0] == 0 and values[-1] == 1
         assert all(a <= b for a, b in zip(values, values[1:]))
@@ -175,7 +199,7 @@ class TestCdfTable:
     @given(weight_vectors_st(n_max=4), st.integers(1, 3))
     def test_telescoping_increments(self, w, k):
         # Each grid-cell increment is the digit product of its address.
-        t = cdf_table(w, k, cap=10**6)
+        t = cdf_table(w, k)
         n = w.n_branches
         values = [f for _, f in t.points]
         for j in range(n**k):
@@ -188,27 +212,27 @@ class TestCdfTable:
 
     @given(weight_vectors_st(), st.integers(1, 4))
     def test_numerators_are_cumulative_masses(self, w, k):
-        t = cdf_table(w, k, cap=10**6)
+        t = cdf_table(w, k)
         assert [F(s, t.denominator) for s in t.numerators] == fraction_cdf(w, k)
 
     @given(weight_vectors_st(n_max=4), st.integers(1, 3))
     def test_kronecker_consistency(self, w, k):
-        direct = cdf_table(w, k, cap=10**6)
-        flat = cdf_table(kronecker_power(w, k, cap=10**6), 1, cap=10**6)
+        direct = cdf_table(w, k)
+        flat = cdf_table(kronecker_power(w, k), 1)
         assert direct.points == flat.points
 
     @given(weight_vectors_st(n_max=3), st.integers(1, 2), st.integers(1, 2))
     def test_refinement_restriction(self, w, k, extra):
         # The deeper table passes through every point of the shallower one.
-        coarse = cdf_table(w, k, cap=10**6)
-        fine = cdf_table(w, k + extra, cap=10**6)
+        coarse = cdf_table(w, k)
+        fine = cdf_table(w, k + extra)
         step = w.n_branches**extra
         for j, (x, f) in enumerate(coarse.points):
             assert fine.points[j * step] == (x, f)
 
     @given(weight_vectors_st(palindromic=True), st.integers(1, 3))
     def test_palindromic_symmetry(self, w, k):
-        t = cdf_table(w, k, cap=10**6)
+        t = cdf_table(w, k)
         values = [f for _, f in t.points]
         size = len(values) - 1
         for j in range(size + 1):
@@ -216,8 +240,8 @@ class TestCdfTable:
 
     @given(st.integers(2, 6), st.integers(1, 3))
     def test_uniform_weights_linear(self, n, k):
-        w = weight_vector([F(1, n)] * n)
-        t = cdf_table(w, k, cap=10**6)
+        w = WeightVector([F(1, n)] * n)
+        t = cdf_table(w, k)
         for j, (x, f) in enumerate(t.points):
             assert f == F(j, n**k) == x
 
@@ -252,7 +276,7 @@ class TestCdfEval:
     @given(weight_vectors_st(n_max=4), st.integers(1, 3), st.fractions(0, 1))
     def test_exact_between_breakpoints(self, w, k, x):
         # Interpolant agrees with the exact chord through its breakpoints.
-        t = cdf_table(w, k, cap=10**6)
+        t = cdf_table(w, k)
         size = t.mesh_size
         j = min(int(x * size), size - 1)
         (x0, f0), (x1, f1) = t.points[j], t.points[j + 1]
@@ -325,10 +349,6 @@ class TestDepthCap:
         with pytest.raises(OutOfRange):
             cdf_table(ternary, depth)
 
-    def test_explicit_cap_wins_over_env(self, monkeypatch, ternary):
-        monkeypatch.setenv("CANTOR_DEPTH_CAP", "10")
-        assert len(cdf_table(ternary, 3, cap=100).points) == 28
-
 
 class TestSerialization:
     def test_csv_shape(self, ternary):
@@ -348,7 +368,7 @@ class TestSerialization:
 
     @given(weight_vectors_st(), st.integers(1, 3))
     def test_rendering_matches_fraction_pairs(self, w, k):
-        t = cdf_table(w, k, cap=10**6)
+        t = cdf_table(w, k)
         cells = w.n_branches**k
         rows = [[format_rational(F(j, cells)), format_rational(f)]
                 for j, f in enumerate(fraction_cdf(w, k))]
@@ -367,7 +387,7 @@ class TestSerialization:
     def test_tables_have_no_common_factor(self, w, k):
         # A is the lcm of the weight denominators, so no prime of A**k
         # divides every numerator.
-        t = cdf_table(w, k, cap=10**6)
+        t = cdf_table(w, k)
         assert math.gcd(t.denominator, *t.numerators) == 1
 
     def test_common_factor_renders_reduced(self):
@@ -398,7 +418,7 @@ def rendered_tables_st(draw, max_cells=2 * BLOCK_ROWS):
     n = w.n_branches
     k = draw(st.integers(1, max(k for k in range(1, max_cells.bit_length())
                                   if n**k <= max_cells)))
-    return cdf_table(w, k, cap=max_cells)
+    return cdf_table(w, k)
 
 
 class TestBlockRendering:
@@ -420,7 +440,7 @@ class TestBlockRendering:
         # One-level tables of N = rows - 1 branches, prime or composite,
         # with zero weights anywhere.
         w = random_weight_vector(random.Random(rows), rows - 1, interior=False)
-        t = cdf_table(w, 1, cap=rows)
+        t = cdf_table(w, 1)
         assert len(t.points) == rows
         assert t.to_csv() == cdf_csv(t)
         assert t.to_json() == cdf_json(t)
@@ -431,7 +451,7 @@ class TestBlockRendering:
     def test_past_int_str_digit_limit(self, default_int_str_limit, a):
         # F's denominator, and for the second vector also reduced numerators
         # such as F(1/8) = a**3, have more digits than str() converts by default.
-        t = cdf_table(weight_vector([a, 1 - a]), 3)
+        t = cdf_table(WeightVector([a, 1 - a]), 3)
         assert t.denominator == a.denominator**3
         with pytest.raises(ValueError):
             str(t.denominator)

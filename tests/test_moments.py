@@ -15,13 +15,13 @@ from cantor_measures import (
     MomentSequence,
     NotOdd,
     OutOfRange,
+    WeightVector,
     approx_error_depth,
     exact_moments,
     left_endpoint_estimate,
     palindromic_odd_moment,
     parse_weights,
     shifted_moments,
-    weight_vector,
 )
 from cantor_measures.rational import parse_rational
 
@@ -54,7 +54,7 @@ class TestExactMoments:
         assert exact_moments(lebesgue3, 3).values == (F(1), F(1, 2), F(1, 3), F(1, 4))
 
     def test_dirac_at_one(self):
-        w = weight_vector([0, 1])
+        w = WeightVector([0, 1])
         assert exact_moments(w, 3).values == (F(1),) * 4
 
     def test_m_zero(self, ternary):
@@ -68,7 +68,7 @@ class TestExactMoments:
     def test_dirac_closed_form(self, n, pos, m_max):
         # A point mass at n/(N-1) has moments (n/(N-1))**m.
         pos = min(pos, n - 1)
-        w = weight_vector([F(1) if i == pos else F(0) for i in range(n)])
+        w = WeightVector([F(1) if i == pos else F(0) for i in range(n)])
         ms = exact_moments(w, m_max)
         x = F(pos, n - 1)
         assert ms.values == tuple(x**m for m in range(m_max + 1))
@@ -158,7 +158,7 @@ class TestLeftEndpointEstimate:
         assert left_endpoint_estimate(ternary, 1, 1) == F(1, 3)
 
     def test_total_mass(self):
-        w = weight_vector([F(1, 5), F(2, 5), F(2, 5)])
+        w = WeightVector([F(1, 5), F(2, 5), F(2, 5)])
         assert left_endpoint_estimate(w, 3, 0) == 1
 
     def test_ternary_depth_eight_gap(self, ternary):
@@ -255,7 +255,7 @@ class TestShiftedMoments:
         assert shifted.kind == "shifted"
 
     def test_dirac_at_one_powers_of_half(self):
-        shifted = shifted_moments(weight_vector([0, 1]), 6)
+        shifted = shifted_moments(WeightVector([0, 1]), 6)
         assert shifted.values == tuple(F(1, 2) ** m for m in range(7))
 
     @given(weight_vectors_st())
