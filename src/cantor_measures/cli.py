@@ -57,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid-points",
         type=int,
-        default=201,
-        help="grid resolution of the CSV plot-data export",
+        default=None,
+        help="grid resolution of the CSV plot-data export (default 201)",
     )
 
     p = sub.add_parser("mgf", help="partial-product MGF value at s")
@@ -93,8 +93,8 @@ def _parse(argv: Sequence[str] | None) -> tuple[argparse.Namespace, WeightVector
     """Parsed flags and weights; a usage error exits 2, bad weights raise."""
     args = _PARSER.parse_args(argv)
     for attr, flag, low in _MINIMUMS:
-        value = getattr(args, attr, low)
-        if value < low:
+        value = getattr(args, attr, None)
+        if value is not None and value < low:
             _PARSER.error(f"{args.command} {flag} must be at least {low}, got {value}")
     weights = parse_weights(args.weights)
     fast = getattr(args, "mode", None) == "fast"
@@ -102,6 +102,8 @@ def _parse(argv: Sequence[str] | None) -> tuple[argparse.Namespace, WeightVector
         _PARSER.error(f"{args.command} --mode fast requires --eps")
     if not fast and getattr(args, "eps", None) is not None:
         _PARSER.error(f"{args.command} --eps applies only to --mode fast")
+    if args.format == "json" and getattr(args, "grid_points", None) is not None:
+        _PARSER.error(f"{args.command} --grid-points applies only to --format csv")
     return args, weights
 
 
@@ -131,7 +133,7 @@ def _render_legendre(w: WeightVector, args: argparse.Namespace) -> str:
     basis = monic_basis_general(w, args.degree)
     if args.format == "json":
         return basis.to_json()
-    return grid_csv(basis, args.grid_points)
+    return grid_csv(basis, 201 if args.grid_points is None else args.grid_points)
 
 
 def _render_mgf(w: WeightVector, args: argparse.Namespace) -> str:

@@ -8,11 +8,12 @@ a power series whose m-th coefficient ``I_{m;k} / m!`` converges to
 
     |I_m - I_{m;k}| <= e * m * sqrt(m - 1) / N**k        (m >= 2).
 
-Doubling the depth squares the partial product up to an argument rescaling,
-so depth k (rounded up to a power of two) costs exactly log2(k) truncated
-series multiplications.  The certified path takes them to degree
-``min(m, 170)`` only, the last index it returns a value for: the products
-cost O(min(m, 170)**2 log k) and the tail of 0 values and inf bounds O(m).
+The pipeline runs power-of-two depths only: the depth-2k product is the
+depth-k product times itself at ``s / N**k``, so depth k costs exactly
+log2(k) truncated series multiplications.  The certified path takes them to
+degree ``min(m, 170)`` only, the last index it returns a value for: the
+products cost O(min(m, 170)**2 log k) and the tail of 0 values and inf
+bounds O(m).
 The centred measure (shifted to ``[-1/2, 1/2]``) runs the same pipeline with
 branch offsets ``n - (N-1)/2``.
 
@@ -115,11 +116,6 @@ def _log_truncation(n_base: int, depth: int, n, shifted: bool):
     return log_b + n * math.log(1.5) if shifted else log_b
 
 
-def _multiplications(depth: int) -> int:
-    """Truncated multiplications of :func:`partial_product_series` at depth k."""
-    return depth.bit_length() + bin(depth).count("1") - 2
-
-
 def _rounding(n_base: int, depth: int, n):
     """Relative rounding bound at index n (scalar or array) at depth k.
 
@@ -127,42 +123,36 @@ def _rounding(n_base: int, depth: int, n):
     :func:`_certified`: gamma_rho relative to the computed, not the true,
     value.
     """
-    mults = _multiplications(depth)
+    mults = depth.bit_length() - 1
     rho = ((4 + 3 * mults) * n + depth * (n_base + 5) - 4) * 2.0**-53  # times u
     return rho / (1.0 - 2.0 * rho)
 
 
 def depth_for_eps(n_base: int, m: int, eps: float, shifted: bool = False) -> int:
-    """Smallest depth k whose truncation term at index ``m >= 2`` is at most
-    eps and whose certified run keeps every bound up to index m within eps.
+    """Smallest power-of-two depth k whose certified run keeps every bound
+    up to index ``m >= 2`` within eps; the certified driver runs this k.
 
-    The certified driver runs k rounded up to a power of two.  There the
-    bound at index ``2 <= n <= m`` is at most the truncation term plus the
-    rounding term (:func:`_rounding`) at index m, both growing with n, on a
-    value of at most 1 (raw moments) or 1/4 (``|J_n| <= 2**-n``).  Raises
-    :class:`BadTolerance` when that rounding term alone reaches eps.  The
-    underflow term of :func:`_certified` is left out: it keeps bounds within
-    eps only up to about n = 165, and they are inf from n = 171.
+    The bound at index ``2 <= n <= m`` is at most the truncation term plus
+    the rounding term (:func:`_rounding`) at index m, both growing with n, on
+    a value of at most 1 (raw moments) or 1/4 (``|J_n| <= 2**-n``).  Raises
+    :class:`BadTolerance` at the first depth where that rounding term alone
+    reaches eps.  The underflow term of :func:`_certified` is left out: it
+    keeps bounds within eps only up to about n = 165, and they are inf from
+    n = 171.
     """
     if m < 2:
         raise OutOfRange(f"the error bound needs m >= 2, got {m}")
     eps = _check_tolerance(eps)
-    log_eps = math.log(eps)
-    # The truncation term falls by log N per level: start just below the
-    # depth at which it meets eps.
-    estimate = (_log_truncation(n_base, 0, m, shifted) - log_eps) / math.log(n_base)
-    k = max(1, int(estimate) - 1)
+    depth = 1
     while True:
-        run = 1 << (k - 1).bit_length()
-        slack = eps - _rounding(n_base, run, m) * (0.25 if shifted else 1.0)
+        slack = eps - _rounding(n_base, depth, m) * (0.25 if shifted else 1.0)
         if slack <= 0:  # the rounding term only grows with the depth
             raise BadTolerance(
-                f"eps = {eps} is below the rounding error at index {m} (depth {run})"
+                f"eps = {eps} is below the rounding error at index {m} (depth {depth})"
             )
-        if (_log_truncation(n_base, k, m, shifted) <= log_eps
-                and _log_truncation(n_base, run, m, shifted) <= math.log(slack)):
-            return k
-        k += 1
+        if _log_truncation(n_base, depth, m, shifted) <= math.log(slack):
+            return depth
+        depth *= 2
 
 
 def partial_product_series(
@@ -170,34 +160,20 @@ def partial_product_series(
 ) -> np.ndarray:
     """Degree-m truncation of the depth-k partial product of the MGF.
 
-    Blocks of ``2**j`` consecutive factors are built by squaring with an
-    argument rescale (a block starting after ``a`` factors equals the block
-    starting at scale 1 evaluated at ``s / N**a``), then the binary digits of
-    ``depth`` are combined most-significant first.  For power-of-two depth
-    this performs exactly ``log2(depth)`` truncated multiplications.
-    Coefficient n reads only inputs 0..n, so the result is, bit for bit, the
-    prefix of the result at any higher degree; :func:`_certified` asks for
-    degree ``min(m, 170)``.
+    The depth k must be a power of two.  Each of the ``log2(k)`` truncated
+    multiplications squares the product of the first ``2**j`` factors with
+    an argument rescale: the next ``2**j`` factors are that product at
+    ``s / N**(2**j)``.  Coefficient n reads only inputs 0..n, so the result
+    is, bit for bit, the prefix of the result at any higher degree;
+    :func:`_certified` asks for degree ``min(m, 170)``.
     """
-    if depth < 1:
-        raise OutOfRange(f"depth must be a positive integer, got {depth}")
-    n_base = w.n_branches
+    if depth < 1 or depth & (depth - 1):
+        raise OutOfRange(f"depth must be a power of two, got {depth}")
     powers = np.arange(degree + 1)
-    top = depth.bit_length() - 1
-    blocks = [truncated_factor(w, degree, shifted=shifted)]
-    for j in range(top):
-        sigma = float(n_base) ** -(1 << j)
-        blocks.append(series_mul_trunc(blocks[j], blocks[j] * sigma**powers, degree))
-    result = None
-    offset = 0
-    for j in range(top, -1, -1):
-        if not (depth >> j) & 1:
-            continue
-        block = blocks[j]
-        if offset:
-            block = block * (float(n_base) ** -offset) ** powers
-        result = block if result is None else series_mul_trunc(result, block, degree)
-        offset += 1 << j
+    result = truncated_factor(w, degree, shifted=shifted)
+    for j in range(depth.bit_length() - 1):
+        sigma = float(w.n_branches) ** -(1 << j)
+        result = series_mul_trunc(result, result * sigma**powers, degree)
     return result
 
 
@@ -210,8 +186,8 @@ def _certified(
     coefficient j <= n and with libm ``pow`` within 1 ulp (2 roundoffs):
     factor ``3j + N + 1`` (offset 1, ``x**j/j!`` 3j, weight and product 2,
     sum over N branches N - 1); rescale by ``sigma**j`` ``2j + 3``; product
-    n + 1 plus the counts of both inputs.  Over the L multiplications of
-    depth k (``L = log2 k`` for a power of two) that is
+    n + 1 plus the counts of both inputs.  Over the ``L = log2 k``
+    multiplications of depth k that is
     ``(3 + 3L) n + k (N + 5) - 4``, and the factorial adds n.  The error is
     then ``gamma_rho = rho u / (1 - rho u)`` relative to the depth-k moment
     on the raw path (nonnegative terms), or to ``2**-n`` on the centred path
@@ -246,7 +222,7 @@ def _certified(
     scale = 0.5**n if shifted else np.abs(moments)
     bounds = _rounding(w.n_branches, depth, n) * scale
     bounds[2:] += np.exp(_log_truncation(w.n_branches, depth, n[2:], shifted))
-    count = 6.0 ** _multiplications(depth) * (n + w.n_branches + 20)
+    count = 6.0 ** (depth.bit_length() - 1) * (n + w.n_branches + 20)
     bounds += count * (factorial * 2.0**-1074) * 0.5
     # The constant coefficient is a product of exact ones.
     bounds[0] = 0.0
@@ -293,7 +269,7 @@ class FastResult:
 
 
 def moments_at_depth(w: WeightVector, m_max: int, depth: int) -> FastResult:
-    """Moments of the depth-k partial product (any k >= 1), with their bounds.
+    """Moments of the depth-k partial product (k a power of two), with bounds.
 
     Unlike :func:`fast_moments` it keeps indices 0 and 1 as computed, which
     makes it the probe for convergence studies; index 1 is
@@ -310,9 +286,7 @@ def _certified_to_eps(w: WeightVector, m_max: int, eps: float, shifted: bool) ->
     if m_max < 0:
         raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
     eps = _check_tolerance(eps)
-    depth = 1
-    if m_max >= 2:  # the smallest sufficient depth, rounded up to a power of two
-        depth = 1 << (depth_for_eps(w.n_branches, m_max, eps, shifted) - 1).bit_length()
+    depth = depth_for_eps(w.n_branches, m_max, eps, shifted) if m_max >= 2 else 1
     moments, bounds = _certified(w, m_max, depth, shifted)
     if shifted:
         moments[1::2] = bounds[1::2] = 0.0
@@ -330,13 +304,13 @@ def _certified_to_eps(w: WeightVector, m_max: int, eps: float, shifted: bool) ->
 def fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:
     """First ``m_max`` moments within certified uniform error ``eps``.
 
-    Picks the smallest depth whose truncation and rounding terms together
-    meet ``eps`` (:func:`depth_for_eps`), rounds it up to a power of two and
-    runs the doubling product, performing exactly ``log2(depth)`` truncated
-    multiplications.  Index 0 is exact; index 1 is the double nearest the
-    exact ``I_1`` and its bound is that rounding error.  Bounds stay within
-    eps only up to about n = 165, where the underflow of ``I_n / n!`` starts
-    to count; from n = 171 values are 0 and bounds inf.
+    Picks the smallest power-of-two depth whose truncation and rounding terms
+    together meet ``eps`` (:func:`depth_for_eps`) and runs the doubling
+    product, performing exactly ``log2(depth)`` truncated multiplications.
+    Index 0 is exact; index 1 is the double nearest the exact ``I_1`` and
+    its bound is that rounding error.  Bounds stay within eps only up to
+    about n = 165, where the underflow of ``I_n / n!`` starts to count; from
+    n = 171 values are 0 and bounds inf.
     """
     return _certified_to_eps(w, m_max, eps, shifted=False)
 

@@ -29,18 +29,10 @@ def _as_poly(coeffs: Sequence) -> Polynomial:
     return poly if poly else (Fraction(0),)
 
 
-def _moment_values(moments: MomentSequence | Sequence) -> tuple[Fraction, ...]:
-    if isinstance(moments, MomentSequence):
-        return moments.values
-    return tuple(as_fraction(v) for v in moments)
-
-
-def inner_product(
-    p: Sequence, q: Sequence, moments: MomentSequence | Sequence
-) -> Fraction:
+def inner_product(p: Sequence, q: Sequence, moments: MomentSequence) -> Fraction:
     """Exact inner product ``sum_{i,j} p_i q_j I_{i+j}`` against the moments."""
     pc, qc = _as_poly(p), _as_poly(q)
-    values = _moment_values(moments)
+    values = moments.values
     needed = len(pc) + len(qc) - 1
     if len(values) < needed:
         raise InsufficientMoments(

@@ -184,13 +184,12 @@ def palindromic_odd_moment(
     """
     if m % 2 == 0:
         raise NotOdd(f"m must be odd, got {m}")
-    values = prefix.values if isinstance(prefix, MomentSequence) else prefix
-    if len(values) < m:
-        raise ValueError(f"need moments 0..{m - 1}, got only {len(values)}")
+    if len(prefix) < m:
+        raise ValueError(f"need moments 0..{m - 1}, got only {len(prefix)}")
     acc = Fraction(0)
     binom = 1
     for i in range(m):
-        term = binom * as_fraction(values[i])
+        term = binom * as_fraction(prefix[i])
         acc += term if i % 2 == 0 else -term
         binom = binom * (m - i) // (i + 1)
     return acc / 2

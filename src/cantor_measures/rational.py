@@ -20,12 +20,15 @@ def as_fraction(value: RationalLike) -> Fraction:
 
     Accepting floats silently would turn values like ``0.1`` into the exact
     binary rational ``3602879701896397/36028797018963968``, which is almost
-    never what the caller meant in an exact-arithmetic context.
+    never what the caller meant in an exact-arithmetic context.  Strings go
+    through :func:`parse_rational`, the grammar of the command line.
     """
     if isinstance(value, float):
         raise TypeError(
             "exact rational expected; pass a Fraction, int or 'p/q' string, not a float"
         )
+    if isinstance(value, str):
+        return parse_rational(value)
     return Fraction(value)
 
 

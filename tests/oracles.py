@@ -11,7 +11,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from cantor_measures import CdfTable, MomentSequence, OutOfRange, WeightVector
+import numpy as np
+
+from cantor_measures import (
+    CdfTable, MomentSequence, OutOfRange, WeightVector, truncated_factor
+)
 from cantor_measures.rational import format_int
 
 
@@ -79,6 +83,25 @@ def exact_moments_via_depth(w: WeightVector, k: int, m_max: int) -> MomentSequen
         )
         values.append(acc / (size**m - 1))
     return MomentSequence(weights=w, kind="raw", values=tuple(values))
+
+
+def factor_by_factor_series(
+    w: WeightVector, degree: int, depth: int, shifted: bool = False
+) -> np.ndarray:
+    """Degree-m truncation of the depth-k MGF partial product, one factor at a time.
+
+    Factor r is the scale-1 factor (:func:`truncated_factor`) at
+    ``s / N**(r-1)``, so its coefficient j is rescaled by ``N**(-(r-1) j)``.
+    ``depth - 1`` plain truncated products, where the package squares
+    ``log2(depth)`` times.
+    """
+    first = truncated_factor(w, degree, shifted=shifted)
+    powers = np.arange(degree + 1)
+    result = first
+    for r in range(2, depth + 1):
+        factor = first * (float(w.n_branches) ** -(r - 1)) ** powers
+        result = np.convolve(result, factor)[: degree + 1]
+    return result
 
 
 def interval_mass(w: WeightVector, digits: Sequence[int]) -> Fraction:

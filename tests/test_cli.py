@@ -123,6 +123,9 @@ class TestInputContract:
             (("lipschitz", "--weights", "1/2,1/2", "--weights-b", "1/1" + "0" * 4400 + ",1",
               "--depth", "2"), 1),
             (("moments", "--weights", "1e5000,1", "--m", "2"), 1),
+            # --grid-points with JSON output used to be accepted and never read.
+            (("legendre", *TERNARY, "--degree", "2", "--format", "json",
+              "--grid-points", "5"), 2),
         ],
     )
     def test_malformed_argv(self, capsys, default_int_str_limit, argv, expected):
@@ -491,6 +494,7 @@ _WEIGHTS = _mostly(
 _DEPTH = _sizes(0, 6)
 #: Flags of each command and their values.  Size flags are always given, so
 #: no default above the small sizes runs; any other flag may be left out.
+#: ``--grid-points`` may be left out, since a JSON ``legendre`` rejects it.
 _FLAGS = {
     "moments": {"--m": _sizes(0, 40), "--mode": _mostly(_values("exact", "fast"), st.just("slow")),
                 "--eps": _floats("1e-9", "1e-3", "0.5", "0", "-3", "1e-300")},
@@ -502,7 +506,7 @@ _FLAGS = {
     "decay": {"--m": _sizes(0, 40), "--threshold": _floats("0.4", "0", "-3", "1e9")},
     "lipschitz": {"--weights-b": _WEIGHTS, "--depth": _DEPTH},
 }
-_SIZE_FLAGS = {"--m", "--depth", "--degree", "--grid-points"}
+_SIZE_FLAGS = {"--m", "--depth", "--degree"}
 
 
 @st.composite

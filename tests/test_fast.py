@@ -35,6 +35,7 @@ from cantor_measures import (
 from cantor_measures.rational import format_float
 
 from conftest import random_weight_vector, weight_vectors_st
+from oracles import factor_by_factor_series
 
 F = Fraction
 
@@ -88,7 +89,7 @@ class TestSeriesMulTrunc:
 class TestDepthForEps:
     @pytest.mark.parametrize(
         "n,m,eps,expected",
-        [(3, 2, 0.0224, 5), (3, 10, 1e-8, 21), (2, 2, 10.0, 1)],
+        [(3, 2, 0.0224, 8), (3, 10, 1e-8, 32), (2, 2, 10.0, 1)],
     )
     def test_frozen_examples(self, n, m, eps, expected):
         assert depth_for_eps(n, m, eps) == expected
@@ -117,10 +118,15 @@ class TestDepthForEps:
     @settings(max_examples=50)
     def test_minimal_sufficient_depth(self, n, m, eps):
         k = depth_for_eps(n, m, eps)
-        lead = math.e * m * math.sqrt(m - 1)
-        assert lead / n**k <= eps
+        assert k & (k - 1) == 0
+
+        def bound(depth):
+            lead = math.e * m * math.sqrt(m - 1)
+            return lead / n**depth + fast_module._rounding(n, depth, m)
+
+        assert bound(k) <= eps
         if k > 1:
-            assert lead / n ** (k - 1) > eps
+            assert bound(k // 2) > eps
 
 
 class TestFastMoments:
@@ -173,7 +179,7 @@ class TestFastMoments:
             n = rng.choice([2, 3, 5])
             w = random_weight_vector(rng, n)
             exact = exact_moments(w, 20).values
-            for k in (1, 2, 5, 9, 20):
+            for k in (1, 2, 4, 8, 16):
                 result = moments_at_depth(w, 20, k)
                 computed = result.moments
                 for m in range(2, 21):
@@ -196,18 +202,17 @@ class TestFastMoments:
                     assert np.all(current >= previous - 1e-12)
                 previous = current
 
-    def test_splitting_identity(self, ternary):
-        # Coefficients of depth k+j factor through depth k times a shifted block.
-        m = 24
-        for k, j in ((2, 3), (4, 4), (1, 6)):
-            whole = partial_product_series(ternary, m, k + j)
-            left = partial_product_series(ternary, m, k)
-            block = partial_product_series(ternary, m, j) * (3.0**-k) ** np.arange(m + 1)
-            combined = series_mul_trunc(left, block, m)
-            assert combined == pytest.approx(list(whole), rel=1e-12)
+    def test_doubling_matches_factor_by_factor_product(self):
+        weights = ("1/2,0,1/2", "1/2,1/2", "1/5,3/10,1/10,2/5", "1/3,1/9,1/9,1/9,1/3")
+        depths = (1, 2, 4, 8, 16, 32, 64)
+        for text, depth, shifted in itertools.product(weights, depths, (False, True)):
+            w = parse_weights(text)
+            doubled = partial_product_series(w, 30, depth, shifted)
+            expected = factor_by_factor_series(w, 30, depth, shifted)
+            assert doubled == pytest.approx(expected, rel=1e-12, abs=0), (text, depth, shifted)
 
     def test_partial_series_invariants(self, ternary):
-        s = partial_product_series(ternary, 12, 11)  # non power of two depth
+        s = partial_product_series(ternary, 12, 16)
         assert s[0] == 1.0
         assert np.all(s >= 0)
         direct = partial_product_series(ternary, 12, 8)
@@ -329,10 +334,10 @@ class TestCertifiedRange:
         # on the degree-m product.  The certified path multiplies only to
         # degree 170, so this is also the prefix identity it relies on:
         # coefficient n of a truncated product is the same double for every
-        # degree from n up.  N = 2..5, raw and centred, depth 7 = 4 + 2 + 1.
+        # degree from n up.  N = 2..5, raw and centred, depths 8 and 16.
         weights = ("1/2,1/2", "1/2,0,1/2", "1/5,3/10,1/10,2/5", "1/3,1/9,1/9,1/9,1/3")
         cases = ((180, False), (4096, False), (4096, True))
-        for text, (m_max, shifted), depth in itertools.product(weights, cases, (7, 16)):
+        for text, (m_max, shifted), depth in itertools.product(weights, cases, (8, 16)):
             w = parse_weights(text)
             series = partial_product_series(w, m_max, depth, shifted)
             capped = partial_product_series(w, 170, depth, shifted)
@@ -407,12 +412,12 @@ class TestMgfEval:
 
 class TestFastResultType:
     def test_certified_bound_formula(self, ternary):
-        result = moments_at_depth(ternary, 12, 7)
+        result = moments_at_depth(ternary, 12, 8)
         assert result.certified_bound[0] == 0.0
-        # The depth-7 product has I_1 * (1 - 3**-7), not I_1.
+        # The depth-8 product has I_1 * (1 - 3**-8), not I_1.
         assert abs(F(result.moments[1]) - F(1, 2)) <= F(result.certified_bound[1])
         for m in range(2, 13):
-            expected = math.e * m * math.sqrt(m - 1) / 3**7
+            expected = math.e * m * math.sqrt(m - 1) / 3**8
             assert result.certified_bound[m] == pytest.approx(expected, rel=1e-12)
 
     def test_csv_layout(self, ternary):
@@ -454,6 +459,8 @@ class TestFastResultType:
         lambda w: moments_at_depth(w, 4, 0),
         lambda w: fast_moments(w, -1, 1e-6),
         lambda w: shifted_fast_moments(w, -1, 1e-6),
+        lambda w: partial_product_series(w, 4, 3),
+        lambda w: moments_at_depth(w, 4, 6),
     ],
 )
 def test_range_errors(ternary, call):

@@ -75,6 +75,13 @@ class TestWeightVector:
         with pytest.raises(TypeError):
             WeightVector([0.5, 0.5])
 
+    def test_strings_follow_the_cli_grammar(self):
+        # Exponent notation used to be read by Fraction(str); "1e1000000"
+        # then spent seconds formatting the sum in its error message.
+        assert WeightVector(("1/2", "0.5")).weights == (F(1, 2), F(1, 2))
+        with pytest.raises(ValueError, match="not a rational"):
+            WeightVector(("1e5", "1"))
+
     def test_parse(self):
         w = parse_weights("1/2,0,1/2")
         assert w.weights == (F(1, 2), F(0), F(1, 2))
