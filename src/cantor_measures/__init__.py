@@ -17,7 +17,6 @@ from .analysis import (
     holder_exponent,
 )
 from .errors import (
-    BadSetting,
     BadTolerance,
     CantorMeasureError,
     Degenerate,
@@ -42,13 +41,12 @@ from .legendre import (
     normalize,
 )
 from .measure import (
-    DEFAULT_DEPTH_CAP,
+    DEPTH_CAP,
     CdfTable,
     WeightVector,
     cdf_eval,
     cdf_sup_distance,
     cdf_table,
-    depth_cap,
     kronecker_power,
     parse_weights,
 )
@@ -91,11 +89,10 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | _FAST_NAMES)
 
 __all__ = [
-    "BadSetting",
     "BadTolerance",
     "CantorMeasureError",
     "CdfTable",
-    "DEFAULT_DEPTH_CAP",
+    "DEPTH_CAP",
     "DecayReport",
     "Degenerate",
     "DepthOverflow",
@@ -120,7 +117,6 @@ __all__ = [
     "cdf_table",
     "check_decay",
     "check_lipschitz",
-    "depth_cap",
     "depth_for_eps",
     "eval_poly",
     "exact_moments",

@@ -16,11 +16,7 @@ class NotASimplexPoint(CantorMeasureError):
 
 
 class DepthOverflow(CantorMeasureError):
-    """A requested table of N**k entries exceeds the configured cap."""
-
-
-class BadSetting(CantorMeasureError):
-    """An environment setting such as ``CANTOR_DEPTH_CAP`` is malformed."""
+    """A requested table of N**k entries exceeds the cap."""
 
 
 class OutOfDomain(CantorMeasureError):

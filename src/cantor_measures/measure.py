@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 
 from .errors import (
-    BadSetting,
     DepthOverflow,
     MeshMismatch,
     NotASimplexPoint,
@@ -42,44 +40,20 @@ from .rational import (
     RationalLike, as_fraction, format_int, format_rational, parse_rational
 )
 
-#: Default cap on the number of table entries N**k (about 4.8e6).
-DEFAULT_DEPTH_CAP = 3**14
-
-#: Environment variable overriding the cap; every depth check reads it.
-DEPTH_CAP_ENV = "CANTOR_DEPTH_CAP"
+#: Cap on the number of table entries N**k (about 4.8e6).
+DEPTH_CAP = 3**14
 
 #: Rows of a CDF table rendered per joined block of text.
 BLOCK_ROWS = 4096
 
 
-def depth_cap() -> int:
-    """Return the active N**k cap: env override or :data:`DEFAULT_DEPTH_CAP`.
-
-    Raises :class:`BadSetting` when the override is not an integer >= 2.
-    """
-    raw = os.environ.get(DEPTH_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DEPTH_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise BadSetting(f"{DEPTH_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 2:
-        raise BadSetting(f"{DEPTH_CAP_ENV} must be at least 2, got {cap}")
-    return cap
-
-
-def _check_depth(n_base: int, k: int) -> int:
-    """Validate ``k >= 1`` and ``n_base**k`` against :func:`depth_cap`; return ``n_base**k``."""
+def _check_depth(n_base: int, k: int) -> None:
+    """Raise unless ``k >= 1`` and ``n_base**k <= DEPTH_CAP``."""
     if k < 1:
         raise OutOfRange(f"depth must be a positive integer, got {k}")
-    limit = depth_cap()
-    size = n_base**k
-    if size > limit:
-        raise DepthOverflow(
-            f"{n_base}**{k} = {size} table entries exceed the cap {limit}"
-        )
-    return size
+    # From this exponent on 2**k passes the cap, so a huge N**k is never built.
+    if n_base ** min(k, DEPTH_CAP.bit_length()) > DEPTH_CAP:
+        raise DepthOverflow(f"{n_base}**{k} table entries exceed the cap {DEPTH_CAP}")
 
 
 @dataclass(frozen=True)
@@ -99,11 +73,17 @@ class WeightVector:
         object.__setattr__(self, "weights", coerced)
         if len(coerced) < 2:
             raise NotASimplexPoint("a weight vector needs at least two entries")
-        if any(w < 0 for w in coerced):
-            raise NotASimplexPoint(f"negative weight in {self}")
+        negative = next((i for i, w in enumerate(coerced) if w < 0), None)
+        if negative is not None:
+            raise NotASimplexPoint(f"negative weight at index {negative}")
         total = sum(coerced)
         if total != 1:
-            raise NotASimplexPoint(f"weights sum to {format_rational(total)}, not 1")
+            try:
+                shown = f"{total.numerator}/{total.denominator}"
+            except ValueError:  # past the int/str digit limit
+                bits = max(total.numerator, total.denominator).bit_length()
+                shown = f"a rational of about {math.ceil(bits * math.log10(2))} digits"
+            raise NotASimplexPoint(f"weights sum to {shown}, not 1")
 
     @property
     def n_branches(self) -> int:
@@ -147,7 +127,9 @@ def _digit_products(w: WeightVector, k: int) -> tuple[list[int], int]:
     With ``alpha_n = p_n / A`` (:func:`_integer_weights`), cell n has mass
     ``prod_l p_{n_l} / A**k`` over the digits of
     ``n = n_0 + n_1*N + ... + n_{k-1}*N**(k-1)``, ``n_0`` least significant.
+    Depth and size are checked (:func:`_check_depth`) before any product.
     """
+    _check_depth(w.n_branches, k)
     numerators, common = _integer_weights(w)
     masses = [1]
     # Prepending the most-significant digit keeps n_0 least significant.
@@ -164,7 +146,6 @@ def kronecker_power(w: WeightVector, k: int) -> WeightVector:
     measures induced by ``w`` and ``beta`` coincide, which is what makes
     depth-k tables computable at depth 1 over ``beta``.
     """
-    _check_depth(w.n_branches, k)
     masses, denominator = _digit_products(w, k)
     return WeightVector(tuple(Fraction(p, denominator) for p in masses))
 
@@ -301,7 +282,6 @@ class _CdfPoints(Sequence):
 
 def cdf_table(w: WeightVector, k: int) -> CdfTable:
     """Exact depth-k CDF table: cumulative sums of the integer cell masses."""
-    _check_depth(w.n_branches, k)
     masses, denominator = _digit_products(w, k)
     return CdfTable(
         depth=k,

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BadTolerance, NotOdd, OutOfRange
-from .measure import WeightVector, _check_depth, _digit_products, _integer_weights
+from .measure import WeightVector, _digit_products, _integer_weights
 from .rational import RationalLike, as_fraction, format_int, format_rational
 
 
@@ -144,10 +144,9 @@ def left_endpoint_estimate(w: WeightVector, k: int, m: int) -> Fraction:
     """
     if m < 0:
         raise OutOfRange(f"m must be nonnegative, got {m}")
-    size = _check_depth(w.n_branches, k)
     masses, denominator = _digit_products(w, k)
     total = sum(p * n**m for n, p in enumerate(masses) if p)
-    return Fraction(total, denominator * size**m)
+    return Fraction(total, denominator * len(masses)**m)
 
 
 def approx_error_depth(n_base: int, m: int, eps: RationalLike | float) -> int:
@@ -182,6 +181,8 @@ def palindromic_odd_moment(
     collapses to ``I_m = (1/2) * sum_{i<m} (-1)**i C(m,i) I_i``.  The caller
     is responsible for palindromicity of the measure behind ``prefix``.
     """
+    if m < 1:
+        raise OutOfRange(f"m must be a positive odd integer, got {m}")
     if m % 2 == 0:
         raise NotOdd(f"m must be odd, got {m}")
     if len(prefix) < m:

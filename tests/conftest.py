@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, assume, settings, strategies as st
 
 import cantor_measures
 from cantor_measures import WeightVector
-from cantor_measures.measure import DEPTH_CAP_ENV
 
 settings.register_profile(
     "package",
@@ -96,14 +95,6 @@ def child_env() -> dict[str, str]:
     src = str(Path(cantor_measures.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-
-
-@pytest.fixture(scope="session", autouse=True)
-def default_depth_cap():
-    """Run every test under the default depth cap unless it sets its own."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv(DEPTH_CAP_ENV, raising=False)
-        yield
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,15 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="not a rational"):
             WeightVector(("1e5", "1"))
 
+    @pytest.mark.parametrize(
+        "weights", [(10**400_000, 1), (-(10**400_000), 10**400_000 + 1)]
+    )
+    def test_huge_weight_messages_are_short(self, default_int_str_limit, weights):
+        # Both messages used to carry every digit, formatted in quadratic time.
+        with pytest.raises(NotASimplexPoint) as info:
+            WeightVector(weights)
+        assert len(str(info.value)) < 200
+
     def test_parse(self):
         w = parse_weights("1/2,0,1/2")
         assert w.weights == (F(1, 2), F(0), F(1, 2))
@@ -138,11 +148,10 @@ class TestKroneckerPower:
         beta = kronecker_power(w, 3)
         assert beta.weights == (F(1),) + (F(0),) * 7
 
-    def test_overflow_guard(self, monkeypatch):
-        monkeypatch.setenv("CANTOR_DEPTH_CAP", "15")
+    def test_overflow_guard(self):
         w = parse_weights("1/2,1/2")
         with pytest.raises(DepthOverflow):
-            kronecker_power(w, 4)
+            kronecker_power(w, 23)
 
     @given(weight_vectors_st(), st.integers(1, 4))
     def test_entries_are_digit_products(self, w, k):
@@ -328,28 +337,24 @@ class TestSupDistance:
 
 
 class TestDepthCap:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("CANTOR_DEPTH_CAP", raising=False)
-        from cantor_measures import DEFAULT_DEPTH_CAP, depth_cap
+    def test_default(self):
+        from cantor_measures import DEPTH_CAP
 
-        assert depth_cap() == DEFAULT_DEPTH_CAP == 3**14
+        assert DEPTH_CAP == 3**14
 
-    def test_env_override_tightens(self, monkeypatch, ternary):
-        monkeypatch.setenv("CANTOR_DEPTH_CAP", "10")
-        with pytest.raises(DepthOverflow):
-            cdf_table(ternary, 3)
-        assert len(cdf_table(ternary, 2).points) == 10
-
-    def test_env_override_loosens(self, monkeypatch, ternary):
-        monkeypatch.setenv("CANTOR_DEPTH_CAP", str(3**20))
-        assert len(cdf_table(ternary, 2).points) == 10
-
-    def test_invalid_env_value(self, monkeypatch):
-        from cantor_measures import depth_cap
-
-        monkeypatch.setenv("CANTOR_DEPTH_CAP", "many")
-        with pytest.raises(ValueError):
-            depth_cap()
+    # 2**20000 has more digits than the int/str limit: its error message used
+    # to raise that limit's ValueError instead of DepthOverflow.
+    @pytest.mark.parametrize("n_base,depth", [(2, 23), (3, 15), (5, 10), (2, 20_000)])
+    def test_past_cap_rejected(self, default_int_str_limit, n_base, depth):
+        w = WeightVector((F(1, n_base),) * n_base)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DepthOverflow):
+                cdf_table(w, depth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # raised before building a table
 
     @pytest.mark.parametrize("depth", [0, -2])
     def test_depth_below_one_rejected(self, ternary, depth):

@@ -241,6 +241,12 @@ class TestPalindromicOddMoment:
         with pytest.raises(NotOdd):
             palindromic_odd_moment(TERNARY_MOMENTS, 4)
 
+    @pytest.mark.parametrize("m", [-1, -3])
+    def test_rejects_negative_m(self, m):
+        # A negative odd m passed both checks and returned 0 from an empty sum.
+        with pytest.raises(OutOfRange):
+            palindromic_odd_moment(TERNARY_MOMENTS, m)
+
     @given(weight_vectors_st(palindromic=True), st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15]))
     @settings(max_examples=40)
     def test_reproduces_recurrence(self, w, m):
