@@ -420,9 +420,8 @@ GOLDEN = [
     (("lipschitz", *FOUR_BRANCH, "--weights-b", "1/4,1/4,1/4,1/4", "--depth", "5",
       "--format", "json"),
      "2a2a57c0c126f9b24e0baac762807ef4c28aed075c8a0506b82072a8161e5416"),
-    (("decay", "--weights", "2/7,1/7,3/7,1/7", "--m", "120", "--threshold", "0.5",
-      "--format", "json"),
-     "ee5c0b50bd2c3205613444d6dbb9e6a3a516414aa092ffafdba082bcfe34e4a4"),
+    (("decay", "--weights", "2/7,1/7,3/7,1/7", "--m", "120", "--format", "json"),
+     "5ef0169e5b78b5cd913989c12b426f60b039fa2fd9ab022e45ee9e137d1a8f54"),
     (("shifted-moments", "--weights", "1/5,1/10,2/5,1/10,1/5", "--m", "100",
       "--format", "json"),
      "41b23fe3406679795a5e5a9fd30335ec73593e3388aeae3ad01fc933dc58906a"),
