@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BadTolerance, Degenerate, InsufficientMoments, MeshMismatch
+from .errors import Degenerate, InsufficientMoments, MeshMismatch
 from .measure import WeightVector, cdf_sup_distance, cdf_table
 from .moments import MomentSequence
-from .rational import format_rational
+from .rational import format_float, format_rational
 
 
 def holder_exponent(w: WeightVector) -> float:
@@ -48,9 +48,9 @@ class DecayReport:
     In the polynomial regime ``witness_constant`` is the empirical infimum
     of ``I_m * m**gamma`` over ``1 <= m <= max_m_checked``; in the
     exponential regime it is the maximum of ``I_m * (N/(N-1))**m``, which
-    never exceeds 1.  ``violations`` lists indices failing the regime's
-    bound (exact comparison) or, in the polynomial regime, falling below the
-    caller's threshold.
+    never exceeds 1.  ``violations`` lists the indices failing the
+    exponential bound (exact comparison); it is empty in the polynomial
+    regime, which has no checked bound yet.
     """
 
     regime: str
@@ -68,66 +68,43 @@ class DecayReport:
         data["violations"] = list(self.violations)
         return json.dumps(data)
 
+    def to_csv(self) -> str:
+        return (
+            "regime,gamma,witness_constant,max_m_checked,ok\n"
+            f"{self.regime},{format_float(self.gamma)},"
+            f"{format_float(self.witness_constant)},{self.max_m_checked},"
+            f"{not self.violations}\n"
+        )
 
-def check_decay(moments: MomentSequence, threshold: float | None = None) -> DecayReport:
+
+def check_decay(moments: MomentSequence) -> DecayReport:
     """Check the decay regime of raw moments, read against ``moments.weights``.
 
-    Exponential regime (last weight zero): verifies ``I_m <= ((N-1)/N)**m``
-    for every supplied m by exact rational comparison.  Polynomial regime:
-    reports the empirical infimum of ``I_m * m**gamma`` and, when
-    ``threshold`` is given, flags indices falling below it.  A non-finite
-    ``threshold``, or any ``threshold`` in the exponential regime, where it
-    has no meaning, raises :class:`BadTolerance`.
+    The weights alone decide the regime.  Exponential regime (last weight
+    zero): verifies ``I_m <= ((N-1)/N)**m`` for every supplied m by exact
+    rational comparison.  Polynomial regime: reports the empirical infimum
+    of ``I_m * m**gamma`` and no violations.
     """
     if moments.kind != "raw":
         raise ValueError(f"raw moments expected, got kind={moments.kind!r}")
     if moments.m_max < 1:
         raise InsufficientMoments("need at least the first moment")
-    if threshold is not None and not math.isfinite(threshold):
-        raise BadTolerance(f"decay threshold must be finite, got {threshold}")
-    w = moments.weights
-    n_base = w.n_branches
-    last = w.weights[-1]
+    n_base = moments.weights.n_branches
+    last = moments.weights.weights[-1]
     if last == 0:
-        if threshold is not None:
-            raise BadTolerance(
-                f"a decay threshold applies only to the polynomial regime, got "
-                f"{threshold} for {w} (last weight 0: exponential regime)"
-            )
-        ratio = Fraction(n_base - 1, n_base)
-        violations = []
-        witness = 0.0
-        bound = Fraction(1)
-        for m, value in enumerate(moments.values):
-            if m > 0:
-                bound *= ratio
-            if value > bound:
-                violations.append(m)
-            witness = max(witness, float(value / bound))
-        return DecayReport(
-            regime="exponential",
-            gamma=math.inf,
-            witness_constant=witness,
-            max_m_checked=moments.m_max,
-            violations=tuple(violations),
+        ratio = Fraction(n_base, n_base - 1)
+        scaled = [value * ratio**m for m, value in enumerate(moments.values)]
+        regime, gamma = "exponential", math.inf
+        witness = max(map(float, scaled))
+        violations = tuple(m for m, s in enumerate(scaled) if s > 1)
+    else:
+        regime = "polynomial"
+        gamma = math.log(1 / float(last)) / math.log(n_base)
+        witness = min(
+            float(value) * m**gamma for m, value in enumerate(moments.values) if m >= 1
         )
-    gamma = math.log(1 / float(last)) / math.log(n_base)
-    scaled = [
-        float(value) * m**gamma for m, value in enumerate(moments.values) if m >= 1
-    ]
-    witness = min(scaled)
-    violations = (
-        tuple(m for m, s in enumerate(scaled, start=1) if s < threshold)
-        if threshold is not None
-        else ()
-    )
-    return DecayReport(
-        regime="polynomial",
-        gamma=gamma,
-        witness_constant=witness,
-        max_m_checked=moments.m_max,
-        violations=violations,
-    )
+        violations = ()
+    return DecayReport(regime, gamma, witness, moments.m_max, violations)
 
 
 class LipschitzCheck(NamedTuple):
@@ -144,6 +121,12 @@ class LipschitzCheck(NamedTuple):
                 "bound": format_rational(self.bound),
                 "ok": self.ok,
             }
+        )
+
+    def to_csv(self) -> str:
+        return (
+            "distance,bound,ok\n"
+            f"{format_rational(self.distance)},{format_rational(self.bound)},{self.ok}\n"
         )
 
 

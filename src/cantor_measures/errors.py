@@ -39,11 +39,7 @@ class NotPalindromic(CantorMeasureError):
 
 
 class BadTolerance(CantorMeasureError):
-    """A tolerance is not finite, nonpositive or below double precision.
-
-    Also a decay threshold given in the exponential regime, where it has no
-    meaning.
-    """
+    """A tolerance is not finite, nonpositive or below double precision."""
 
 
 class OutOfRange(CantorMeasureError):

@@ -129,16 +129,16 @@ def _rounding(n_base: int, depth: int, n):
 
 
 def depth_for_eps(n_base: int, m: int, eps: float, shifted: bool = False) -> int:
-    """Smallest power-of-two depth k whose certified run keeps every bound
-    up to index ``m >= 2`` within eps; the certified driver runs this k.
+    """Smallest power-of-two depth k whose truncation and rounding terms up
+    to index ``m >= 2`` sum to at most eps; the certified driver runs this k.
 
     The bound at index ``2 <= n <= m`` is at most the truncation term plus
     the rounding term (:func:`_rounding`) at index m, both growing with n, on
     a value of at most 1 (raw moments) or 1/4 (``|J_n| <= 2**-n``).  Raises
     :class:`BadTolerance` at the first depth where that rounding term alone
-    reaches eps.  The underflow term of :func:`_certified` is left out: it
-    keeps bounds within eps only up to about n = 165, and they are inf from
-    n = 171.
+    reaches eps.  The underflow term of :func:`_certified` is left out, so
+    the reported bounds stay within eps only up to about n = 165; they can
+    exceed it at n = 166..170, and they are inf from n = 171.
     """
     if m < 2:
         raise OutOfRange(f"the error bound needs m >= 2, got {m}")

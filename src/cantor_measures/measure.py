@@ -16,9 +16,8 @@ only; the exact ``Fraction`` pairs ``(j / N**k, F)`` are built per index on
 request.  Rendering writes both coordinates in lowest terms, block by block:
 the grid column follows the self-similarity of ``j / N**k`` and needs no gcd
 for j coprime to N, and the F column takes its gcds in bulk.
-Floats appear only when the caller evaluates the CDF interpolant at a float.
-Every type is immutable and every operation is a pure function, so
-concurrent use needs no locking.
+This module uses no floats.  Every type is immutable and every operation is
+a pure function, so concurrent use needs no locking.
 """
 from __future__ import annotations
 
@@ -291,18 +290,12 @@ def cdf_table(w: WeightVector, k: int) -> CdfTable:
     )
 
 
-def cdf_eval(table: CdfTable, x: RationalLike | float):
-    """Evaluate the piecewise-linear interpolant of ``table`` at ``x``.
+def cdf_eval(table: CdfTable, x: RationalLike) -> Fraction:
+    """Exact value of the piecewise-linear interpolant of ``table`` at ``x``.
 
-    Exact ``Fraction`` output for rational ``x``; float output for float ``x``.
+    A float ``x`` raises ``TypeError`` (:func:`~.rational.as_fraction`).
     """
     cells, nums, den = table.mesh_size, table.numerators, table.denominator
-    if isinstance(x, float):
-        if not 0.0 <= x <= 1.0:
-            raise OutOfDomain(f"x = {x} outside [0, 1]")
-        j = min(int(x * cells), cells - 1)
-        f_lo, f_hi = nums[j] / den, nums[j + 1] / den
-        return f_lo + (x * cells - j) * (f_hi - f_lo)
     xq = as_fraction(x)
     if not 0 <= xq <= 1:
         raise OutOfDomain(f"x = {xq} outside [0, 1]")

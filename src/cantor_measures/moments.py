@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadTolerance, NotOdd, OutOfRange
+from .errors import BadTolerance, InsufficientMoments, NotOdd, OutOfRange
 from .measure import WeightVector, _digit_products, _integer_weights
 from .rational import RationalLike, as_fraction, format_int, format_rational
 
@@ -186,7 +186,7 @@ def palindromic_odd_moment(
     if m % 2 == 0:
         raise NotOdd(f"m must be odd, got {m}")
     if len(prefix) < m:
-        raise ValueError(f"need moments 0..{m - 1}, got only {len(prefix)}")
+        raise InsufficientMoments(f"need moments 0..{m - 1}, got only {len(prefix)}")
     acc = Fraction(0)
     binom = 1
     for i in range(m):

@@ -1,7 +1,9 @@
 """Parsing and rendering helpers for exact rationals and floats.
 
-Integers past the interpreter's int/str digit limit (4300 by default) go
-through ``decimal.Decimal``, which is exact and leaves that limit alone.
+Both directions work past the interpreter's int/str digit limit (4300 by
+default) and leave it alone: parsing converts chunks of at most 640 digits,
+which every limit setting allows, and rendering past the limit goes through
+``decimal.Decimal``.
 """
 from __future__ import annotations
 
@@ -40,6 +42,20 @@ def format_int(value: int) -> str:
         return str(Decimal(value))
 
 
+def _parse_int(text: str) -> int:
+    """Value of a digit string with an optional sign, in subquadratic time.
+
+    Divide and conquer: the two halves recombine through ``* 10**half``, and
+    ``int()`` reads only chunks of at most 640 digits.
+    """
+    if text[:1] == "-":
+        return -_parse_int(text[1:])
+    if len(text) <= 640:
+        return int(text)
+    half = len(text) // 2
+    return _parse_int(text[:-half]) * 10**half + _parse_int(text[-half:])
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, a plain integer or a plain decimal such as ``"0.25"``.
 
@@ -47,10 +63,11 @@ def parse_rational(text: str) -> Fraction:
     exact value of ``"1e100000000"`` alone would take minutes to build.
     """
     if _DECIMAL.fullmatch(text):
-        return Fraction(Decimal(text))
+        whole, _, part = text.strip().partition(".")
+        return Fraction(_parse_int(whole + part), 10 ** len(part))
     match = _INTEGER_RATIO.fullmatch(text)
     if match is not None:
-        num, den = (int(Decimal(g or 1)) for g in match.groups())
+        num, den = (_parse_int(g or "1") for g in match.groups())
         if den:
             return Fraction(num, den)
     raise ValueError(f"not a rational number: {text!r}")

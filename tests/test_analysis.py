@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantor_measures import (
-    BadTolerance,
     Degenerate,
     MeshMismatch,
     WeightVector,
@@ -21,7 +20,7 @@ from cantor_measures import (
     parse_weights,
     shifted_moments,
 )
-from cantor_measures.rational import parse_rational
+from cantor_measures.rational import format_float, format_rational, parse_rational
 
 from conftest import weight_vectors_st
 from oracles import interval_mass
@@ -70,7 +69,7 @@ class TestCheckDecay:
         assert report.max_m_checked == 64
 
     def test_ternary_polynomial_regime(self, ternary):
-        report = check_decay(exact_moments(ternary, 64), threshold=0.4)
+        report = check_decay(exact_moments(ternary, 64))
         assert report.regime == "polynomial"
         assert report.gamma == pytest.approx(math.log(2) / math.log(3), rel=1e-12)
         assert report.violations == ()
@@ -83,26 +82,6 @@ class TestCheckDecay:
         assert report.regime == "polynomial"
         assert report.gamma == 0.0
         assert report.witness_constant == pytest.approx(1.0)
-
-    def test_threshold_flags_violations(self, ternary):
-        report = check_decay(exact_moments(ternary, 8), threshold=10.0)
-        assert report.violations  # everything sits below an absurd threshold
-
-    @pytest.mark.parametrize("threshold", [1e9, 0.0, -3.0])
-    def test_threshold_rejected_in_exponential_regime(self, threshold):
-        # It compared with nothing there, so any threshold reported ok.
-        w = parse_weights("1/2,1/2,0")
-        with pytest.raises(BadTolerance, match="polynomial regime"):
-            check_decay(exact_moments(w, 5), threshold)
-
-    @pytest.mark.parametrize("weights", ["1/2,0,1/2", "1/2,1/2,0"])
-    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
-    def test_non_finite_threshold_rejected(self, weights, threshold):
-        # NaN compares false with every scaled moment, so it used to flag
-        # nothing and report ok.  Both regimes reject it.
-        w = parse_weights(weights)
-        with pytest.raises(BadTolerance):
-            check_decay(exact_moments(w, 10), threshold)
 
     @given(weight_vectors_st(zero_last=True), st.integers(2, 16))
     @settings(max_examples=30)
@@ -120,7 +99,7 @@ class TestCheckDecay:
             assert abs(v) * 2**m <= 1
 
     def test_json_round_trip(self, ternary):
-        report = check_decay(exact_moments(ternary, 16), threshold=0.4)
+        report = check_decay(exact_moments(ternary, 16))
         assert json.loads(report.to_json()) == {
             "regime": "polynomial", "gamma": report.gamma,
             "witness_constant": report.witness_constant, "max_m_checked": 16,
@@ -133,6 +112,15 @@ class TestCheckDecay:
             "regime": "exponential", "witness_constant": report.witness_constant,
             "max_m_checked": 16, "violations": [],
         }
+
+    @pytest.mark.parametrize("weights,gamma", [("1/2,0,1/2", None), ("1/2,1/2,0", "inf")])
+    def test_csv(self, weights, gamma):
+        report = check_decay(exact_moments(parse_weights(weights), 16))
+        gamma = gamma or format_float(report.gamma)
+        assert report.to_csv() == (
+            "regime,gamma,witness_constant,max_m_checked,ok\n"
+            f"{report.regime},{gamma},{format_float(report.witness_constant)},16,True\n"
+        )
 
 
 class TestCheckLipschitz:
@@ -178,3 +166,10 @@ class TestCheckLipschitz:
         assert parse_rational(data["distance"]) == result.distance
         assert parse_rational(data["bound"]) == result.bound
         assert data["ok"] is result.ok
+
+    def test_csv(self, ternary, lebesgue3):
+        result = check_lipschitz(ternary, lebesgue3, 2)
+        assert result.to_csv() == (
+            "distance,bound,ok\n"
+            f"{format_rational(result.distance)},{format_rational(result.bound)},True\n"
+        )

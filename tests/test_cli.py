@@ -12,6 +12,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import typing
 
 import pytest
@@ -24,6 +25,7 @@ from cantor_measures import (
     check_lipschitz,
     exact_moments,
     fast_moments,
+    grid_csv,
     mgf_eval,
     monic_basis_general,
     parse_weights,
@@ -108,15 +110,14 @@ class TestInputContract:
             (("legendre", "--weights", "0,1,0", "--degree", "2"), 1),
             # An empty --weights-b used to reach check_lipschitz as None.
             (("lipschitz", *TERNARY, "--weights-b", "", "--depth", "1"), 1),
-            # A NaN threshold used to flag no index and print ok = True.
-            (("decay", *TERNARY, "--m", "10", "--threshold", "nan"), 1),
-            (("decay", "--weights", "1/2,1/2,0", "--m", "10", "--threshold", "1e400"), 1),
+            # Long weights parse in chunks under the int/str digit limit.
+            (("cdf", "--weights", "0." + "1" * 5000 + ",1", "--depth", "2"), 1),
+            (("decay", *TERNARY, "--m", "0"), 1),
             # --eps without --mode fast used to be accepted and never read.
             (("moments", *TERNARY, "--m", "2", "--eps", "nan"), 2),
             (("moments", *TERNARY, "--m", "2", "--mode", "exact", "--eps", "1e-9"), 2),
             (("shifted-moments", *TERNARY, "--m", "2", "--eps", "1e-9"), 2),
-            # A threshold in the exponential regime used to print ok = True.
-            (("decay", "--weights", "1/2,1/2,0", "--m", "5", "--threshold", "1e9"), 1),
+            (("moments", "--weights=-" + "1" * 5000 + "/3,1", "--m", "2"), 1),
             # Weights past the int/str digit limit used to print a traceback
             # from the error message, and exponent notation built 10**exponent.
             (("cdf", "--weights", "1" + "0" * 4400 + ",1", "--depth", "2"), 1),
@@ -130,6 +131,8 @@ class TestInputContract:
             (("cdf", "--weights", "1/2,1/2", "--depth", "23"), 1),
             # 2**20000 used to print a traceback from the error message.
             (("cdf", "--weights", "1/2,1/2", "--depth", "20000"), 1),
+            # The weights alone decide the decay regime: no threshold flag.
+            (("decay", *TERNARY, "--m", "10", "--threshold", "0.4"), 2),
         ],
     )
     def test_malformed_argv(self, capsys, default_int_str_limit, argv, expected):
@@ -140,6 +143,15 @@ class TestInputContract:
         assert "Traceback" not in err
         if code == 1:
             assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_long_weight_fails_fast(self, capsys, default_int_str_limit):
+        # Parsing the 400,001-digit weight alone used to take 6.6 s.
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "cdf", "--weights", "1" + "0" * 400_000 + ",1",
+                                "--depth", "2")
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_depth_cap_environment_ignored(self, capsys, monkeypatch):
         # CANTOR_DEPTH_CAP used to override the table cap; it is read no more.
@@ -271,6 +283,11 @@ class TestLegendreCommand:
         assert lines[0] == "x,p0,p1,p2"
         assert len(lines) == 6
 
+    def test_grid_csv_default(self, capsys, ternary):
+        code, out, _ = invoke(capsys, "legendre", "--weights", "1/2,0,1/2", "--degree", "2")
+        assert code == 0
+        assert out == grid_csv(monic_basis_general(ternary, 2))
+
     def test_general_method_on_asymmetric(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -319,10 +336,10 @@ class TestDecayCommand:
 
     def test_csv_table(self, capsys):
         code, out, _ = invoke(
-            capsys, "decay", "--weights", "1/2,0,1/2", "--m", "8",
-            "--threshold", "0.4",
+            capsys, "decay", "--weights", "1/2,0,1/2", "--m", "8"
         )
         assert code == 0
+        assert out == check_decay(exact_moments(parse_weights("1/2,0,1/2"), 8)).to_csv()
         lines = out.strip().split("\n")
         assert lines[0] == "regime,gamma,witness_constant,max_m_checked,ok"
         assert lines[1].startswith("polynomial,")
@@ -342,13 +359,14 @@ class TestLipschitzCommand:
         assert data["distance"] == "1/6"
         assert data["ok"] is True
 
-    def test_csv(self, capsys):
+    def test_csv(self, capsys, ternary):
         code, out, _ = invoke(
             capsys,
             "lipschitz", "--weights", "1/2,0,1/2", "--weights-b", "5/12,1/6,5/12",
             "--depth", "2",
         )
         assert code == 0
+        assert out == check_lipschitz(ternary, parse_weights("5/12,1/6,5/12"), 2).to_csv()
         assert out.strip().split("\n")[1].endswith(",True")
 
 
@@ -505,7 +523,7 @@ _FLAGS = {
     "cdf": {"--depth": _DEPTH},
     "legendre": {"--degree": _sizes(0, 6), "--grid-points": _sizes(1, 50)},
     "mgf": {"--s": _floats("0", "0.4", "-3", "40", "1e-300"), "--depth": _DEPTH},
-    "decay": {"--m": _sizes(0, 40), "--threshold": _floats("0.4", "0", "-3", "1e9")},
+    "decay": {"--m": _sizes(0, 40)},
     "lipschitz": {"--weights-b": _WEIGHTS, "--depth": _DEPTH},
 }
 _SIZE_FLAGS = {"--m", "--depth", "--degree"}

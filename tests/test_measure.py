@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -124,6 +126,35 @@ class TestParseRational:
 
     def test_decimal_past_digit_limit(self, default_int_str_limit):
         assert parse_rational("0." + "0" * 4999 + "1") == F(1, 10**5000)
+
+    def test_long_inputs_parse_in_subquadratic_time(self, default_int_str_limit):
+        # int(Decimal(digits)) took 6.6 s for the first of these.
+        n = 400_000
+        ones = (10**n - 1) // 9
+        cases = [
+            ("1" + "0" * n, F(10**n)),
+            ("1" * n + "/1", F(ones)),
+            ("0." + "1" * n, F(ones, 10**n)),
+            ("-" + "7" * n + "/" + "3" * n, F(-7, 3)),
+        ]
+        for text, value in cases:
+            start = time.perf_counter()
+            parsed = parse_rational(text)
+            assert time.perf_counter() - start < 2.0
+            assert parsed == value
+
+    def test_smallest_digit_limit(self):
+        # The parser converts at most 640 digits at a time, which the
+        # smallest limit setting still allows.
+        limited = hasattr(sys, "set_int_max_str_digits")
+        if limited:
+            previous = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(640)
+        try:
+            assert parse_rational("-" + "9" * 5000 + ".5") == F(-(10**5001 - 5), 10)
+        finally:
+            if limited:
+                sys.set_int_max_str_digits(previous)
 
     @pytest.mark.parametrize("text", ["1e5", "1E-2", "2.5e1", "1e400", "1_0", "1.5_0"])
     def test_other_forms_rejected(self, text):
@@ -277,17 +308,18 @@ class TestCdfEval:
         assert cdf_eval(t, F(1)) == 1
 
     def test_float_path(self, ternary):
+        # Exact only: a float point is rejected, as by as_fraction.
         t = cdf_table(ternary, 1)
-        assert cdf_eval(t, 0.5) == pytest.approx(0.5)
-        assert isinstance(cdf_eval(t, 0.5), float)
-        assert cdf_eval(t, 1.0) == 1.0
+        for x in (0.5, 1.0):
+            with pytest.raises(TypeError):
+                cdf_eval(t, x)
 
     def test_out_of_domain(self, ternary):
         t = cdf_table(ternary, 1)
         with pytest.raises(OutOfDomain):
             cdf_eval(t, F(3, 2))
         with pytest.raises(OutOfDomain):
-            cdf_eval(t, -0.25)
+            cdf_eval(t, F(-1, 4))
 
     @given(weight_vectors_st(n_max=4), st.integers(1, 3), st.fractions(0, 1))
     def test_exact_between_breakpoints(self, w, k, x):

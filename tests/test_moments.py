@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cantor_measures import (
     BadTolerance,
+    InsufficientMoments,
     MomentSequence,
     NotOdd,
     OutOfRange,
@@ -240,6 +241,12 @@ class TestPalindromicOddMoment:
     def test_rejects_even_m(self):
         with pytest.raises(NotOdd):
             palindromic_odd_moment(TERNARY_MOMENTS, 4)
+
+    def test_short_prefix_is_insufficient_moments(self):
+        # It raised a bare ValueError, where inner_product raises
+        # InsufficientMoments for the same condition.
+        with pytest.raises(InsufficientMoments, match="need moments 0..4"):
+            palindromic_odd_moment(TERNARY_MOMENTS[:3], 5)
 
     @pytest.mark.parametrize("m", [-1, -3])
     def test_rejects_negative_m(self, m):
