@@ -419,7 +419,7 @@ class TestOutputHandling:
 FOUR_BRANCH = ("--weights", "1/5,3/10,1/10,2/5")
 
 
-#: Exact requests and the sha256 of their stdout.
+#: Requests and the sha256 of their stdout.
 GOLDEN = [
     (("moments", *FOUR_BRANCH, "--m", "133"),
      "a91bf38ed9343fd888d7ceb2514dc1c4a0b800507820bb88d7ad33aae12886ba"),
@@ -449,15 +449,22 @@ GOLDEN = [
      "9f055cba66cdf178b775385b70a3ed309592dbe77fe9573d6e1afea12fbdd07f"),
     (("cdf", "--weights", "5/11,6/11", "--depth", "12"),
      "5ce86c431be6ed044508a9881108397069ec8f19412b49464bc6b9b23151f3dc"),
+    (("mgf", *TERNARY, "--s", "1.0", "--depth", "30"),
+     "6c57c047b7fd8fef6199194e1e3761592792eba6e70f1e54288a60cee7c77f75"),
+    (("mgf", *TERNARY, "--s", "1.0", "--depth", "30", "--format", "json"),
+     "d0877fbdd6163fe64ca32515c865507ea114b5b1e2489f6a7488fb60d4251182"),
+    (("legendre", *FOUR_BRANCH, "--degree", "8", "--grid-points", "57"),
+     "bb4d0e520f59be5fdf0e8d01c352ea6fe198f55765063553cf54350fa1efb1a3"),
 ]
 
 
 class TestGoldenOutput:
-    """Exact outputs pinned byte for byte by the sha256 of their stdout.
+    """Outputs pinned byte for byte by the sha256 of their stdout.
 
     The digests were computed before the power-sum kernel replaced the
-    per-branch recurrence, and the last three cdf digests before tables
-    rendered in blocks; any change to an exact byte fails here.
+    per-branch recurrence, the last three cdf digests before tables
+    rendered in blocks, and the float ``mgf`` and ``legendre`` grid rows
+    while ``cli.py`` still built that text; any change to a byte fails here.
     """
 
     @pytest.mark.parametrize("argv,digest", GOLDEN)
