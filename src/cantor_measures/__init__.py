@@ -25,7 +25,6 @@ from .errors import (
     InsufficientMoments,
     MeshMismatch,
     NotASimplexPoint,
-    NotOdd,
     NotPalindromic,
     OutOfDomain,
     OutOfRange,
@@ -52,10 +51,8 @@ from .measure import (
 )
 from .moments import (
     MomentSequence,
-    approx_error_depth,
     exact_moments,
     left_endpoint_estimate,
-    palindromic_odd_moment,
     shifted_moments,
 )
 
@@ -69,7 +66,6 @@ _FAST_NAMES = frozenset({
     "depth_for_eps",
     "fast_moments",
     "mgf_eval",
-    "moments_at_depth",
     "partial_product_series",
     "series_mul_trunc",
     "shifted_fast_moments",
@@ -104,14 +100,12 @@ __all__ = [
     "MeshMismatch",
     "MomentSequence",
     "NotASimplexPoint",
-    "NotOdd",
     "NotPalindromic",
     "OrthoBasis",
     "OutOfDomain",
     "OutOfRange",
     "WeightVector",
     "ZeroNorm",
-    "approx_error_depth",
     "cdf_eval",
     "cdf_sup_distance",
     "cdf_table",
@@ -127,11 +121,9 @@ __all__ = [
     "kronecker_power",
     "left_endpoint_estimate",
     "mgf_eval",
-    "moments_at_depth",
     "monic_basis_general",
     "monic_basis_symmetric",
     "normalize",
-    "palindromic_odd_moment",
     "parse_weights",
     "partial_product_series",
     "series_mul_trunc",

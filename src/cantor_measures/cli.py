@@ -1,5 +1,8 @@
 """Command-line interface: moments, CDF tables, MGF, polynomials, checks.
 
+One table, ``_COMMANDS``, maps each command's weights and flags to a result
+that renders itself: ``run`` writes its ``to_csv()`` or ``to_json()``.
+
 Exit codes: 0 on success, 1 on a domain error (the message names the
 violated invariant), 2 on usage errors, an ``--output`` path that cannot be
 written included.  Output is deterministic UTF-8 with exact rationals
@@ -10,17 +13,16 @@ invocations produce byte-identical files.  Only the float renderers
 from __future__ import annotations
 
 import argparse
-import json
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .analysis import check_decay, check_lipschitz
 from .errors import CantorMeasureError
-from .legendre import grid_csv, monic_basis_general
+from .legendre import BasisExport, monic_basis_general
 from .measure import WeightVector, cdf_table, parse_weights
 from .moments import exact_moments, shifted_moments
-from .rational import format_float
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,6 +91,12 @@ _PARSER = _build_parser()
 
 def _parse(argv: Sequence[str] | None) -> tuple[argparse.Namespace, WeightVector]:
     """Parsed flags and weights; a usage error exits 2, bad weights raise."""
+    # argparse reads a dash-led value such as "-1/3,4/3", "-inf" or "-1e-9"
+    # as a flag; bind it to the flag before it, as "--flag=value" does.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if re.fullmatch("--[a-z-]+", argv[i - 1]) and re.match("-[^-]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _PARSER.parse_args(argv)
     for attr, flag, low in _MINIMUMS:
         value = getattr(args, attr, None)
@@ -120,13 +128,21 @@ def _moments(w: WeightVector, args: argparse.Namespace):
     return (shifted_moments if shifted else exact_moments)(w, args.m)
 
 
-#: Commands whose result renders itself through ``to_csv``/``to_json``.  Each
-#: entry looks its functions up when called, so a wrapper rebound on this
+def _mgf(w: WeightVector, args: argparse.Namespace):
+    from . import fast
+
+    return fast.MgfValue(args.s, args.depth, fast.mgf_eval(w, args.s, args.depth))
+
+
+#: Each entry looks its functions up when called, so a wrapper rebound on a
 #: module's names (as the benchmark's tracer installs) sees the call.
-_COMPUTE = {
+_COMMANDS = {
     "moments": _moments,
     "shifted-moments": _moments,
     "cdf": lambda w, args: cdf_table(w, args.depth),
+    "legendre": lambda w, args: BasisExport(monic_basis_general(w, args.degree),
+                                            args.grid_points or 201),
+    "mgf": _mgf,
     "decay": lambda w, args: check_decay(exact_moments(w, args.m)),
     "lipschitz": lambda w, args: check_lipschitz(
         w, parse_weights(args.weights_b), args.depth
@@ -134,40 +150,12 @@ _COMPUTE = {
 }
 
 
-def _render_legendre(w: WeightVector, args: argparse.Namespace) -> str:
-    basis = monic_basis_general(w, args.degree)
-    if args.format == "json":
-        return basis.to_json()
-    if args.grid_points is None:
-        return grid_csv(basis)
-    return grid_csv(basis, args.grid_points)
-
-
-def _render_mgf(w: WeightVector, args: argparse.Namespace) -> str:
-    from .fast import mgf_eval
-
-    value = mgf_eval(w, args.s, args.depth)
-    if args.format == "json":
-        return json.dumps({"s": args.s, "depth": args.depth, "value": value})
-    return (
-        "s,depth,value\n"
-        f"{format_float(args.s)},{args.depth},{format_float(value)}\n"
-    )
-
-
-#: Commands that render their own output.
-_RENDERERS = {"legendre": _render_legendre, "mgf": _render_mgf}
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse flags, dispatch, write output; return the process exit code."""
     try:
         args, weights = _parse(argv)
-        if args.command in _RENDERERS:
-            text = _RENDERERS[args.command](weights, args)
-        else:
-            result = _COMPUTE[args.command](weights, args)
-            text = result.to_csv() if args.format == "csv" else result.to_json()
+        result = _COMMANDS[args.command](weights, args)
+        text = result.to_csv() if args.format == "csv" else result.to_json()
     except SystemExit as exc:
         return int(exc.code or 0)
     except CantorMeasureError as exc:

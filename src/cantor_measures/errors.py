@@ -30,10 +30,6 @@ class MeshMismatch(CantorMeasureError):
     """Two CDF tables do not share the same sample grid."""
 
 
-class NotOdd(CantorMeasureError):
-    """An operation defined only for odd indices received an even one."""
-
-
 class NotPalindromic(CantorMeasureError):
     """An operation requiring a palindromic weight vector received another."""
 

@@ -268,19 +268,6 @@ class FastResult:
         )
 
 
-def moments_at_depth(w: WeightVector, m_max: int, depth: int) -> FastResult:
-    """Moments of the depth-k partial product (k a power of two), with bounds.
-
-    Unlike :func:`fast_moments` it keeps indices 0 and 1 as computed, which
-    makes it the probe for convergence studies; index 1 is
-    ``I_1 * (1 - N**-k)``, so its truncation bound is ``N**-k``.
-    """
-    moments, bounds = _certified(w, m_max, depth, shifted=False)
-    if m_max >= 1:
-        bounds[1] += float(w.n_branches) ** -depth
-    return FastResult(moments=moments, depth_used=depth, certified_bound=bounds)
-
-
 def _certified_to_eps(w: WeightVector, m_max: int, eps: float, shifted: bool) -> FastResult:
     """Certified moments to eps: depth, product, moments and bounds, low indices."""
     if m_max < 0:
@@ -364,3 +351,18 @@ def mgf_eval(w: WeightVector, s: float, depth: int) -> float:
     if value == math.inf:
         raise FloatOverflow(f"MGF partial product at s = {s} exceeds the double range")
     return value
+
+
+@dataclass(frozen=True)
+class MgfValue:
+    """An :func:`mgf_eval` value with its arguments, as the ``mgf`` command prints it."""
+
+    s: float
+    depth: int
+    value: float
+
+    def to_csv(self) -> str:
+        return f"s,depth,value\n{self.s:.17g},{self.depth},{self.value:.17g}\n"
+
+    def to_json(self) -> str:
+        return json.dumps({"s": self.s, "depth": self.depth, "value": self.value})

@@ -153,3 +153,17 @@ def grid_csv(basis: OrthoBasis, n_points: int = 201) -> str:
         row += [format_float(eval_poly(p, x)) for p in normalized]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class BasisExport:
+    """A basis rendered as its JSON, or as :func:`grid_csv` at ``n_points``."""
+
+    basis: OrthoBasis
+    n_points: int
+
+    def to_csv(self) -> str:
+        return grid_csv(self.basis, self.n_points)
+
+    def to_json(self) -> str:
+        return self.basis.to_json()

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadTolerance, InsufficientMoments, NotOdd, OutOfRange
+from .errors import OutOfRange
 from .measure import WeightVector, _digit_products, _integer_weights
-from .rational import RationalLike, as_fraction, format_int, format_rational
+from .rational import format_int, format_rational
 
 
 @dataclass(frozen=True)
@@ -147,53 +147,6 @@ def left_endpoint_estimate(w: WeightVector, k: int, m: int) -> Fraction:
     masses, denominator = _digit_products(w, k)
     total = sum(p * n**m for n, p in enumerate(masses) if p)
     return Fraction(total, denominator * len(masses)**m)
-
-
-def approx_error_depth(n_base: int, m: int, eps: RationalLike | float) -> int:
-    """Smallest depth k guaranteeing ``I_m - left_endpoint_estimate < eps``.
-
-    Uses the exact rational criterion ``(1 + N**-k)**m - 1 <= eps``, the
-    quantity the error chain bounds by ``exp(m / N**k) - 1``; it is slightly
-    tighter than the transcendental form and needs no float evaluation.
-    """
-    if n_base < 2:
-        raise OutOfRange(f"base must be at least 2, got {n_base}")
-    if m < 1:
-        raise OutOfRange(f"m must be a positive integer, got {m}")
-    try:
-        tol = Fraction(eps)
-    except (OverflowError, ValueError):  # inf, nan or malformed text
-        raise BadTolerance(f"eps must be positive and finite, got {eps}") from None
-    if tol <= 0:
-        raise BadTolerance(f"eps must be positive, got {eps}")
-    k = 1
-    while (1 + Fraction(1, n_base**k)) ** m - 1 > tol:
-        k += 1
-    return k
-
-
-def palindromic_odd_moment(
-    prefix: MomentSequence | Sequence[Fraction], m: int
-) -> Fraction:
-    """Odd moment of a symmetric measure from the lower ones.
-
-    For palindromic weights and odd m, the MGF identity ``G(s) = e**s G(-s)``
-    collapses to ``I_m = (1/2) * sum_{i<m} (-1)**i C(m,i) I_i``.  The caller
-    is responsible for palindromicity of the measure behind ``prefix``.
-    """
-    if m < 1:
-        raise OutOfRange(f"m must be a positive odd integer, got {m}")
-    if m % 2 == 0:
-        raise NotOdd(f"m must be odd, got {m}")
-    if len(prefix) < m:
-        raise InsufficientMoments(f"need moments 0..{m - 1}, got only {len(prefix)}")
-    acc = Fraction(0)
-    binom = 1
-    for i in range(m):
-        term = binom * as_fraction(prefix[i])
-        acc += term if i % 2 == 0 else -term
-        binom = binom * (m - i) // (i + 1)
-    return acc / 2
 
 
 def shifted_moments(w: WeightVector, m_max: int) -> MomentSequence:

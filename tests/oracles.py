@@ -14,8 +14,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from cantor_measures import (
-    CdfTable, MomentSequence, OutOfRange, WeightVector, truncated_factor
+    CdfTable, FastResult, MomentSequence, OutOfRange, WeightVector, truncated_factor
 )
+from cantor_measures.fast import _certified
 from cantor_measures.rational import format_int
 
 
@@ -83,6 +84,39 @@ def exact_moments_via_depth(w: WeightVector, k: int, m_max: int) -> MomentSequen
         )
         values.append(acc / (size**m - 1))
     return MomentSequence(weights=w, kind="raw", values=tuple(values))
+
+
+def approx_error_depth(n_base: int, m: int, eps: Fraction) -> int:
+    """Smallest depth k with ``(1 + N**-k)**m - 1 <= eps``.
+
+    The gap ``I_m - left_endpoint_estimate(w, k, m)`` is strictly below that
+    quantity, so the depth-k lower sum is within eps of ``I_m``.
+    """
+    k = 1
+    while (1 + Fraction(1, n_base**k)) ** m - 1 > eps:
+        k += 1
+    return k
+
+
+def palindromic_odd_moment(prefix: Sequence[Fraction], m: int) -> Fraction:
+    """Odd moment ``I_m`` of a symmetric measure from ``I_0..I_{m-1}``.
+
+    For palindromic weights and odd m, the MGF identity ``G(s) = e**s G(-s)``
+    collapses to ``I_m = (1/2) * sum_{i<m} (-1)**i C(m,i) I_i``.
+    """
+    return sum((-1) ** i * math.comb(m, i) * prefix[i] for i in range(m)) / 2
+
+
+def moments_at_depth(w: WeightVector, m_max: int, depth: int) -> FastResult:
+    """Moments of the depth-k partial product (k a power of two), with bounds.
+
+    Unlike ``fast_moments`` it keeps indices 0 and 1 as computed; index 1 is
+    ``I_1 * (1 - N**-k)``, so its truncation bound is ``N**-k``.
+    """
+    moments, bounds = _certified(w, m_max, depth, shifted=False)
+    if m_max >= 1:
+        bounds[1] += float(w.n_branches) ** -depth
+    return FastResult(moments=moments, depth_used=depth, certified_bound=bounds)
 
 
 def factor_by_factor_series(

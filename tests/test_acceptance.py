@@ -24,16 +24,14 @@ from cantor_measures import (
     kronecker_power,
     left_endpoint_estimate,
     mgf_eval,
-    moments_at_depth,
     monic_basis_general,
     monic_basis_symmetric,
-    palindromic_odd_moment,
     parse_weights,
     shifted_moments,
 )
 
 from conftest import random_weight_vector
-from oracles import interval_mass
+from oracles import interval_mass, moments_at_depth, palindromic_odd_moment
 
 F = Fraction
 

@@ -5,8 +5,11 @@ in the same process, byte for byte.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
+import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -14,6 +17,7 @@ import subprocess
 import sys
 import time
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +137,14 @@ class TestInputContract:
             (("cdf", "--weights", "1/2,1/2", "--depth", "20000"), 1),
             # The weights alone decide the decay regime: no threshold flag.
             (("decay", *TERNARY, "--m", "10", "--threshold", "0.4"), 2),
+            # A dash-led value after its flag used to exit 2 ("expected one
+            # argument") where its "=" form exits 1; a missing value still exits 2.
+            (("moments", "--weights", "-1/3,4/3", "--m", "2"), 1),
+            (("lipschitz", "--weights", "1/2,1/2", "--weights-b", "-1/2,3/2",
+              "--depth", "2"), 1),
+            (("mgf", *TERNARY, "--s", "-inf"), 1),
+            (("moments", *TERNARY, "--m", "4", *FAST, "-1e-9"), 1),
+            (("moments", "--weights", "--m", "2"), 2),
         ],
     )
     def test_malformed_argv(self, capsys, default_int_str_limit, argv, expected):
@@ -624,6 +636,25 @@ class TestPackageExports:
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             cantor_measures.no_such_name
+
+    def test_benchmark_tracer_names_resolve(self, ternary):
+        # The traced benchmark wraps these names; a removal that breaks it
+        # fails here first.  The tracer module is loaded read-only by path.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
+        spec = importlib.util.spec_from_file_location("trace_layers", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        modules = {m: importlib.import_module(f"cantor_measures.{m}") for m in tracer.MODULES}
+        for module, attr, _, _, _ in tracer.FUNCTIONS:
+            assert callable(getattr(modules[module], attr)), (module, attr)
+        for module, cls, _ in tracer.RENDERERS:
+            assert {"to_csv", "to_json"} & set(vars(getattr(modules[module], cls))), cls
+        # The counters read these attributes of the results.
+        counts = collections.Counter()
+        tracer._moment_indices(counts, "m", (), {}, exact_moments(ternary, 4))
+        tracer._table_entries(counts, "t", (), {}, cdf_table(ternary, 2))
+        tracer._log2_depth(counts, "d", (), {}, fast_moments(ternary, 4, 1e-6))
+        assert counts["m"] == 5 and counts["t"] == 10 and counts["d"] >= 0
 
     def test_type_hints_resolve(self):
         for name in cantor_measures.__all__:

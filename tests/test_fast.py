@@ -24,7 +24,6 @@ from cantor_measures import (
     exact_moments,
     fast_moments,
     mgf_eval,
-    moments_at_depth,
     parse_weights,
     partial_product_series,
     series_mul_trunc,
@@ -35,7 +34,7 @@ from cantor_measures import (
 from cantor_measures.rational import format_float
 
 from conftest import random_weight_vector, weight_vectors_st
-from oracles import factor_by_factor_series
+from oracles import factor_by_factor_series, moments_at_depth
 
 F = Fraction
 
@@ -456,11 +455,11 @@ class TestFastResultType:
         lambda w: series_mul_trunc(np.array([1.0]), np.array([1.0]), -1),
         lambda w: partial_product_series(w, 4, -1),
         lambda w: depth_for_eps(3, 1, 1e-6),
-        lambda w: moments_at_depth(w, 4, 0),
+        lambda w: partial_product_series(w, 4, 0),
         lambda w: fast_moments(w, -1, 1e-6),
         lambda w: shifted_fast_moments(w, -1, 1e-6),
         lambda w: partial_product_series(w, 4, 3),
-        lambda w: moments_at_depth(w, 4, 6),
+        lambda w: partial_product_series(w, 4, 6),
     ],
 )
 def test_range_errors(ternary, call):

@@ -11,23 +11,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cantor_measures import (
-    BadTolerance,
-    InsufficientMoments,
     MomentSequence,
-    NotOdd,
     OutOfRange,
     WeightVector,
-    approx_error_depth,
     exact_moments,
+    kronecker_power,
     left_endpoint_estimate,
-    palindromic_odd_moment,
     parse_weights,
     shifted_moments,
 )
 from cantor_measures.rational import parse_rational
 
 from conftest import weight_vectors_st
-from oracles import branch_recurrence_moments, exact_moments_via_depth
+from oracles import (
+    approx_error_depth,
+    branch_recurrence_moments,
+    exact_moments_via_depth,
+    palindromic_odd_moment,
+)
 
 F = Fraction
 
@@ -197,15 +198,6 @@ class TestApproxErrorDepth:
     def test_frozen_examples(self, n, m, eps, expected):
         assert approx_error_depth(n, m, eps) == expected
 
-    def test_bad_tolerance(self):
-        with pytest.raises(BadTolerance):
-            approx_error_depth(3, 5, 0)
-        with pytest.raises(BadTolerance):
-            approx_error_depth(3, 5, F(-1, 10))
-        for eps in (math.inf, math.nan):  # raised OverflowError, bare ValueError
-            with pytest.raises(BadTolerance):
-                approx_error_depth(3, 4, eps)
-
     @given(st.integers(2, 6), st.integers(1, 12), st.fractions(F(1, 500), F(2)))
     @settings(max_examples=40)
     def test_returned_depth_is_minimal_and_sufficient(self, n, m, eps):
@@ -237,22 +229,6 @@ class TestPalindromicOddMoment:
     def test_lebesgue_fifth_moment(self):
         prefix = (F(1), F(1, 2), F(1, 3), F(1, 4), F(1, 5))
         assert palindromic_odd_moment(prefix, 5) == F(1, 6)
-
-    def test_rejects_even_m(self):
-        with pytest.raises(NotOdd):
-            palindromic_odd_moment(TERNARY_MOMENTS, 4)
-
-    def test_short_prefix_is_insufficient_moments(self):
-        # It raised a bare ValueError, where inner_product raises
-        # InsufficientMoments for the same condition.
-        with pytest.raises(InsufficientMoments, match="need moments 0..4"):
-            palindromic_odd_moment(TERNARY_MOMENTS[:3], 5)
-
-    @pytest.mark.parametrize("m", [-1, -3])
-    def test_rejects_negative_m(self, m):
-        # A negative odd m passed both checks and returned 0 from an empty sum.
-        with pytest.raises(OutOfRange):
-            palindromic_odd_moment(TERNARY_MOMENTS, m)
 
     @given(weight_vectors_st(palindromic=True), st.sampled_from([1, 3, 5, 7, 9, 11, 13, 15]))
     @settings(max_examples=40)
@@ -292,6 +268,26 @@ class TestShiftedMoments:
             for i in range(m + 1)
         )
         assert shifted_moments(w, m).values[m] == expected
+
+
+class TestKroneckerIdentity:
+    """The k-th Kronecker power of w is the same measure in base ``N**k``.
+
+    Both sides run the integer kernel, the right one at bases up to 64.
+    """
+
+    @given(weight_vectors_st(n_max=4), st.sampled_from([2, 3]))
+    @settings(max_examples=25)
+    def test_raw_moments(self, w, k):
+        power = kronecker_power(w, k)
+        assert exact_moments(power, 40).values == exact_moments(w, 40).values
+
+    @given(weight_vectors_st(n_max=4, palindromic=True), st.sampled_from([2, 3]))
+    @settings(max_examples=25)
+    def test_shifted_moments(self, w, k):
+        power = kronecker_power(w, k)
+        assert power.is_palindromic
+        assert shifted_moments(power, 40).values == shifted_moments(w, 40).values
 
 
 class TestMomentSequenceType:
