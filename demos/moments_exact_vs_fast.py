@@ -13,7 +13,8 @@ that the coefficients underflow, so only indices inside that range are shown.
 """
 import time
 
-from cantor_measures import exact_moments, fast_moments, left_endpoint_estimate, parse_weights
+from cantor_measures import exact_moments, left_endpoint_estimate, parse_weights
+from cantor_measures.fast import fast_moments
 
 ternary = parse_weights("1/2,0,1/2")
 

@@ -3,9 +3,10 @@
 A weight vector (exact nonnegative rationals summing to 1) determines a
 self-similar probability measure on [0, 1].  This package computes, in exact
 rational arithmetic, its CDF on N-adic grids, its moments via closed
-recurrences, and its monic orthogonal polynomial bases; and, in certified
-double precision, its first m moments via truncated products of the moment
-generating function with an explicit per-index error bound.
+recurrences, and its monic orthogonal polynomial bases: these exact names
+are the package root, which never imports numpy.  The float API (certified
+double-precision moments from truncated products of the moment generating
+function, and MGF values) is imported from :mod:`cantor_measures.fast`.
 """
 from __future__ import annotations
 
@@ -58,32 +59,6 @@ from .moments import (
 
 __version__ = "0.1.0"
 
-#: Names re-exported from :mod:`.fast`, resolved on first use (PEP 562) so
-#: that the exact paths never import numpy.
-_FAST_NAMES = frozenset({
-    "MIN_TOLERANCE",
-    "FastResult",
-    "depth_for_eps",
-    "fast_moments",
-    "mgf_eval",
-    "partial_product_series",
-    "series_mul_trunc",
-    "shifted_fast_moments",
-    "truncated_factor",
-})
-
-
-def __getattr__(name: str):
-    if name in _FAST_NAMES:
-        from . import fast
-
-        return getattr(fast, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _FAST_NAMES)
-
 __all__ = [
     "BadTolerance",
     "CantorMeasureError",
@@ -92,11 +67,9 @@ __all__ = [
     "DecayReport",
     "Degenerate",
     "DepthOverflow",
-    "FastResult",
     "FloatOverflow",
     "InsufficientMoments",
     "LipschitzCheck",
-    "MIN_TOLERANCE",
     "MeshMismatch",
     "MomentSequence",
     "NotASimplexPoint",
@@ -111,23 +84,16 @@ __all__ = [
     "cdf_table",
     "check_decay",
     "check_lipschitz",
-    "depth_for_eps",
     "eval_poly",
     "exact_moments",
-    "fast_moments",
     "grid_csv",
     "holder_exponent",
     "inner_product",
     "kronecker_power",
     "left_endpoint_estimate",
-    "mgf_eval",
     "monic_basis_general",
     "monic_basis_symmetric",
     "normalize",
     "parse_weights",
-    "partial_product_series",
-    "series_mul_trunc",
-    "shifted_fast_moments",
     "shifted_moments",
-    "truncated_factor",
 ]

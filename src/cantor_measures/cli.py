@@ -5,10 +5,11 @@ that renders itself: ``run`` writes its ``to_csv()`` or ``to_json()``.
 
 Exit codes: 0 on success, 1 on a domain error (the message names the
 violated invariant), 2 on usage errors, an ``--output`` path that cannot be
-written included.  Output is deterministic UTF-8 with exact rationals
-rendered as ``p/q`` and floats with 17 significant digits, so identical
-invocations produce byte-identical files.  Only the float renderers
-(``--mode fast`` and ``mgf``) import :mod:`.fast`, and with it numpy.
+written included.  ``--output -``, the default, is stdout.  Output is
+deterministic UTF-8 with exact rationals rendered as ``p/q`` and floats with
+17 significant digits, so identical invocations produce byte-identical
+files.  Only the float renderers (``--mode fast`` and ``mgf``) import
+:mod:`.fast`, and with it numpy.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="comma-separated exact rationals, e.g. 1/2,0,1/2",
         )
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
+        p.add_argument("--output", default="-", help="output path; - (default) is stdout")
 
     for name, text in (("moments", "raw moments, exact or certified-fast"),
                        ("shifted-moments", "moments on [-1/2,1/2] (palindromic)")):
@@ -161,7 +162,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except CantorMeasureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.output is None:
+    if args.output == "-":
         sys.stdout.write(text)
         return 0
     try:

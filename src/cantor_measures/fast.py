@@ -24,6 +24,9 @@ coefficient n times ``n!``.  Each bound is the truncation term plus a
 rounding term plus an underflow term (:func:`_certified`).  The underflow
 term grows like ``n!``: it stays below eps up to n of about 165, and from
 n = 171, where ``n!`` leaves the double range, values are 0 and bounds inf.
+
+This is the package's float API and its only numpy import; the package root
+does not re-export it, so import these names from ``cantor_measures.fast``.
 """
 from __future__ import annotations
 

@@ -13,10 +13,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from cantor_measures import (
-    CdfTable, FastResult, MomentSequence, OutOfRange, WeightVector, truncated_factor
-)
-from cantor_measures.fast import _certified
+from cantor_measures import CdfTable, MomentSequence, OutOfRange, WeightVector
+from cantor_measures.fast import FastResult, _certified, truncated_factor
 from cantor_measures.rational import format_int
 
 

@@ -19,16 +19,15 @@ from cantor_measures import (
     cdf_table,
     check_lipschitz,
     exact_moments,
-    fast_moments,
     inner_product,
     kronecker_power,
     left_endpoint_estimate,
-    mgf_eval,
     monic_basis_general,
     monic_basis_symmetric,
     parse_weights,
     shifted_moments,
 )
+from cantor_measures.fast import fast_moments, mgf_eval
 
 from conftest import random_weight_vector
 from oracles import interval_mass, moments_at_depth, palindromic_odd_moment

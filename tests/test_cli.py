@@ -28,15 +28,13 @@ from cantor_measures import (
     check_decay,
     check_lipschitz,
     exact_moments,
-    fast_moments,
     grid_csv,
-    mgf_eval,
     monic_basis_general,
     parse_weights,
-    shifted_fast_moments,
     shifted_moments,
 )
 from cantor_measures.cli import run
+from cantor_measures.fast import fast_moments, mgf_eval, shifted_fast_moments
 from conftest import child_env
 
 
@@ -407,6 +405,13 @@ class TestOutputHandling:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_dash_writes_to_stdout(self, capsys, tmp_path, monkeypatch):
+        # "--output -" used to write a file named "-" and print nothing.
+        monkeypatch.chdir(tmp_path)
+        argv = ["moments", "--weights", "1/2,1/2", "--m", "2"]
+        assert invoke(capsys, *argv, "--output", "-") == invoke(capsys, *argv)
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns(self, capsys):
         argv = [
             "legendre", "--weights", "1/2,0,1/2", "--degree", "4",
@@ -622,10 +627,17 @@ class TestImportIsolation:
 
 
 class TestPackageExports:
-    def test_fast_names_resolve_to_fast_module(self):
-        from cantor_measures import fast, fast_moments
+    def test_all_lists_exactly_the_root_bindings(self):
+        bound = {
+            name for name, value in vars(cantor_measures).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+            and name != "annotations"
+        }
+        assert set(cantor_measures.__all__) == bound
 
-        assert cantor_measures.fast_moments is fast.fast_moments is fast_moments
+    def test_float_api_is_not_at_root(self):
+        # The root is the exact API; the float names live in .fast only.
+        assert not hasattr(cantor_measures, "fast_moments")
 
     def test_all_names_resolve_and_are_listed(self):
         listed = dir(cantor_measures)
@@ -657,7 +669,11 @@ class TestPackageExports:
         assert counts["m"] == 5 and counts["t"] == 10 and counts["d"] >= 0
 
     def test_type_hints_resolve(self):
-        for name in cantor_measures.__all__:
-            obj = getattr(cantor_measures, name)
+        fast = cantor_measures.fast
+        objects = [getattr(cantor_measures, name) for name in cantor_measures.__all__]
+        objects += [obj for name, obj in vars(fast).items()
+                    if not name.startswith("_")
+                    and getattr(obj, "__module__", None) == fast.__name__]
+        for obj in objects:
             if inspect.isfunction(obj):
                 typing.get_type_hints(obj)

@@ -14,21 +14,23 @@ from hypothesis import given, settings, strategies as st
 import cantor_measures.fast as fast_module
 from cantor_measures import (
     BadTolerance,
-    FastResult,
     FloatOverflow,
     NotPalindromic,
     OutOfDomain,
     OutOfRange,
     WeightVector,
-    depth_for_eps,
     exact_moments,
+    parse_weights,
+    shifted_moments,
+)
+from cantor_measures.fast import (
+    FastResult,
+    depth_for_eps,
     fast_moments,
     mgf_eval,
-    parse_weights,
     partial_product_series,
     series_mul_trunc,
     shifted_fast_moments,
-    shifted_moments,
     truncated_factor,
 )
 from cantor_measures.rational import format_float
