@@ -4,16 +4,17 @@ One table, ``_COMMANDS``, maps each command's weights and flags to a result
 that renders itself: ``run`` writes its ``to_csv()`` or ``to_json()``.
 
 Exit codes: 0 on success, 1 on a domain error (the message names the
-violated invariant), 2 on usage errors, an ``--output`` path that cannot be
-written included.  ``--output -``, the default, is stdout.  Output is
-deterministic UTF-8 with exact rationals rendered as ``p/q`` and floats with
-17 significant digits, so identical invocations produce byte-identical
-files.  Only the float renderers (``--mode fast`` and ``mgf``) import
-:mod:`.fast`, and with it numpy.
+violated invariant), 2 on usage errors and on output that cannot be
+written.  ``--output -``, the default, is stdout.  Output is deterministic
+UTF-8 with exact rationals rendered as ``p/q`` and floats with 17
+significant digits, so identical invocations produce byte-identical files.
+Only the float renderers (``--mode fast`` and ``mgf``) import :mod:`.fast`,
+and with it numpy.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Sequence
 
 from .analysis import check_decay, check_lipschitz
 from .errors import CantorMeasureError
-from .legendre import BasisExport, monic_basis_general
+from .legendre import GRID_POINTS, BasisExport, monic_basis_general
 from .measure import WeightVector, cdf_table, parse_weights
 from .moments import exact_moments, shifted_moments
 
@@ -61,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--grid-points",
         type=int,
         default=None,
-        help="grid resolution of the CSV plot-data export (default 201)",
+        help=f"grid resolution of the CSV plot-data export (default {GRID_POINTS})",
     )
 
     p = sub.add_parser("mgf", help="partial-product MGF value at s")
@@ -142,7 +143,7 @@ _COMMANDS = {
     "shifted-moments": _moments,
     "cdf": lambda w, args: cdf_table(w, args.depth),
     "legendre": lambda w, args: BasisExport(monic_basis_general(w, args.degree),
-                                            args.grid_points or 201),
+                                            args.grid_points or GRID_POINTS),
     "mgf": _mgf,
     "decay": lambda w, args: check_decay(exact_moments(w, args.m)),
     "lipschitz": lambda w, args: check_lipschitz(
@@ -162,19 +163,25 @@ def run(argv: Sequence[str] | None = None) -> int:
     except CantorMeasureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.output == "-":
-        sys.stdout.write(text)
-        return 0
     try:
-        Path(args.output).write_text(text, encoding="utf-8")
+        if args.output == "-":
+            print(text, end="", flush=True)
+        else:
+            Path(args.output).write_text(text, encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        target = "stdout" if args.output == "-" else args.output
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:  # run() reported it; drain the rest so the flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,12 +8,12 @@ a power series whose m-th coefficient ``I_{m;k} / m!`` converges to
 
     |I_m - I_{m;k}| <= e * m * sqrt(m - 1) / N**k        (m >= 2).
 
-The pipeline runs power-of-two depths only: the depth-2k product is the
-depth-k product times itself at ``s / N**k``, so depth k costs exactly
-log2(k) truncated series multiplications.  The certified path takes them to
-degree ``min(m, 170)`` only, the last index it returns a value for: the
-products cost O(min(m, 170)**2 log k) and the tail of 0 values and inf
-bounds O(m).
+The pipeline runs power-of-two depths only: depth 1 is the first factor, and
+the depth-2k product is the depth-k product times itself at ``s / N**k``, so
+depth k costs exactly log2(k) truncated series multiplications.  The
+certified path takes them to degree ``min(m, 170)`` only, the last index it
+returns a value for: the products cost O(min(m, 170)**2 log k) and the tail
+of 0 values and inf bounds O(m).
 The centred measure (shifted to ``[-1/2, 1/2]``) runs the same pipeline with
 branch offsets ``n - (N-1)/2``.
 
@@ -57,43 +57,13 @@ def _exp_terms(x: float, degree: int) -> np.ndarray:
     return out
 
 
-def truncated_factor(
-    w: WeightVector, degree: int, *, shifted: bool = False
-) -> np.ndarray:
-    """Degree-m truncation of ``sum_n alpha_n * exp(c_n * s / N)``.
+def series_mul_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two truncated series, truncated to the length of ``a``.
 
-    ``coeffs[j] = sum_n alpha_n * (c_n / N)**j / j!``, the first (scale-1)
-    factor of the MGF's infinite product, with offsets ``c_n = n``, or with
-    ``c_n = n - (N-1)/2`` when ``shifted`` (measure on ``[-1/2, 1/2]``).
+    The direct sum of products keeps the relative accuracy of every
+    nonnegative coefficient, however small; an FFT product's error is normwise.
     """
-    if degree < 0:
-        raise OutOfRange(f"degree must be nonnegative, got {degree}")
-    n_base = w.n_branches
-    center = (n_base - 1) / 2 if shifted else 0
-    coeffs = np.zeros(degree + 1)
-    for n, a in enumerate(w.weights):
-        if a == 0:
-            continue
-        coeffs += float(a) * _exp_terms((n - center) / n_base, degree)
-    # The constant term is sum(alpha) = 1 exactly; don't let the float
-    # conversions of the individual weights smear it.
-    coeffs[0] = 1.0
-    return coeffs
-
-
-def series_mul_trunc(a: np.ndarray, b: np.ndarray, degree: int) -> np.ndarray:
-    """Degree-m truncation of the product of two truncated series.
-
-    Missing coefficients are treated as zero.  The direct sum of products
-    keeps the relative accuracy of every nonnegative coefficient, however
-    small, which an FFT product (normwise error) would not.
-    """
-    if degree < 0:
-        raise OutOfRange(f"degree must be nonnegative, got {degree}")
-    out = np.convolve(a, b)[: degree + 1]
-    if len(out) < degree + 1:
-        out = np.concatenate([out, np.zeros(degree + 1 - len(out))])
-    return out
+    return np.convolve(a, b)[: len(a)]
 
 
 def _check_tolerance(eps: float) -> float:
@@ -163,6 +133,8 @@ def partial_product_series(
 ) -> np.ndarray:
     """Degree-m truncation of the depth-k partial product of the MGF.
 
+    Depth 1 is the first factor, ``sum_n alpha_n * (c_n / N)**j / j!`` at
+    index j, with offsets ``c_n = n``, or ``n - (N-1)/2`` when ``shifted``.
     The depth k must be a power of two.  Each of the ``log2(k)`` truncated
     multiplications squares the product of the first ``2**j`` factors with
     an argument rescale: the next ``2**j`` factors are that product at
@@ -170,13 +142,20 @@ def partial_product_series(
     is, bit for bit, the prefix of the result at any higher degree;
     :func:`_certified` asks for degree ``min(m, 170)``.
     """
+    if degree < 0:
+        raise OutOfRange(f"degree must be nonnegative, got {degree}")
     if depth < 1 or depth & (depth - 1):
         raise OutOfRange(f"depth must be a power of two, got {depth}")
+    center = (w.n_branches - 1) / 2 if shifted else 0
+    result = sum(float(a) * _exp_terms((n - center) / w.n_branches, degree)
+                 for n, a in enumerate(w.weights) if a)
+    # The constant term is sum(alpha) = 1 exactly; don't let the float
+    # conversions of the individual weights smear it.
+    result[0] = 1.0
     powers = np.arange(degree + 1)
-    result = truncated_factor(w, degree, shifted=shifted)
     for j in range(depth.bit_length() - 1):
         sigma = float(w.n_branches) ** -(1 << j)
-        result = series_mul_trunc(result, result * sigma**powers, degree)
+        result = series_mul_trunc(result, result * sigma**powers)
     return result
 
 

@@ -23,6 +23,9 @@ from .rational import as_fraction, format_float, format_rational
 
 Polynomial = tuple[Fraction, ...]
 
+#: Default number of points of the :func:`grid_csv` plot-data grid.
+GRID_POINTS = 201
+
 
 def _as_poly(coeffs: Sequence) -> Polynomial:
     poly = tuple(as_fraction(c) for c in coeffs)
@@ -136,7 +139,7 @@ def normalize(basis: OrthoBasis) -> list[list[float]]:
     return out
 
 
-def grid_csv(basis: OrthoBasis, n_points: int = 201) -> str:
+def grid_csv(basis: OrthoBasis, n_points: int = GRID_POINTS) -> str:
     """CSV of the normalized polynomials on a uniform grid of ``[0, 1]``.
 
     Header ``x,p0,...,pd``; one row per grid point.  This is the plot-data

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from cantor_measures import CdfTable, MomentSequence, OutOfRange, WeightVector
-from cantor_measures.fast import FastResult, _certified, truncated_factor
+from cantor_measures.fast import FastResult, _certified, partial_product_series
 from cantor_measures.rational import format_int
 
 
@@ -122,12 +122,13 @@ def factor_by_factor_series(
 ) -> np.ndarray:
     """Degree-m truncation of the depth-k MGF partial product, one factor at a time.
 
-    Factor r is the scale-1 factor (:func:`truncated_factor`) at
-    ``s / N**(r-1)``, so its coefficient j is rescaled by ``N**(-(r-1) j)``.
+    Factor r is the scale-1 factor (:func:`partial_product_series` at depth
+    1) at ``s / N**(r-1)``, so its coefficient j is rescaled by
+    ``N**(-(r-1) j)``.
     ``depth - 1`` plain truncated products, where the package squares
     ``log2(depth)`` times.
     """
-    first = truncated_factor(w, degree, shifted=shifted)
+    first = partial_product_series(w, degree, 1, shifted)
     powers = np.arange(degree + 1)
     result = first
     for r in range(2, depth + 1):

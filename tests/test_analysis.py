@@ -122,6 +122,10 @@ class TestCheckDecay:
             f"{report.regime},{gamma},{format_float(report.witness_constant)},16,True\n"
         )
 
+    def test_shifted_moments_rejected(self, ternary):
+        with pytest.raises(ValueError, match="raw moments expected"):
+            check_decay(shifted_moments(ternary, 4))
+
 
 class TestCheckLipschitz:
     def test_identical_vectors(self, ternary):

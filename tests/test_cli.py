@@ -405,6 +405,36 @@ class TestOutputHandling:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"),
+                                       OSError(28, "No space left on device")])
+    def test_unwritable_stdout(self, capsys, monkeypatch, error):
+        # A failed write to stdout used to raise out of run() with a traceback.
+        class Failing(io.StringIO):
+            def write(self, text):
+                raise error
+
+        monkeypatch.setattr(sys, "stdout", Failing())
+        code = run(["moments", "--weights", "1/2,0,1/2", "--m", "4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: cannot write stdout: {error.strerror}\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_stdout_to_full_device(self, unbuffered):
+        # With a buffered stdout the rest of the output used to fail a second
+        # time in the flush at exit, which printed more and exited 120.
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cantor_measures", "moments",
+                 "--weights", "1/2,0,1/2", "--m", "4"],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env={**child_env(), "PYTHONUNBUFFERED": unbuffered},
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_dash_writes_to_stdout(self, capsys, tmp_path, monkeypatch):
         # "--output -" used to write a file named "-" and print nothing.
         monkeypatch.chdir(tmp_path)

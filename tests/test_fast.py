@@ -31,7 +31,6 @@ from cantor_measures.fast import (
     partial_product_series,
     series_mul_trunc,
     shifted_fast_moments,
-    truncated_factor,
 )
 from cantor_measures.rational import format_float
 
@@ -44,24 +43,18 @@ F = Fraction
 class TestTruncatedFactor:
     def test_dirac_at_zero_constant(self):
         w = WeightVector([1, 0, 0])
-        s = truncated_factor(w, 5)
+        s = partial_product_series(w, 5, 1, False)
         assert s[0] == 1.0
         assert np.all(s[1:] == 0.0)
 
     def test_ternary_first_scale(self, ternary):
-        s = truncated_factor(ternary, 2)
+        s = partial_product_series(ternary, 2, 1, False)
         assert s == pytest.approx([1.0, 1 / 3, 1 / 9], rel=1e-15)
-
-    def test_shifted_is_keyword_only(self, ternary):
-        # A stale call passing a scale power positionally must fail, not
-        # run with shifted=True.
-        with pytest.raises(TypeError):
-            truncated_factor(ternary, 5, 1)
 
     @given(weight_vectors_st(), st.integers(0, 12))
     @settings(max_examples=40)
     def test_nonnegative_with_unit_constant(self, w, degree):
-        s = truncated_factor(w, degree)
+        s = partial_product_series(w, degree, 1, False)
         assert s[0] == 1.0
         assert np.all(s >= 0)
 
@@ -70,21 +63,15 @@ class TestSeriesMulTrunc:
     def test_multiplicative_identity(self):
         a = np.array([1.0, 0.5, 0.25])
         one = np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(series_mul_trunc(a, one, 2), a)
+        assert np.array_equal(series_mul_trunc(a, one), a)
 
     def test_binomial_square(self):
-        a = np.array([1.0, 1.0])
-        assert list(series_mul_trunc(a, a, 2)) == [1.0, 2.0, 1.0]
+        a = np.array([1.0, 1.0, 0.0])
+        assert list(series_mul_trunc(a, a)) == [1.0, 2.0, 1.0]
 
     def test_truncated_exp_square(self):
         a = np.array([1.0, 1.0, 0.5])
-        assert list(series_mul_trunc(a, a, 2)) == [1.0, 2.0, 2.0]
-
-    def test_short_inputs_padded(self):
-        a = np.array([2.0])
-        b = np.array([3.0])
-        out = series_mul_trunc(a, b, 3)
-        assert list(out) == [6.0, 0.0, 0.0, 0.0]
+        assert list(series_mul_trunc(a, a)) == [1.0, 2.0, 2.0]
 
 
 class TestDepthForEps:
@@ -263,7 +250,7 @@ class TestShiftedFastMoments:
                 assert err <= max(result.certified_bound[m], 1e-9)
 
     def test_factor_is_centered(self, ternary):
-        s = truncated_factor(ternary, 6, shifted=True)
+        s = partial_product_series(ternary, 6, 1, True)
         # Weighted cosh: even coefficients positive, odd ones vanish.
         assert s[0] == 1.0
         assert np.all(s[2::2] > 0)
@@ -452,9 +439,8 @@ class TestFastResultType:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda w: truncated_factor(w, -1),
+        lambda w: partial_product_series(w, -1, 1),
         lambda w: mgf_eval(w, 1.0, 0),
-        lambda w: series_mul_trunc(np.array([1.0]), np.array([1.0]), -1),
         lambda w: partial_product_series(w, 4, -1),
         lambda w: depth_for_eps(3, 1, 1e-6),
         lambda w: partial_product_series(w, 4, 0),

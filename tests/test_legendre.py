@@ -53,6 +53,10 @@ class TestInnerProduct:
         ms = exact_moments(lebesgue3, 2)
         assert inner_product((F(-1, 2), 1), (1,), ms) == 0
 
+    def test_zero_coefficients_skipped(self, ternary):
+        ms = exact_moments(ternary, 3)
+        assert inner_product((0, 1), (0, 0, 1), ms) == ms.values[3] == F(5, 16)
+
     def test_insufficient_moments(self, ternary):
         ms = exact_moments(ternary, 2)
         with pytest.raises(InsufficientMoments):
@@ -190,6 +194,11 @@ class TestNormalize:
         root12 = math.sqrt(12.0)
         assert coeffs == pytest.approx([-root12 / 2, root12], rel=1e-15)
 
+    def test_zero_norm_rejected(self):
+        basis = OrthoBasis(polys=((F(1),), (F(0), F(1))), norms_sq=(F(1), F(0)))
+        with pytest.raises(ZeroNorm):
+            normalize(basis)
+
     @given(weight_vectors_st(palindromic=True, interior=True), st.integers(0, 4))
     @settings(max_examples=20)
     def test_unit_norms(self, w, d):
@@ -215,6 +224,10 @@ class TestOrthoBasisType:
             OrthoBasis(polys=((F(2),),), norms_sq=(F(1),))
         with pytest.raises(ValueError):
             OrthoBasis(polys=((F(1),), (F(1), F(1), F(1))), norms_sq=(F(1), F(1)))
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            OrthoBasis(polys=((F(1),), (F(0), F(1))), norms_sq=(F(1),))
 
     def test_json_round_trip_huge_integers(self, default_int_str_limit):
         # Degree-20 norms of this vector have denominators beyond the

@@ -450,6 +450,18 @@ class TestSerialization:
             with pytest.raises(IndexError):
                 t.points[index]
 
+    def test_points_not_equal_to_a_non_sequence(self, ternary):
+        points = cdf_table(ternary, 1).points
+        assert points.__eq__(5) is NotImplemented
+        assert (points == 5) is False
+        assert points != 5
+
+    @pytest.mark.parametrize("numerators,denominator", [((0, 1), 1), ((0, 1, 1, 2), 0)])
+    def test_shape_checked(self, numerators, denominator):
+        # Depth 1 in base 3 needs 4 numerators and a positive denominator.
+        with pytest.raises(ValueError, match="do not form a depth-1 base-3 table"):
+            CdfTable(1, 3, numerators, denominator)
+
 
 @st.composite
 def rendered_tables_st(draw, max_cells=2 * BLOCK_ROWS):

@@ -163,6 +163,10 @@ class TestLeftEndpointEstimate:
         w = WeightVector([F(1, 5), F(2, 5), F(2, 5)])
         assert left_endpoint_estimate(w, 3, 0) == 1
 
+    def test_negative_m_rejected(self, ternary):
+        with pytest.raises(OutOfRange):
+            left_endpoint_estimate(ternary, 1, -1)
+
     def test_ternary_depth_eight_gap(self, ternary):
         # Lower sum within the proof-chain gap (1 + 1/3**8)**2 - 1 of I_2.
         estimate = left_endpoint_estimate(ternary, 8, 2)
@@ -294,6 +298,10 @@ class TestMomentSequenceType:
     def test_zeroth_moment_enforced(self, ternary):
         with pytest.raises(ValueError):
             MomentSequence(weights=ternary, kind="raw", values=(F(1, 2),))
+
+    def test_empty_rejected(self, ternary):
+        with pytest.raises(ValueError, match="at least the 0-th moment"):
+            MomentSequence(weights=ternary, kind="raw", values=())
 
     def test_kind_validated(self, ternary):
         with pytest.raises(ValueError):
