@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
+from ._frozen import Frozen
 from .errors import Degenerate, InsufficientMoments, MeshMismatch
 from .measure import WeightVector, cdf_sup_distance, cdf_table
 from .moments import MomentSequence
@@ -39,8 +39,7 @@ def holder_exponent(w: WeightVector) -> float:
     return math.log(1 / float(r)) / math.log(w.n_branches)
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(Frozen):
     """Outcome of the moment-decay check over a finite range of moments.
 
     ``regime`` is ``"exponential"`` iff the last weight is zero; ``gamma``
@@ -53,11 +52,15 @@ class DecayReport:
     regime, which has no checked bound yet.
     """
 
-    regime: str
-    gamma: float
-    witness_constant: float
-    max_m_checked: int
-    violations: tuple[int, ...]
+    __slots__ = ("regime", "gamma", "witness_constant", "max_m_checked", "violations")
+
+    def __init__(self, regime: str, gamma: float, witness_constant: float,
+                 max_m_checked: int, violations: tuple[int, ...]) -> None:
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "witness_constant", witness_constant)
+        object.__setattr__(self, "max_m_checked", max_m_checked)
+        object.__setattr__(self, "violations", violations)
 
     def to_json(self) -> str:
         data: dict = {"regime": self.regime}
@@ -107,12 +110,13 @@ def check_decay(moments: MomentSequence) -> DecayReport:
     return DecayReport(regime, gamma, witness, moments.m_max, violations)
 
 
-class LipschitzCheck(NamedTuple):
-    """Sup distance of two depth-k interpolants against the Lipschitz bound."""
+class LipschitzCheck(namedtuple("LipschitzCheck", ("distance", "bound", "ok"))):
+    """Sup distance of two depth-k interpolants against the Lipschitz bound.
 
-    distance: Fraction
-    bound: Fraction
-    ok: bool
+    ``distance`` and ``bound`` are Fractions, ``ok`` is ``distance <= bound``.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> str:
         return json.dumps(

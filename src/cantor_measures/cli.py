@@ -17,8 +17,7 @@ import argparse
 import os
 import re
 import sys
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
 from .analysis import check_decay, check_lipschitz
 from .errors import CantorMeasureError
@@ -167,7 +166,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         if args.output == "-":
             print(text, end="", flush=True)
         else:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as out:
+                out.write(text)
     except OSError as exc:
         target = "stdout" if args.output == "-" else args.output
         print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import BadTolerance, FloatOverflow, NotPalindromic, OutOfDomain, OutOfRange
 from .measure import WeightVector
 
@@ -50,11 +50,10 @@ MAX_FINITE_INDEX = 170
 
 def _exp_terms(x: float, degree: int) -> np.ndarray:
     """Coefficients ``x**n / n!`` for ``n = 0..degree`` (truncated exp)."""
-    out = np.empty(degree + 1)
-    out[0] = 1.0
+    terms = [1.0]
     for n in range(1, degree + 1):
-        out[n] = out[n - 1] * x / n
-    return out
+        terms.append(terms[-1] * x / n)
+    return np.array(terms)
 
 
 def series_mul_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -213,22 +212,24 @@ def _certified(
             np.concatenate([bounds, np.full(tail, math.inf)]))
 
 
-@dataclass(frozen=True, eq=False)
-class FastResult:
+class FastResult(Frozen):
     """Approximate moments with per-index certified error bounds.
 
     ``moments[n]`` approximates the n-th moment at the partial-product depth
     ``depth_used``; ``certified_bound[n]`` bounds ``|true - computed|``,
-    truncation and rounding included (index 0 is exact, bound 0).
+    truncation and rounding included (index 0 is exact, bound 0).  The
+    arrays are read-only copies; a result equals only itself.
     """
 
-    moments: np.ndarray
-    depth_used: int
-    certified_bound: np.ndarray
+    __slots__ = ("moments", "depth_used", "certified_bound")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        for name in ("moments", "certified_bound"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
+    def __init__(self, moments: np.ndarray, depth_used: int,
+                 certified_bound: np.ndarray) -> None:
+        object.__setattr__(self, "depth_used", depth_used)
+        for name, values in (("moments", moments), ("certified_bound", certified_bound)):
+            arr = np.array(values, dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -335,13 +336,15 @@ def mgf_eval(w: WeightVector, s: float, depth: int) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class MgfValue:
+class MgfValue(Frozen):
     """An :func:`mgf_eval` value with its arguments, as the ``mgf`` command prints it."""
 
-    s: float
-    depth: int
-    value: float
+    __slots__ = ("s", "depth", "value")
+
+    def __init__(self, s: float, depth: int, value: float) -> None:
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "value", value)
 
     def to_csv(self) -> str:
         return f"s,depth,value\n{self.s:.17g},{self.depth},{self.value:.17g}\n"

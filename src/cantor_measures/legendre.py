@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
+from ._frozen import Frozen
 from .errors import InsufficientMoments, NotPalindromic, OutOfRange, ZeroNorm
 from .measure import WeightVector
 from .moments import MomentSequence, exact_moments
@@ -61,19 +61,19 @@ def eval_poly(p: Sequence, x):
     return acc
 
 
-@dataclass(frozen=True)
-class OrthoBasis:
+class OrthoBasis(Frozen):
     """Monic orthogonal polynomials ``p_0..p_d`` with exact squared norms."""
 
-    polys: tuple[Polynomial, ...]
-    norms_sq: tuple[Fraction, ...]
+    __slots__ = ("polys", "norms_sq")
 
-    def __post_init__(self) -> None:
-        if len(self.polys) != len(self.norms_sq):
+    def __init__(self, polys: tuple[Polynomial, ...], norms_sq: tuple[Fraction, ...]) -> None:
+        if len(polys) != len(norms_sq):
             raise ValueError("polys and norms_sq must have equal length")
-        for n, poly in enumerate(self.polys):
+        for n, poly in enumerate(polys):
             if len(poly) != n + 1 or poly[-1] != 1:
                 raise ValueError(f"polys[{n}] is not monic of exact degree {n}")
+        object.__setattr__(self, "polys", polys)
+        object.__setattr__(self, "norms_sq", norms_sq)
 
     @property
     def degree(self) -> int:
@@ -158,12 +158,14 @@ def grid_csv(basis: OrthoBasis, n_points: int = GRID_POINTS) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class BasisExport:
+class BasisExport(Frozen):
     """A basis rendered as its JSON, or as :func:`grid_csv` at ``n_points``."""
 
-    basis: OrthoBasis
-    n_points: int
+    __slots__ = ("basis", "n_points")
+
+    def __init__(self, basis: OrthoBasis, n_points: int) -> None:
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "n_points", n_points)
 
     def to_csv(self) -> str:
         return grid_csv(self.basis, self.n_points)

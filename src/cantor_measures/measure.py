@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 
+from ._frozen import Frozen
 from .errors import (
     DepthOverflow,
     MeshMismatch,
@@ -55,20 +55,16 @@ def _check_depth(n_base: int, k: int) -> None:
         raise DepthOverflow(f"{n_base}**{k} table entries exceed the cap {DEPTH_CAP}")
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Frozen):
     """A validated simplex point: exact nonnegative rationals summing to 1.
 
-    Attributes
-    ----------
-    weights : tuple of Fraction
-        The branch weights ``alpha_0 .. alpha_{N-1}``, ``N >= 2``.
+    ``weights`` is the tuple of Fractions ``alpha_0 .. alpha_{N-1}``, ``N >= 2``.
     """
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self) -> None:
-        coerced = tuple(as_fraction(w) for w in self.weights)
+    def __init__(self, weights: Sequence[RationalLike]) -> None:
+        coerced = tuple(as_fraction(w) for w in weights)
         object.__setattr__(self, "weights", coerced)
         if len(coerced) < 2:
             raise NotASimplexPoint("a weight vector needs at least two entries")
@@ -149,8 +145,7 @@ def kronecker_power(w: WeightVector, k: int) -> WeightVector:
     return WeightVector(tuple(Fraction(p, denominator) for p in masses))
 
 
-@dataclass(frozen=True)
-class CdfTable:
+class CdfTable(Frozen):
     """Exact CDF samples on the uniform depth-k grid ``j / N**k``.
 
     ``F(j / N**k) = numerators[j] / denominator`` for ``j = 0 .. N**k``,
@@ -162,19 +157,20 @@ class CdfTable:
     always returns them with no common factor.
     """
 
-    depth: int
-    n_base: int
-    numerators: tuple[int, ...]
-    denominator: int
+    __slots__ = ("depth", "n_base", "numerators", "denominator")
 
-    def __post_init__(self) -> None:
-        numerators = tuple(self.numerators)
-        if len(numerators) != self.n_base**self.depth + 1 or self.denominator < 1:
+    def __init__(self, depth: int, n_base: int, numerators: Sequence[int],
+                 denominator: int) -> None:
+        numerators = tuple(numerators)
+        if len(numerators) != n_base**depth + 1 or denominator < 1:
             raise ValueError(
-                f"{len(numerators)} numerators over {self.denominator} do not "
-                f"form a depth-{self.depth} base-{self.n_base} table"
+                f"{len(numerators)} numerators over {denominator} do not "
+                f"form a depth-{depth} base-{n_base} table"
             )
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "n_base", n_base)
         object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def mesh_size(self) -> int:

@@ -23,30 +23,30 @@ for every weight vector.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
+from ._frozen import Frozen
 from .errors import OutOfRange
 from .measure import WeightVector, _digit_products, _integer_weights
 from .rational import format_int, format_rational
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(Frozen):
     """Exact moments ``I_0..I_m`` (raw) or ``J_0..J_m`` (shifted)."""
 
-    weights: WeightVector
-    kind: str
-    values: tuple[Fraction, ...]
+    __slots__ = ("weights", "kind", "values")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("raw", "shifted"):
-            raise ValueError(f"kind must be 'raw' or 'shifted', got {self.kind!r}")
-        if not self.values:
+    def __init__(self, weights: WeightVector, kind: str, values: tuple[Fraction, ...]) -> None:
+        if kind not in ("raw", "shifted"):
+            raise ValueError(f"kind must be 'raw' or 'shifted', got {kind!r}")
+        if not values:
             raise ValueError("a moment sequence holds at least the 0-th moment")
-        if self.values[0] != 1:
-            raise ValueError(f"the 0-th moment must be 1, got {self.values[0]}")
+        if values[0] != 1:
+            raise ValueError(f"the 0-th moment must be 1, got {values[0]}")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "values", values)
 
     @property
     def m_max(self) -> int:

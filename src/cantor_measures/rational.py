@@ -1,14 +1,13 @@
 """Parsing and rendering helpers for exact rationals and floats.
 
 Both directions work past the interpreter's int/str digit limit (4300 by
-default) and leave it alone: parsing converts chunks of at most 640 digits,
-which every limit setting allows, and rendering past the limit goes through
-``decimal.Decimal``.
+default) and leave it alone: they divide and conquer, and ``int()`` and
+``str()`` convert only pieces of at most 640 digits, which every limit
+setting allows.
 """
 from __future__ import annotations
 
 import re
-from decimal import Decimal
 from fractions import Fraction
 
 RationalLike = Fraction | int | str
@@ -35,11 +34,18 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 def format_int(value: int) -> str:
-    """Decimal digits of an integer of any size."""
-    try:
+    """Decimal digits of an integer of any size, by divide and conquer.
+
+    As in :func:`_parse_int`, ``str()`` converts only pieces of at most 640
+    digits; above about 6,000 bits this beats one ``str()`` call.
+    """
+    if value.bit_length() <= 2126:  # below 2**2126 < 10**640
         return str(value)
-    except ValueError:  # past the digit limit
-        return str(Decimal(value))
+    if value < 0:
+        return "-" + format_int(-value)
+    half = value.bit_length() * 3 // 20  # about half of the digits, and 10**half <= value
+    high, low = divmod(value, 10**half)
+    return format_int(high) + format_int(low).zfill(half)
 
 
 def _parse_int(text: str) -> int:

@@ -628,8 +628,25 @@ def run_child(*argv: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=child_env())
 
 
+#: Prints the modules among ``argv[2:]`` that ``import <argv[1]>`` newly loads.
+_NEW_MODULES = (
+    "import importlib, sys\n"
+    "before = set(sys.modules)\n"
+    "importlib.import_module(sys.argv[1])\n"
+    "print(sorted(set(sys.argv[2:]) & (set(sys.modules) - before)))\n"
+)
+
+#: Modules the package does not need at import: ``dataclasses`` alone
+#: brings ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+_HEAVY = ("dataclasses", "inspect", "typing", "pathlib")
+
+
 class TestImportIsolation:
-    """numpy is imported only by the float renderers, one process per case."""
+    """What a fresh interpreter imports, one process per case.
+
+    numpy only for the float renderers, and never a module the package does
+    not need.
+    """
 
     def test_import_cli(self):
         proc = run_child()
@@ -654,6 +671,23 @@ class TestImportIsolation:
         code, out, err = capture(argv)
         assert (proc.returncode, proc.stderr) == (code, f"{err}{numpy_loaded}\n")
         assert proc.stdout == out
+
+    def test_cli_loads_no_heavy_module(self):
+        # -S: site preloads nothing, so every new module is the package's.
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _NEW_MODULES, "cantor_measures.cli", *_HEAVY],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_fast_loads_no_dataclasses(self):
+        # numpy loads inspect, typing and pathlib itself, not dataclasses.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import numpy\n" + _NEW_MODULES, "cantor_measures.fast",
+             "dataclasses"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestPackageExports:

@@ -58,6 +58,17 @@ class TestTruncatedFactor:
         assert s[0] == 1.0
         assert np.all(s >= 0)
 
+    @pytest.mark.parametrize("x", [0.25, -0.4, 1 / 3, -0.5, 5e-324])
+    def test_exp_terms_match_float64_loop(self, x):
+        # The same recurrence on numpy float64 scalars gives the same bits.
+        expected = np.empty(171)
+        expected[0] = 1.0
+        for n in range(1, 171):
+            expected[n] = expected[n - 1] * x / n
+        terms = fast_module._exp_terms(x, 170)
+        assert terms.dtype == np.float64
+        assert np.array_equal(terms.view(np.int64), expected.view(np.int64))
+
 
 class TestSeriesMulTrunc:
     def test_multiplicative_identity(self):

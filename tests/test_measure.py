@@ -27,7 +27,7 @@ from cantor_measures import (
     parse_weights,
 )
 from cantor_measures.measure import BLOCK_ROWS
-from cantor_measures.rational import format_rational, parse_rational
+from cantor_measures.rational import format_int, format_rational, parse_rational
 
 from conftest import random_weight_vector, weight_vectors_st
 from oracles import cdf_csv, cdf_json, interval_mass
@@ -161,6 +161,35 @@ class TestParseRational:
         # Exponent notation used to build 10**exponent: minutes for "1e100000000".
         with pytest.raises(ValueError, match="not a rational number"):
             parse_rational(text)
+
+
+class TestFormatInt:
+    """Digits of any integer, as ``str()`` with no limit gives them."""
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    def test_matches_str(self, limit):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int/str digit limit")
+        rng = random.Random(19)
+        values = [0, 1, -1, 7, -10]
+        # 2126 bits is the 640-digit piece size, 4000 bits about 1200
+        # digits, and 14284 bits the 4300-digit default limit.
+        for bits in (64, 2125, 2126, 2127, 3999, 4000, 4001, 6000, 14283, 14284, 14285,
+                     17600, 40000):
+            value = rng.getrandbits(bits) | 1 << (bits - 1)
+            values += [value, -value]
+        for k in (639, 640, 641, 1204, 1205, 4299, 4300, 4301, 12000):
+            values += [10**k, 10**k - 1, -(10**k), 1 - 10**k]
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            rendered = [format_int(v) for v in values]
+            assert sys.get_int_max_str_digits() == limit
+            sys.set_int_max_str_digits(0)
+            expected = [str(v) for v in values]
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert rendered == expected
 
 
 class TestKroneckerPower:
