@@ -11,7 +11,6 @@ interpolants are Lipschitz in the weights with constant k*N**k.
 from cantor_measures import (
     check_decay,
     check_lipschitz,
-    exact_moments,
     holder_exponent,
     parse_weights,
     shifted_moments,
@@ -25,7 +24,7 @@ CASES = [
 ]
 
 for name, w in CASES:
-    report = check_decay(exact_moments(w, 64))
+    report = check_decay(w, 64)
     holder = holder_exponent(w)
     gamma = "inf" if report.regime == "exponential" else f"{report.gamma:.5f}"
     print(f"{name:s}: alpha = ({w})")

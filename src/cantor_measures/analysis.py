@@ -11,7 +11,7 @@ Three checkable facts about a weighted Cantor measure:
   ``sup|F_alpha,k - F_beta,k| <= k * N**k * max|alpha - beta|``.
 
 The polynomial-decay branch ships as a bounded-range empirical check (the
-infimum of ``I_m * m**gamma`` over the supplied moments) because the
+infimum of ``I_m * m**gamma`` over ``1 <= m <= m_max``) because the
 constant in the supporting argument is not constructive; the exponential
 branch and the Lipschitz bound are exact rational comparisons.
 """
@@ -20,12 +20,11 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from ._frozen import Frozen
-from .errors import Degenerate, InsufficientMoments, MeshMismatch
+from .errors import Degenerate, FloatOverflow, InsufficientMoments, MeshMismatch
 from .measure import WeightVector, cdf_sup_distance, cdf_table
-from .moments import MomentSequence
+from .moments import _self_similar_moments
 from .rational import format_float, format_rational
 
 
@@ -80,34 +79,45 @@ class DecayReport(Frozen):
         )
 
 
-def check_decay(moments: MomentSequence) -> DecayReport:
-    """Check the decay regime of raw moments, read against ``moments.weights``.
+def check_decay(w: WeightVector, m_max: int) -> DecayReport:
+    """Check the decay regime of the raw moments ``I_1..I_{m_max}`` of ``w``.
 
     The weights alone decide the regime.  Exponential regime (last weight
-    zero): verifies ``I_m <= ((N-1)/N)**m`` for every supplied m by exact
-    rational comparison.  Polynomial regime: reports the empirical infimum
-    of ``I_m * m**gamma`` and no violations.
+    zero): verifies ``I_m <= ((N-1)/N)**m`` for every m by exact comparison.
+    Polynomial regime: reports the empirical infimum of ``I_m * m**gamma``
+    and no violations, or raises :class:`FloatOverflow` when the last
+    weight is so small that this float report leaves the double range.
+
+    Both read the moment kernel's unreduced ``I_m = u_m / D_m``: the exact
+    test is ``u_m * N**m > D_m * (N-1)**m``, and ``u_m / D_m`` is integer
+    true division, correctly rounded, so each float equals that of the
+    reduced ``Fraction``.  No value is reduced.
     """
-    if moments.kind != "raw":
-        raise ValueError(f"raw moments expected, got kind={moments.kind!r}")
-    if moments.m_max < 1:
+    n_base = w.n_branches
+    numerators, denominators = _self_similar_moments(w, range(n_base), m_max)
+    if m_max < 1:
         raise InsufficientMoments("need at least the first moment")
-    n_base = moments.weights.n_branches
-    last = moments.weights.weights[-1]
+    last = w.weights[-1]
     if last == 0:
-        ratio = Fraction(n_base, n_base - 1)
-        scaled = [value * ratio**m for m, value in enumerate(moments.values)]
         regime, gamma = "exponential", math.inf
-        witness = max(map(float, scaled))
-        violations = tuple(m for m, s in enumerate(scaled) if s > 1)
+        scaled = [(u * n_base**m, d * (n_base - 1)**m)
+                  for m, (u, d) in enumerate(zip(numerators, denominators))]
+        witness = max(u / d for u, d in scaled)
+        violations = tuple(m for m, (u, d) in enumerate(scaled) if u > d)
     else:
-        regime = "polynomial"
-        gamma = math.log(1 / float(last)) / math.log(n_base)
-        witness = min(
-            float(value) * m**gamma for m, value in enumerate(moments.values) if m >= 1
-        )
-        violations = ()
-    return DecayReport(regime, gamma, witness, moments.m_max, violations)
+        regime, violations = "polynomial", ()
+        try:
+            gamma = math.log(1 / float(last)) / math.log(n_base)
+            terms = [numerators[m] / denominators[m] * m**gamma for m in range(1, m_max + 1)]
+            if gamma == math.inf or not all(0 < t < math.inf for t in terms):
+                raise OverflowError
+        except (ZeroDivisionError, OverflowError):
+            raise FloatOverflow(
+                "the decay witness I_m * m**gamma leaves the double range: "
+                "the last weight is too small for a float report"
+            ) from None
+        witness = min(terms)
+    return DecayReport(regime, gamma, witness, m_max, violations)
 
 
 class LipschitzCheck(namedtuple("LipschitzCheck", ("distance", "bound", "ok"))):

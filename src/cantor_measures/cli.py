@@ -144,7 +144,7 @@ _COMMANDS = {
     "legendre": lambda w, args: BasisExport(monic_basis_general(w, args.degree),
                                             args.grid_points or GRID_POINTS),
     "mgf": _mgf,
-    "decay": lambda w, args: check_decay(exact_moments(w, args.m)),
+    "decay": lambda w, args: check_decay(w, args.m),
     "lipschitz": lambda w, args: check_lipschitz(
         w, parse_weights(args.weights_b), args.depth
     ),

@@ -16,10 +16,10 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ._frozen import Frozen
-from .errors import InsufficientMoments, NotPalindromic, OutOfRange, ZeroNorm
+from .errors import FloatOverflow, InsufficientMoments, NotPalindromic, OutOfRange, ZeroNorm
 from .measure import WeightVector
-from .moments import MomentSequence, exact_moments
-from .rational import as_fraction, format_float, format_rational
+from .moments import MomentSequence, _self_similar_moments
+from .rational import as_fraction, format_rational
 
 Polynomial = tuple[Fraction, ...]
 
@@ -89,6 +89,26 @@ class OrthoBasis(Frozen):
         )
 
 
+def _combine(hi: list[int], mid: list[int], lo: list[int], den: int, den_lo: int,
+             a: Fraction, b: Fraction) -> tuple[list[int], int]:
+    """``hi - a * mid - b * lo`` as integers over one reduced denominator.
+
+    ``hi`` and ``mid`` are numerators over ``den``, ``lo`` over ``den_lo``;
+    the result is reduced by one gcd over the whole row (:func:`_reduce`).
+    """
+    common = math.lcm(a.denominator * den, b.denominator * den_lo)
+    f_hi = common // den
+    f_mid = f_hi // a.denominator * a.numerator
+    f_lo = common // (b.denominator * den_lo) * b.numerator
+    return _reduce([h * f_hi - m * f_mid - l * f_lo for h, m, l in zip(hi, mid, lo)], common)
+
+
+def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
+    """``row / den`` over the least common denominator, by one gcd."""
+    g = math.gcd(den, *row)
+    return [v // g for v in row], den // g
+
+
 def monic_basis_general(w: WeightVector, degree: int) -> OrthoBasis:
     """Monic orthogonal basis ``p_0..p_degree`` by the Chebyshev algorithm.
 
@@ -97,27 +117,39 @@ def monic_basis_general(w: WeightVector, degree: int) -> OrthoBasis:
     - sigma_{k-1}[k]/sigma_{k-1}[k-1]`` and ``b_k = sigma_k[k]/sigma_{k-1}[k-1]``.
     Raises :class:`ZeroNorm` at the first k with ``|p_k|^2 = sigma_k[k] = 0``,
     which happens exactly when the measure is finitely supported.
+
+    Each sigma row and each polynomial is held as integer numerators over
+    one denominator, reduced by one gcd per row; only ``a_k``, ``b_k`` and
+    the output are ``Fraction``.  The moments enter unreduced, as the
+    moment kernel returns them.
     """
     if degree < 0:
         raise OutOfRange(f"degree must be nonnegative, got {degree}")
     top = 2 * degree
-    sigma_prev, sigma = [0] * (top + 1), exact_moments(w, top).values
-    ratio_prev, p_prev, p = 0, (), (Fraction(1),)
-    polys, norms = [p], [sigma[0]]
+    numerators, denominators = _self_similar_moments(w, range(w.n_branches), top)
+    common = denominators[-1]
+    sigma, den = _reduce([u * (common // d) for u, d in zip(numerators, denominators)], common)
+    sigma_prev, den_prev = [0] * (top + 1), 1
+    ratio_prev = zero = Fraction(0)
+    p_prev, p, p_den, p_den_prev = [], [1], 1, 1
+    polys, norms = [(Fraction(1),)], [Fraction(1)]
     for k in range(degree):
-        ratio = sigma[k + 1] / sigma[k]
-        a, b = ratio - ratio_prev, (sigma[k] / sigma_prev[k - 1] if k else 0)
-        sigma_prev, sigma = sigma, [
-            sigma[l + 1] - a * sigma[l] - b * sigma_prev[l] if k < l < top - k else 0
-            for l in range(top + 1)
-        ]
-        if sigma[k + 1] == 0:
+        ratio = Fraction(sigma[k + 1], sigma[k])
+        a = ratio - ratio_prev
+        b = Fraction(sigma[k] * den_prev, sigma_prev[k - 1] * den) if k else zero
+        # sigma_{k+1}[l] for k < l < top - k; the entries outside stay 0.
+        inner, inner_den = _combine(sigma[k + 2:top - k + 1], sigma[k + 1:top - k],
+                                    sigma_prev[k + 1:top - k], den, den_prev, a, b)
+        if inner[0] == 0:
             raise ZeroNorm(f"zero norm at degree {k + 1}: support has {k + 1} points")
-        terms = zip((0, *p), (*p, 0), (*p_prev, 0, 0))  # x p_k, p_k, p_{k-1}
-        p_prev, p = p, tuple(hi - a * mid - b * lo for hi, mid, lo in terms)
+        pad = [0] * (k + 1)
+        sigma_prev, den_prev, sigma, den = sigma, den, pad + inner + pad, inner_den
+        # p_{k+1} from x p_k, p_k and p_{k-1}
+        p_next, p_next_den = _combine([0, *p], [*p, 0], [*p_prev, 0, 0], p_den, p_den_prev, a, b)
+        p_prev, p_den_prev, p, p_den = p, p_den, p_next, p_next_den
         ratio_prev = ratio
-        polys.append(p)
-        norms.append(sigma[k + 1])
+        polys.append(tuple(Fraction(c, p_den) for c in p))
+        norms.append(Fraction(inner[0], den))
     return OrthoBasis(polys=tuple(polys), norms_sq=tuple(norms))
 
 
@@ -129,13 +161,25 @@ def monic_basis_symmetric(w: WeightVector, degree: int) -> OrthoBasis:
 
 
 def normalize(basis: OrthoBasis) -> list[list[float]]:
-    """Float coefficients of the unit-norm polynomials ``p_n / |p_n|``."""
+    """Float coefficients of the unit-norm polynomials ``p_n / |p_n|``.
+
+    Raises :class:`FloatOverflow` when a norm or a coefficient leaves the
+    double range.
+    """
     out = []
     for poly, norm_sq in zip(basis.polys, basis.norms_sq):
         if norm_sq <= 0:
             raise ZeroNorm("cannot normalize a zero-norm polynomial")
-        scale = 1.0 / math.sqrt(float(norm_sq))
-        out.append([float(c) * scale for c in poly])
+        try:
+            scale = 1.0 / math.sqrt(float(norm_sq))
+            coeffs = [float(c) * scale for c in poly]
+            if not all(map(math.isfinite, coeffs)):
+                raise OverflowError
+        except (ZeroDivisionError, OverflowError):
+            raise FloatOverflow(
+                f"the normalized p_{len(out)} leaves the double range"
+            ) from None
+        out.append(coeffs)
     return out
 
 
@@ -143,19 +187,23 @@ def grid_csv(basis: OrthoBasis, n_points: int = GRID_POINTS) -> str:
     """CSV of the normalized polynomials on a uniform grid of ``[0, 1]``.
 
     Header ``x,p0,...,pd``; one row per grid point.  This is the plot-data
-    export for staircase-measure polynomial figures.
+    export for staircase-measure polynomial figures.  Each polynomial is
+    evaluated by one Horner pass over all grid points, in the operation
+    order of :func:`eval_poly`, so every value equals ``eval_poly(p, x)``.
     """
     if n_points < 2:
         raise OutOfRange(f"need at least 2 grid points, got {n_points}")
     normalized = normalize(basis)
+    xs = [i / (n_points - 1) for i in range(n_points)]
+    columns = [xs]
+    for poly in normalized:
+        values = [poly[-1]] * n_points
+        for c in reversed(poly[:-1]):
+            values = [v * x + c for v, x in zip(values, xs)]
+        columns.append(values)
     header = "x," + ",".join(f"p{n}" for n in range(len(normalized)))
-    lines = [header]
-    for i in range(n_points):
-        x = i / (n_points - 1)
-        row = [format_float(x)]
-        row += [format_float(eval_poly(p, x)) for p in normalized]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.17g"] * len(columns))  # format_float on every field
+    return "\n".join([header, *(row % values for values in zip(*columns))]) + "\n"
 
 
 class BasisExport(Frozen):

@@ -9,11 +9,12 @@ with ``I_0 = 1``, evaluated here in exact integer arithmetic.  The branch
 sum collapses into integer power sums of the offsets, computed once in
 O(N * m) products; each step is then a Horner sum over the step factors
 ``A * (N**j - 1)`` (A the lcm of the weight denominators), O(m**2) big
-products in all, on numerators that are never rescaled; and each value is
-reduced once, by one gcd per index.  The left-endpoint lower sum over the
-depth-k grid serves as an independent brute-force check: it never exceeds
-``I_m`` and converges to it as k grows, with gap strictly below
-``(1 + N**-k)**m - 1``.
+products in all, on numerators that are never rescaled.  The moments
+returned as ``Fraction`` are reduced once, by one gcd per index; the decay
+check and the orthogonal bases read the unreduced integers.  The
+left-endpoint lower sum over the depth-k grid serves as an independent
+brute-force check: it never exceeds ``I_m`` and converges to it as k
+grows, with gap strictly below ``(1 + N**-k)**m - 1``.
 
 Shifted moments ``J_m`` (measure translated to ``[-1/2, 1/2]``) satisfy
 the same recurrence with the branch offsets ``n`` replaced by
@@ -83,8 +84,10 @@ def _pascal_row(previous: list[int]) -> list[int]:
 
 def _self_similar_moments(
     w: WeightVector, offsets: Sequence[int], m_max: int, q: int = 1
-) -> tuple[Fraction, ...]:
-    """Moments ``E[Y**m]`` of ``Y = (c_n / q + Y') / N`` (branch n w.p. ``alpha_n``).
+) -> tuple[list[int], list[int]]:
+    """Unreduced moments ``E[Y**m] = u_m / D_m`` of ``Y = (c_n / q + Y') / N``.
+
+    Branch n is taken with probability ``alpha_n``.
 
     With A the lcm of the weight denominators, ``alpha_n = p_n / A``, the
     integer power sums ``P_j = sum_n p_n * c_n**j`` and the step factors
@@ -96,8 +99,11 @@ def _self_similar_moments(
 
     evaluated as a Horner sum over the step factors: one big-integer product
     per i, and no stored ``u_i`` is ever rescaled.  The power sums cost
-    O(N * m_max) products, the steps O(m_max**2) big products, and each
-    value is reduced once at the end by one ``Fraction`` gcd.
+    O(N * m_max) products and the steps O(m_max**2) big products.  Returns
+    the numerators ``u_0..u_{m_max}`` and the denominators
+    ``D_m = s_1 * ... * s_m * q**m``, unreduced: a caller that prints
+    values reduces each one (one gcd per index), and one that only compares
+    or rounds them reads the integers as they are.
     """
     if m_max < 0:
         raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
@@ -121,17 +127,15 @@ def _self_similar_moments(
             if coefficient:  # odd P_j vanish for centred palindromic offsets
                 acc += coefficient * scaled[i]
         scaled.append(acc)
-    values = [Fraction(1)]
-    denom = 1
+    denominators = [1]
     for m in range(1, m_max + 1):
-        denom *= steps[m] * q
-        values.append(Fraction(scaled[m], denom))
-    return tuple(values)
+        denominators.append(denominators[-1] * steps[m] * q)
+    return scaled, denominators
 
 
 def exact_moments(w: WeightVector, m_max: int) -> MomentSequence:
     """Exact raw moments ``I_0..I_{m_max}``: branch offsets ``0..N-1``."""
-    values = _self_similar_moments(w, range(w.n_branches), m_max)
+    values = tuple(map(Fraction, *_self_similar_moments(w, range(w.n_branches), m_max)))
     return MomentSequence(weights=w, kind="raw", values=values)
 
 
@@ -157,5 +161,5 @@ def shifted_moments(w: WeightVector, m_max: int) -> MomentSequence:
     """
     n_base = w.n_branches
     offsets = range(1 - n_base, n_base, 2)
-    values = _self_similar_moments(w, offsets, m_max, q=2)
+    values = tuple(map(Fraction, *_self_similar_moments(w, offsets, m_max, q=2)))
     return MomentSequence(weights=w, kind="shifted", values=values)

@@ -90,6 +90,28 @@ def random_weight_vector(
         return parts_to_weights(parts)
 
 
+def oracle_sweep(count: int = 320, seed: int = 20) -> list[tuple[WeightVector, int, int]]:
+    """Seeded ``(w, degree, m)`` cases for the checks against the oracles.
+
+    N cycles through 2..5; parts are 0..9, so weights are often zero; every
+    other vector has last weight zero (exponential decay regime); every
+    tenth is a simplex vertex (Dirac measure, zero norm at degree 1).
+    Degrees run to 10 and moment indices to 80.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        n = 2 + i % 4
+        if i % 10 == 9:
+            parts = [0] * n
+            parts[rng.randrange(n)] = 1
+            w = parts_to_weights(parts)
+        else:
+            w = random_weight_vector(rng, n, interior=False, zero_last=i % 2 == 0)
+        cases.append((w, rng.randint(0, 10), rng.randint(1, 80)))
+    return cases
+
+
 def child_env() -> dict[str, str]:
     """This environment, with the tested package first on ``PYTHONPATH``."""
     src = str(Path(cantor_measures.__file__).resolve().parents[1])

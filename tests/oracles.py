@@ -13,9 +13,20 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from cantor_measures import CdfTable, MomentSequence, OutOfRange, WeightVector
+from cantor_measures import (
+    CdfTable,
+    DecayReport,
+    MomentSequence,
+    OrthoBasis,
+    OutOfRange,
+    WeightVector,
+    ZeroNorm,
+    eval_poly,
+    exact_moments,
+    normalize,
+)
 from cantor_measures.fast import FastResult, _certified, partial_product_series
-from cantor_measures.rational import format_int
+from cantor_measures.rational import format_float, format_int
 
 
 def branch_recurrence_moments(
@@ -171,3 +182,65 @@ def cdf_json(table: CdfTable) -> str:
     """JSON of a CDF table rendered row by row, as :func:`cdf_csv`."""
     points = '"], ["'.join(_cdf_rows(table, '", "'))
     return f'{{"depth": {table.depth}, "points": [["{points}"]]}}'
+
+
+def chebyshev_basis(w: WeightVector, degree: int) -> OrthoBasis:
+    """Monic orthogonal basis ``p_0..p_degree`` by the Chebyshev algorithm,
+    one reduced ``Fraction`` per mixed moment and coefficient.
+
+    The package's algorithm before it held each sigma row and polynomial as
+    integers over one denominator.  Raises :class:`ZeroNorm` at the same
+    degree, with the same message.
+    """
+    top = 2 * degree
+    sigma_prev, sigma = [0] * (top + 1), exact_moments(w, top).values
+    ratio_prev, p_prev, p = 0, (), (Fraction(1),)
+    polys, norms = [p], [sigma[0]]
+    for k in range(degree):
+        ratio = sigma[k + 1] / sigma[k]
+        a, b = ratio - ratio_prev, (sigma[k] / sigma_prev[k - 1] if k else 0)
+        sigma_prev, sigma = sigma, [
+            sigma[l + 1] - a * sigma[l] - b * sigma_prev[l] if k < l < top - k else 0
+            for l in range(top + 1)
+        ]
+        if sigma[k + 1] == 0:
+            raise ZeroNorm(f"zero norm at degree {k + 1}: support has {k + 1} points")
+        terms = zip((0, *p), (*p, 0), (*p_prev, 0, 0))  # x p_k, p_k, p_{k-1}
+        p_prev, p = p, tuple(hi - a * mid - b * lo for hi, mid, lo in terms)
+        ratio_prev = ratio
+        polys.append(p)
+        norms.append(sigma[k + 1])
+    return OrthoBasis(polys=tuple(polys), norms_sq=tuple(norms))
+
+
+def decay_report(moments: MomentSequence) -> DecayReport:
+    """The decay check on reduced raw moments, one ``Fraction`` per index:
+    the package's ``check_decay`` before it read the unreduced kernel."""
+    n_base = moments.weights.n_branches
+    last = moments.weights.weights[-1]
+    if last == 0:
+        ratio = Fraction(n_base, n_base - 1)
+        scaled = [value * ratio**m for m, value in enumerate(moments.values)]
+        regime, gamma = "exponential", math.inf
+        witness = max(map(float, scaled))
+        violations = tuple(m for m, s in enumerate(scaled) if s > 1)
+    else:
+        regime = "polynomial"
+        gamma = math.log(1 / float(last)) / math.log(n_base)
+        witness = min(
+            float(value) * m**gamma for m, value in enumerate(moments.values) if m >= 1
+        )
+        violations = ()
+    return DecayReport(regime, gamma, witness, moments.m_max, violations)
+
+
+def grid_csv_per_point(basis: OrthoBasis, n_points: int) -> str:
+    """The plot-data CSV evaluated point by point with :func:`eval_poly`:
+    the package's ``grid_csv`` before it ran one Horner pass per polynomial."""
+    normalized = normalize(basis)
+    lines = ["x," + ",".join(f"p{n}" for n in range(len(normalized)))]
+    for i in range(n_points):
+        x = i / (n_points - 1)
+        row = [format_float(x)] + [format_float(eval_poly(p, x)) for p in normalized]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

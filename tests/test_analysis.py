@@ -1,6 +1,7 @@
 """Holder exponents, moment decay regimes, Lipschitz CDF bound."""
 from __future__ import annotations
 
+import collections
 import json
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantor_measures import (
     Degenerate,
+    FloatOverflow,
     MeshMismatch,
     WeightVector,
     cdf_table,
@@ -22,8 +24,8 @@ from cantor_measures import (
 )
 from cantor_measures.rational import format_float, format_rational, parse_rational
 
-from conftest import weight_vectors_st
-from oracles import interval_mass
+from conftest import oracle_sweep, weight_vectors_st
+from oracles import decay_report, interval_mass
 
 F = Fraction
 
@@ -61,7 +63,7 @@ class TestHolderExponent:
 class TestCheckDecay:
     def test_exponential_regime_exact(self):
         w = parse_weights("1/2,1/2,0")
-        report = check_decay(exact_moments(w, 64))
+        report = check_decay(w, 64)
         assert report.regime == "exponential"
         assert report.violations == ()
         assert report.gamma == math.inf
@@ -69,7 +71,7 @@ class TestCheckDecay:
         assert report.max_m_checked == 64
 
     def test_ternary_polynomial_regime(self, ternary):
-        report = check_decay(exact_moments(ternary, 64))
+        report = check_decay(ternary, 64)
         assert report.regime == "polynomial"
         assert report.gamma == pytest.approx(math.log(2) / math.log(3), rel=1e-12)
         assert report.violations == ()
@@ -78,7 +80,7 @@ class TestCheckDecay:
 
     def test_dirac_at_one_constant_witness(self):
         w = WeightVector([0, 1])
-        report = check_decay(exact_moments(w, 16))
+        report = check_decay(w, 16)
         assert report.regime == "polynomial"
         assert report.gamma == 0.0
         assert report.witness_constant == pytest.approx(1.0)
@@ -86,7 +88,7 @@ class TestCheckDecay:
     @given(weight_vectors_st(zero_last=True), st.integers(2, 16))
     @settings(max_examples=30)
     def test_exponential_regime_random(self, w, m_max):
-        report = check_decay(exact_moments(w, m_max))
+        report = check_decay(w, m_max)
         assert report.regime == "exponential"
         assert report.violations == ()
 
@@ -99,14 +101,14 @@ class TestCheckDecay:
             assert abs(v) * 2**m <= 1
 
     def test_json_round_trip(self, ternary):
-        report = check_decay(exact_moments(ternary, 16))
+        report = check_decay(ternary, 16)
         assert json.loads(report.to_json()) == {
             "regime": "polynomial", "gamma": report.gamma,
             "witness_constant": report.witness_constant, "max_m_checked": 16,
             "violations": list(report.violations),
         }
         w = parse_weights("1/2,1/2,0")
-        report = check_decay(exact_moments(w, 16))
+        report = check_decay(w, 16)
         # No gamma key in the exponential regime, where it is inf.
         assert json.loads(report.to_json()) == {
             "regime": "exponential", "witness_constant": report.witness_constant,
@@ -115,16 +117,28 @@ class TestCheckDecay:
 
     @pytest.mark.parametrize("weights,gamma", [("1/2,0,1/2", None), ("1/2,1/2,0", "inf")])
     def test_csv(self, weights, gamma):
-        report = check_decay(exact_moments(parse_weights(weights), 16))
+        report = check_decay(parse_weights(weights), 16)
         gamma = gamma or format_float(report.gamma)
         assert report.to_csv() == (
             "regime,gamma,witness_constant,max_m_checked,ok\n"
             f"{report.regime},{gamma},{format_float(report.witness_constant)},16,True\n"
         )
 
-    def test_shifted_moments_rejected(self, ternary):
-        with pytest.raises(ValueError, match="raw moments expected"):
-            check_decay(shifted_moments(ternary, 4))
+    def test_seeded_sweep(self):
+        # Equal reports, floats bit for bit, to the check on reduced moments.
+        regimes = collections.Counter()
+        for w, _, m in oracle_sweep():
+            report = check_decay(w, m)
+            assert report == decay_report(exact_moments(w, m))
+            regimes[report.regime] += 1
+        assert min(regimes["exponential"], regimes["polynomial"]) >= 100
+
+    def test_tiny_last_weight(self):
+        # 1/10**400 rounds to 0.0, and 1/10**300 makes m**gamma overflow.
+        for digits in (300, 400):
+            w = WeightVector([1 - F(1, 10**digits), F(1, 10**digits)])
+            with pytest.raises(FloatOverflow, match="double range"):
+                check_decay(w, 4)
 
 
 class TestCheckLipschitz:

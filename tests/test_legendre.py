@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantor_measures import (
+    FloatOverflow,
     InsufficientMoments,
     NotPalindromic,
     OrthoBasis,
@@ -26,7 +27,8 @@ from cantor_measures import (
 )
 from cantor_measures.rational import parse_rational
 
-from conftest import weight_vectors_st
+from conftest import oracle_sweep, weight_vectors_st
+from oracles import chebyshev_basis, grid_csv_per_point
 
 F = Fraction
 
@@ -199,6 +201,12 @@ class TestNormalize:
         with pytest.raises(ZeroNorm):
             normalize(basis)
 
+    def test_norm_below_double_range(self):
+        # float(norm_sq) of p_1 is 0.0 here; it used to raise ZeroDivisionError.
+        w = WeightVector([1 - F(1, 10**400), F(1, 10**400)])
+        with pytest.raises(FloatOverflow, match="p_1"):
+            normalize(monic_basis_general(w, 2))
+
     @given(weight_vectors_st(palindromic=True, interior=True), st.integers(0, 4))
     @settings(max_examples=20)
     def test_unit_norms(self, w, d):
@@ -251,3 +259,27 @@ class TestOrthoBasisType:
         assert len(lines) == 12
         assert lines[1].startswith("0,")
         assert lines[-1].startswith("1,")
+
+
+class TestAgainstOracles:
+    def test_seeded_sweep(self):
+        # Bases, norms and the ZeroNorm degree equal the per-entry Fraction
+        # Chebyshev algorithm; the grid CSV equals the per-point renderer.
+        zero_norms = grids = 0
+        for w, d, m in oracle_sweep():
+            try:
+                expected = chebyshev_basis(w, d)
+            except ZeroNorm as exc:
+                with pytest.raises(ZeroNorm) as raised:
+                    monic_basis_general(w, d)
+                assert str(raised.value) == str(exc)
+                zero_norms += 1
+                continue
+            basis = monic_basis_general(w, d)
+            assert basis.polys == expected.polys
+            assert basis.norms_sq == expected.norms_sq
+            if m % 4 == 0:
+                n_points = 2 + m // 2
+                assert grid_csv(basis, n_points) == grid_csv_per_point(expected, n_points)
+                grids += 1
+        assert zero_norms >= 25 and grids >= 50
