@@ -17,7 +17,6 @@ branch and the Lipschitz bound are exact rational comparisons.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 
@@ -62,6 +61,8 @@ class DecayReport(Frozen):
         object.__setattr__(self, "violations", violations)
 
     def to_json(self) -> str:
+        import json
+
         data: dict = {"regime": self.regime}
         if self.regime == "polynomial":
             data["gamma"] = self.gamma
@@ -129,6 +130,8 @@ class LipschitzCheck(namedtuple("LipschitzCheck", ("distance", "bound", "ok"))):
     __slots__ = ()
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "distance": format_rational(self.distance),

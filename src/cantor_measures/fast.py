@@ -12,8 +12,9 @@ The pipeline runs power-of-two depths only: depth 1 is the first factor, and
 the depth-2k product is the depth-k product times itself at ``s / N**k``, so
 depth k costs exactly log2(k) truncated series multiplications.  The
 certified path takes them to degree ``min(m, 170)`` only, the last index it
-returns a value for: the products cost O(min(m, 170)**2 log k) and the tail
-of 0 values and inf bounds O(m).
+returns a value for: the products cost O(min(m, 170)**2 log k), and the tail
+of 0 values and inf bounds costs O(m) to fill and renders as one block of
+text.  Indices above :data:`MAX_INDEX` are refused before anything is built.
 The centred measure (shifted to ``[-1/2, 1/2]``) runs the same pipeline with
 branch offsets ``n - (N-1)/2``.
 
@@ -30,7 +31,6 @@ does not re-export it, so import these names from ``cantor_measures.fast``.
 """
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from ._frozen import Frozen
 from .errors import BadTolerance, FloatOverflow, NotPalindromic, OutOfDomain, OutOfRange
-from .measure import WeightVector
+from .measure import DEPTH_CAP, WeightVector
 
 #: Smallest tolerance the double-precision pipeline certifies.
 MIN_TOLERANCE = 1e-12
@@ -46,6 +46,10 @@ MIN_TOLERANCE = 1e-12
 #: Highest moment index the pipeline returns a value for: 171! is past the
 #: double range.
 MAX_FINITE_INDEX = 170
+
+#: Highest moment index the certified path accepts: its rows are then about
+#: as many as the entries of the largest CDF table (:data:`DEPTH_CAP`).
+MAX_INDEX = DEPTH_CAP
 
 
 def _exp_terms(x: float, degree: int) -> np.ndarray:
@@ -218,7 +222,8 @@ class FastResult(Frozen):
     ``moments[n]`` approximates the n-th moment at the partial-product depth
     ``depth_used``; ``certified_bound[n]`` bounds ``|true - computed|``,
     truncation and rounding included (index 0 is exact, bound 0).  The
-    arrays are read-only copies; a result equals only itself.
+    arrays are read-only one-dimensional copies of equal length; a result
+    equals only itself.
     """
 
     __slots__ = ("moments", "depth_used", "certified_bound")
@@ -232,29 +237,51 @@ class FastResult(Frozen):
             arr = np.array(values, dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.moments.ndim != 1 or self.moments.shape != self.certified_bound.shape:
+            raise ValueError(
+                f"moments of shape {self.moments.shape} and bounds of shape "
+                f"{self.certified_bound.shape} are not two 1-D arrays of equal length"
+            )
+
+    def _tail_start(self) -> int:
+        """Start of the trailing run of values ``+0.0`` with bounds ``+inf``."""
+        values, bounds = self.moments, self.certified_bound
+        in_tail = (values == 0.0) & ~np.signbit(values) & (bounds == math.inf)
+        outside = np.flatnonzero(~in_tail)
+        return int(outside[-1]) + 1 if len(outside) else 0
 
     def to_csv(self) -> str:
-        # Python floats from tolist() format as format_float does, without
-        # a numpy scalar conversion per value.
-        pairs = zip(self.moments.tolist(), self.certified_bound.tolist())
-        lines = ["m,value,bound"]
-        lines += [f"{m},{v:.17g},{b:.17g}" for m, (v, b) in enumerate(pairs)]
-        return "\n".join(lines) + "\n"
+        # Python floats from tolist() format as format_float does; the tail
+        # rows are all "m,0,inf", one format pass for the lot.
+        top, size = self._tail_start(), len(self.moments)
+        rows = map("%d,%.17g,%.17g\n".__mod__, zip(
+            range(top), self.moments[:top].tolist(), self.certified_bound[:top].tolist()
+        ))
+        tail = ("%d,0,inf\n" * (size - top)) % tuple(range(top, size))
+        return "m,value,bound\n" + "".join(rows) + tail
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "depth": self.depth_used,
-                "moments": self.moments.tolist(),
-                "bounds": self.certified_bound.tolist(),
-            }
-        )
+        # Equal to json.dumps of the dict of depth and both lists; only the
+        # rows before the tail go through json.dumps.
+        import json
+
+        top, size = self._tail_start(), len(self.moments)
+
+        def array(values: np.ndarray, fill: str) -> str:
+            items = [json.dumps(values[:top].tolist())[1:-1]] if top else []
+            return "[" + ", ".join(items + [fill] * (size - top)) + "]"
+
+        return (f'{{"depth": {json.dumps(self.depth_used)}, '
+                f'"moments": {array(self.moments, "0.0")}, '
+                f'"bounds": {array(self.certified_bound, "Infinity")}}}')
 
 
 def _certified_to_eps(w: WeightVector, m_max: int, eps: float, shifted: bool) -> FastResult:
     """Certified moments to eps: depth, product, moments and bounds, low indices."""
     if m_max < 0:
         raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
+    if m_max > MAX_INDEX:
+        raise OutOfRange(f"m_max = {m_max} exceeds the cap {MAX_INDEX}")
     eps = _check_tolerance(eps)
     depth = depth_for_eps(w.n_branches, m_max, eps, shifted) if m_max >= 2 else 1
     moments, bounds = _certified(w, m_max, depth, shifted)
@@ -280,7 +307,8 @@ def fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:
     Index 0 is exact; index 1 is the double nearest the exact ``I_1`` and
     its bound is that rounding error.  Bounds stay within eps only up to
     about n = 165, where the underflow of ``I_n / n!`` starts to count; from
-    n = 171 values are 0 and bounds inf.
+    n = 171 values are 0 and bounds inf.  Raises :class:`OutOfRange` for
+    ``m_max`` above :data:`MAX_INDEX`, before anything is built.
     """
     return _certified_to_eps(w, m_max, eps, shifted=False)
 
@@ -350,4 +378,6 @@ class MgfValue(Frozen):
         return f"s,depth,value\n{self.s:.17g},{self.depth},{self.value:.17g}\n"
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps({"s": self.s, "depth": self.depth, "value": self.value})

@@ -10,7 +10,6 @@ about ``x = 1/2``.  Polynomials are coefficient tuples in ascending order.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from fractions import Fraction
@@ -80,6 +79,8 @@ class OrthoBasis(Frozen):
         return len(self.polys) - 1
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "degree": self.degree,

@@ -23,7 +23,6 @@ for every weight vector.
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -68,6 +67,8 @@ class MomentSequence(Frozen):
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "kind": self.kind,

@@ -34,7 +34,7 @@ from cantor_measures import (
     shifted_moments,
 )
 from cantor_measures.cli import run
-from cantor_measures.fast import fast_moments, mgf_eval, shifted_fast_moments
+from cantor_measures.fast import MAX_INDEX, fast_moments, mgf_eval, shifted_fast_moments
 from conftest import child_env
 
 
@@ -155,6 +155,10 @@ class TestInputContract:
             (("decay", "--weights", tiny_last(300), "--m", "4"), 1),
             (("legendre", "--weights", tiny_last(400), "--degree", "2",
               "--grid-points", "3"), 1),
+            # Past the index cap the fast path used to build the arrays, and
+            # --m 10000000000 printed a MemoryError traceback.
+            (("moments", *TERNARY, "--m", str(MAX_INDEX + 1), *FAST, "1e-4"), 1),
+            (("shifted-moments", *TERNARY, "--m", str(MAX_INDEX + 1), *FAST, "1e-4"), 1),
         ],
     )
     def test_malformed_argv(self, capsys, default_int_str_limit, argv, expected):
@@ -688,6 +692,14 @@ class TestImportIsolation:
         # -S: site preloads nothing, so every new module is the package's.
         proc = subprocess.run(
             [sys.executable, "-S", "-c", _NEW_MODULES, "cantor_measures.cli", *_HEAVY],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_cli_loads_no_json(self):
+        # Only the to_json renderers use json, and they import it themselves.
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _NEW_MODULES, "cantor_measures.cli", "json"],
             capture_output=True, text=True, env=child_env(),
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

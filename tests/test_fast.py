@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from cantor_measures import (
     shifted_moments,
 )
 from cantor_measures.fast import (
+    MAX_INDEX,
     FastResult,
     depth_for_eps,
     fast_moments,
@@ -38,6 +40,40 @@ from conftest import random_weight_vector, weight_vectors_st
 from oracles import factor_by_factor_series, moments_at_depth
 
 F = Fraction
+
+
+def reference_renderings(result: FastResult) -> tuple[str, str]:
+    """CSV and JSON of a result by the per-element renderers: one
+    ``format_float`` per value and one ``json.dumps`` of the float lists."""
+    pairs = zip(result.moments, result.certified_bound)
+    rows = [f"{m},{format_float(v)},{format_float(b)}" for m, (v, b) in enumerate(pairs)]
+    text = json.dumps({"depth": result.depth_used,
+                       "moments": [float(v) for v in result.moments],
+                       "bounds": [float(b) for b in result.certified_bound]})
+    return "\n".join(["m,value,bound", *rows]) + "\n", text
+
+
+#: Rows that are not in the 0/inf tail: ``(value, bound)``.
+_HEAD_ROWS = [(1.0, 0.0), (0.30000000000000004, 1e-17), (5e-324, math.inf),
+              (-2.5, math.inf), (0.0, 1e-300)]
+#: Rows that look like the tail but print otherwise, so they end the run.
+_RUN_BREAKERS = [(-0.0, math.inf), (math.nan, math.inf), (0.0, 1e-3), (0.0, 0.0),
+                 (0.0, -0.0), (0.0, math.nan), (0.0, -math.inf), (math.inf, math.inf)]
+
+
+def _hand_built_cases() -> list[tuple[list[tuple[float, float]], int]]:
+    """Rows and the index where the tail of ``(0.0, inf)`` rows starts."""
+    cases = []
+    for size in range(7):  # every tail length, the whole array included
+        for tail in range(size + 1):
+            head = (_HEAD_ROWS * 2)[: size - tail]
+            cases.append((head + [(0.0, math.inf)] * tail, size - tail))
+    for row in _RUN_BREAKERS:
+        cases.append(([row], 1))
+        cases.append(([row, (0.0, math.inf)], 1))
+        cases.append(([_HEAD_ROWS[0], row, (0.0, math.inf), (0.0, math.inf)], 2))
+        cases.append(([(0.0, math.inf), row], 2))
+    return cases
 
 
 class TestTruncatedFactor:
@@ -441,6 +477,36 @@ class TestFastResultType:
                                    "bounds": [float(b) for b in result.certified_bound]})
         assert text.count("Infinity") == 2
 
+    @pytest.mark.parametrize("rows,tail_start", _hand_built_cases())
+    def test_renderers_match_reference_on_hand_built_tails(self, rows, tail_start):
+        result = FastResult(moments=np.array([v for v, _ in rows], dtype=float), depth_used=4,
+                            certified_bound=np.array([b for _, b in rows], dtype=float))
+        assert result._tail_start() == tail_start
+        assert (result.to_csv(), result.to_json()) == reference_renderings(result)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 170, 171, 400, 4096])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_renderers_match_reference_on_pipeline_results(self, ternary, m, shifted):
+        result = (shifted_fast_moments if shifted else fast_moments)(ternary, m, 1e-8)
+        assert (result.to_csv(), result.to_json()) == reference_renderings(result)
+        # The raw tail starts at 171; a shifted one alternates bounds 0 and
+        # inf there, so only an even last index, with bound inf, is in it.
+        expected = m + 1 if m <= 170 else (m + m % 2 if shifted else 171)
+        assert result._tail_start() == expected
+
+    @pytest.mark.parametrize(
+        "moments,bounds",
+        [
+            ([1.0, 0.5, 0.25], [0.0, 1e-3]),  # used to drop index 2 from the CSV
+            ([[1.0, 0.5]], [[0.0, 0.0]]),  # 2-D used to fail only when rendered
+            ([1.0, 0.5], [[0.0, 0.0]]),
+            (1.0, 0.0),
+        ],
+    )
+    def test_arrays_must_be_one_dimensional_and_equal_length(self, moments, bounds):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            FastResult(np.array(moments), 1, np.array(bounds))
+
     def test_arrays_read_only(self, ternary):
         result = fast_moments(ternary, 3, 1e-9)
         with pytest.raises(ValueError):
@@ -464,3 +530,17 @@ class TestFastResultType:
 def test_range_errors(ternary, call):
     with pytest.raises(OutOfRange):
         call(ternary)
+
+
+@pytest.mark.parametrize("compute", [fast_moments, shifted_fast_moments])
+def test_index_cap_raises_before_any_array(ternary, compute):
+    # m = 10**10 used to pass depth_for_eps and die in np.zeros with a
+    # MemoryError traceback; past the cap nothing is built at all.
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfRange, match="exceeds the cap"):
+            compute(ternary, MAX_INDEX + 1, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
