@@ -2,29 +2,27 @@
 
 The moment generating function of a base-N weighted Cantor measure is the
 infinite product over scales ``r = 1, 2, ...`` of the factors
-``sum_n alpha_n * exp(n*s / N**r)``.  Truncating the product at depth k gives
-a power series whose m-th coefficient ``I_{m;k} / m!`` converges to
-``I_m / m!`` from below, with the Cauchy-integral error bound
+``sum_n alpha_n * exp(n*s / N**r)``.  The first k factors make the MGF of
+``X_k = sum_(r <= k) d_r N**-r``, with independent digits d_r of law alpha,
+and ``X = X_k + N**-k X'`` with X' of law mu and independent of X_k.  As
+``0 <= X_k <= X <= 1``, ``X**n - X_k**n <= n N**-k X'``; the centred
+``Z = X - 1/2`` and ``Z_k`` (offsets ``n - (N-1)/2``) lie in ``[-1/2, 1/2]``
+and differ by ``N**-k (X' - 1/2)``.  So for every n >= 1
 
-    |I_m - I_{m;k}| <= e * m * sqrt(m - 1) / N**k        (m >= 2).
+    0 <= I_n - I_(n;k) <= n * I_1 * N**-k,
+    |J_n - J_(n;k)| <= n * 2**-n * N**-k.
 
-The pipeline runs power-of-two depths only: depth 1 is the first factor, and
-the depth-2k product is the depth-k product times itself at ``s / N**k``, so
-depth k costs exactly log2(k) truncated series multiplications.  The
-certified path takes them to degree ``min(m, 170)`` only, the last index it
-returns a value for: the products cost O(min(m, 170)**2 log k), and the tail
-of 0 values and inf bounds costs O(m) to fill and renders as one block of
-text.  Indices above :data:`MAX_INDEX` are refused before anything is built.
-The centred measure (shifted to ``[-1/2, 1/2]``) runs the same pipeline with
-branch offsets ``n - (N-1)/2``.
+These terms replace the paper's Cauchy estimate ``e n sqrt(n-1) / N**k``: the
+raw one is at least e times smaller and nearly attained, and the centred one
+needs no factor ``(3/2)**n``.
 
-A truncated series is a float64 array of its ``degree + 1`` coefficients,
-in exponential-generating-function form (coefficient of ``s**n`` is
-``moment / n!``), which keeps every stored value at most e.  Moment n is
-coefficient n times ``n!``.  Each bound is the truncation term plus a
-rounding term plus an underflow term (:func:`_certified`).  The underflow
-term grows like ``n!``: it stays below eps up to n of about 165, and from
-n = 171, where ``n!`` leaves the double range, values are 0 and bounds inf.
+Depths are powers of two: the depth-2k product is the depth-k product times
+itself at ``s / N**k``, so depth k costs log2(k) truncated multiplications,
+to degree ``min(m, 170)``.  A series is a float64 array of ``moment / n!``
+(at most e).  Each bound is a truncation, a rounding and an underflow term
+(:func:`_certified`); the last grows like ``n!``, and bounds stay within eps
+up to n = 168.  From n = 171, where ``n!`` leaves the double range, values
+are 0 and bounds inf; indices above :data:`MAX_INDEX` are refused at once.
 
 This is the package's float API and its only numpy import; the package root
 does not re-export it, so import these names from ``cantor_measures.fast``.
@@ -81,15 +79,15 @@ def _check_tolerance(eps: float) -> float:
     return eps
 
 
-def _log_truncation(n_base: int, depth: int, n, shifted: bool):
-    """Log of the depth-k truncation bound at index ``n >= 2`` (scalar or array).
+def _round_up(x: Fraction) -> float:
+    """The smallest double at least ``x``."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if Fraction(f) < x else f
 
-    ``e * n * sqrt(n-1) / N**k``, times ``(3/2)**n`` (the raw bound pushed
-    through the binomial transform) on the shifted path; log space keeps
-    both from overflowing.
-    """
-    log_b = 1.0 + np.log(n) + 0.5 * np.log(n - 1.0) - depth * math.log(n_base)
-    return log_b + n * math.log(1.5) if shifted else log_b
+
+def _first_moment(w: WeightVector) -> Fraction:
+    """Exact ``I_1 = sum_n alpha_n * n / (N - 1)``, from the one-level recurrence."""
+    return sum(a * n for n, a in enumerate(w.weights)) / Fraction(w.n_branches - 1)
 
 
 def _rounding(n_base: int, depth: int, n):
@@ -105,28 +103,30 @@ def _rounding(n_base: int, depth: int, n):
 
 
 def depth_for_eps(n_base: int, m: int, eps: float, shifted: bool = False) -> int:
-    """Smallest power-of-two depth k whose truncation and rounding terms up
-    to index ``m >= 2`` sum to at most eps; the certified driver runs this k.
+    """Smallest power-of-two depth k whose truncation and rounding terms sum
+    to at most eps at every index ``2..min(m, 170)`` the product certifies;
+    the certified driver runs this k, and depth 1 when ``m < 2``.
 
-    The bound at index ``2 <= n <= m`` is at most the truncation term plus
-    the rounding term (:func:`_rounding`) at index m, both growing with n, on
-    a value of at most 1 (raw moments) or 1/4 (``|J_n| <= 2**-n``).  Raises
-    :class:`BadTolerance` at the first depth where that rounding term alone
+    With ``I_1 <= 1`` the raw sum, ``n N**-k`` plus the rounding term
+    (:func:`_rounding`) on a value of at most 1, is largest at the top
+    index; the centred sum, ``2**-n`` times that, at n = 2.  Raises
+    :class:`BadTolerance` at the first depth where the rounding term alone
     reaches eps.  The underflow term of :func:`_certified` is left out, so
-    the reported bounds stay within eps only up to about n = 165; they can
-    exceed it at n = 166..170, and they are inf from n = 171.
+    bounds can exceed eps at n = 169 and 170.
     """
-    if m < 2:
-        raise OutOfRange(f"the error bound needs m >= 2, got {m}")
     eps = _check_tolerance(eps)
+    top = min(m, MAX_FINITE_INDEX)
+    if top < 2:
+        return 1
+    n, size = (2, 0.25) if shifted else (top, 1.0)
     depth = 1
     while True:
-        slack = eps - _rounding(n_base, depth, m) * (0.25 if shifted else 1.0)
+        slack = eps - _rounding(n_base, depth, n) * size
         if slack <= 0:  # the rounding term only grows with the depth
             raise BadTolerance(
-                f"eps = {eps} is below the rounding error at index {m} (depth {depth})"
+                f"eps = {eps} is below the rounding error at index {n} (depth {depth})"
             )
-        if _log_truncation(n_base, depth, m, shifted) <= math.log(slack):
+        if n * size * float(n_base) ** -depth <= slack:
             return depth
         depth *= 2
 
@@ -167,6 +167,7 @@ def _certified(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Depth-k moments and bounds: truncation, rounding and underflow error.
 
+    Truncation: ``n I_1 N**-k`` with I_1 rounded up, centred ``n 2**-n N**-k``.
     ``rho(n)`` counts the unit roundoffs u from the weights to moment n, per
     coefficient j <= n and with libm ``pow`` within 1 ulp (2 roundoffs):
     factor ``3j + N + 1`` (offset 1, ``x**j/j!`` 3j, weight and product 2,
@@ -193,8 +194,8 @@ def _certified(
     ``N + 5`` gives at most ``6**L (n + 5N + 36) / 5``.  Moment n multiplies
     by ``n!`` and adds one eta; the count ``6**L (n + N + 20)`` exceeds that
     sum by at least one more, which covers the rounding of the term itself.
-    The term is negligible below n of about 160 and reaches eps near
-    n = 166..170; from n = 171 ``n!`` overflows, so values there are 0 and
+    The term is negligible below n of about 160 and can reach eps at
+    n = 169 and 170; from n = 171 ``n!`` overflows, so values there are 0 and
     bounds inf.  The product is therefore taken to degree ``min(m, 170)``
     only (:data:`MAX_FINITE_INDEX`), and indices above it are filled in.
     """
@@ -204,9 +205,9 @@ def _certified(
     n = np.arange(top + 1, dtype=np.float64)
     factorial = np.cumprod(np.maximum(n, 1.0))
     moments = partial_product_series(w, top, depth, shifted) * factorial
-    scale = 0.5**n if shifted else np.abs(moments)
-    bounds = _rounding(w.n_branches, depth, n) * scale
-    bounds[2:] += np.exp(_log_truncation(w.n_branches, depth, n[2:], shifted))
+    lead = 0.5**n if shifted else _round_up(_first_moment(w))
+    bounds = _rounding(w.n_branches, depth, n) * (lead if shifted else np.abs(moments))
+    bounds += n * lead * float(w.n_branches) ** -depth
     count = 6.0 ** (depth.bit_length() - 1) * (n + w.n_branches + 20)
     bounds += count * (factorial * 2.0**-1074) * 0.5
     # The constant coefficient is a product of exact ones.
@@ -282,31 +283,27 @@ def _certified_to_eps(w: WeightVector, m_max: int, eps: float, shifted: bool) ->
         raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
     if m_max > MAX_INDEX:
         raise OutOfRange(f"m_max = {m_max} exceeds the cap {MAX_INDEX}")
-    eps = _check_tolerance(eps)
-    depth = depth_for_eps(w.n_branches, m_max, eps, shifted) if m_max >= 2 else 1
+    depth = depth_for_eps(w.n_branches, m_max, eps, shifted)
     moments, bounds = _certified(w, m_max, depth, shifted)
     if shifted:
         moments[1::2] = bounds[1::2] = 0.0
     elif m_max >= 1:
-        # I_1 = sum_n alpha_n * n / (N - 1) from the one-level recurrence.
-        exact = sum(a * n for n, a in enumerate(w.weights)) / Fraction(w.n_branches - 1)
+        exact = _first_moment(w)
         moments[1] = float(exact)
-        error = abs(Fraction(moments[1]) - exact)
-        bounds[1] = float(error)
-        if Fraction(bounds[1]) < error:
-            bounds[1] = math.nextafter(bounds[1], math.inf)
+        bounds[1] = _round_up(abs(Fraction(moments[1]) - exact))
     return FastResult(moments=moments, depth_used=depth, certified_bound=bounds)
 
 
 def fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:
     """First ``m_max`` moments within certified uniform error ``eps``.
 
-    Picks the smallest power-of-two depth whose truncation and rounding terms
-    together meet ``eps`` (:func:`depth_for_eps`) and runs the doubling
+    Picks the smallest power-of-two depth whose truncation term
+    ``n I_1 N**-k`` and rounding term together meet ``eps`` up to index
+    ``min(m_max, 170)`` (:func:`depth_for_eps`) and runs the doubling
     product, performing exactly ``log2(depth)`` truncated multiplications.
     Index 0 is exact; index 1 is the double nearest the exact ``I_1`` and
-    its bound is that rounding error.  Bounds stay within eps only up to
-    about n = 165, where the underflow of ``I_n / n!`` starts to count; from
+    its bound is that rounding error.  Bounds stay within eps up to n = 168;
+    the underflow of ``I_n / n!`` can push n = 169 and 170 above it, and from
     n = 171 values are 0 and bounds inf.  Raises :class:`OutOfRange` for
     ``m_max`` above :data:`MAX_INDEX`, before anything is built.
     """
@@ -317,8 +314,9 @@ def shifted_fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:
     """Certified shifted moments of a palindromic weight vector.
 
     :func:`fast_moments` on the centred factors, with the truncation term
-    inflated by ``(3/2)**n`` (:func:`_log_truncation`).  Odd indices vanish
-    by symmetry and are set to 0 with bound 0.
+    ``n 2**-n N**-k``, which is largest at n = 2, so the depth does not grow
+    with ``m_max``.  Odd indices vanish by symmetry and are set to 0 with
+    bound 0.
     """
     if not w.is_palindromic:
         raise NotPalindromic(f"shifted moments need palindromic weights, got {w}")

@@ -120,11 +120,9 @@ def moments_at_depth(w: WeightVector, m_max: int, depth: int) -> FastResult:
     """Moments of the depth-k partial product (k a power of two), with bounds.
 
     Unlike ``fast_moments`` it keeps indices 0 and 1 as computed; index 1 is
-    ``I_1 * (1 - N**-k)``, so its truncation bound is ``N**-k``.
+    ``I_1 * (1 - N**-k)``, within the truncation term ``I_1 N**-k``.
     """
     moments, bounds = _certified(w, m_max, depth, shifted=False)
-    if m_max >= 1:
-        bounds[1] += float(w.n_branches) ** -depth
     return FastResult(moments=moments, depth_used=depth, certified_bound=bounds)
 
 

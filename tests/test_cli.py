@@ -179,6 +179,15 @@ class TestInputContract:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_grid_past_the_cap_fails_fast(self, capsys):
+        # 10**12 points used to build the x list until memory ran out.
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "legendre", "--weights", "1/2,1/2", "--degree", "2",
+                                "--grid-points", "1000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_depth_cap_environment_ignored(self, capsys, monkeypatch):
         # CANTOR_DEPTH_CAP used to override the table cap; it is read no more.
         argv = ("cdf", *TERNARY, "--depth", "2")

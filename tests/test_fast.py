@@ -21,6 +21,7 @@ from cantor_measures import (
     OutOfRange,
     WeightVector,
     exact_moments,
+    left_endpoint_estimate,
     parse_weights,
     shifted_moments,
 )
@@ -34,6 +35,7 @@ from cantor_measures.fast import (
     series_mul_trunc,
     shifted_fast_moments,
 )
+from cantor_measures.measure import _digit_products
 from cantor_measures.rational import format_float
 
 from conftest import random_weight_vector, weight_vectors_st
@@ -136,8 +138,10 @@ class TestDepthForEps:
             depth_for_eps(3, 4, -1e-3)
         with pytest.raises(BadTolerance):
             depth_for_eps(3, 4, 1e-13)
-        with pytest.raises(BadTolerance):  # below the rounding error at m = 4096
-            depth_for_eps(3, 4096, 1e-12)
+        # The rounding term at index 170 reaches eps before the truncation
+        # term, 170 * 1000**-k, falls below what is left.
+        with pytest.raises(BadTolerance, match=r"index 170 \(depth 8\)"):
+            depth_for_eps(1000, 170, 1e-12)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerances(self, eps):
@@ -145,19 +149,28 @@ class TestDepthForEps:
         with pytest.raises(BadTolerance):
             depth_for_eps(3, 4, eps)
 
-    def test_requires_m_at_least_two(self):
-        with pytest.raises(ValueError):
-            depth_for_eps(3, 1, 1e-6)
+    def test_m_below_two_gets_depth_one(self):
+        # It used to raise OutOfRange; no index the product certifies needs
+        # a deeper product, and eps is still checked.
+        for shifted in (False, True):
+            assert depth_for_eps(3, 1, 1e-6, shifted) == 1
+            assert depth_for_eps(3, 0, 1e-12, shifted) == 1
+            with pytest.raises(BadTolerance):
+                depth_for_eps(3, 1, 1e-13, shifted)
 
-    @given(st.integers(2, 5), st.integers(2, 64), st.floats(1e-11, 1.0))
+    @given(st.integers(2, 5), st.integers(2, 400), st.floats(1e-11, 1.0), st.booleans())
     @settings(max_examples=50)
-    def test_minimal_sufficient_depth(self, n, m, eps):
-        k = depth_for_eps(n, m, eps)
+    def test_minimal_sufficient_depth(self, n, m, eps, shifted):
+        # Truncation plus rounding at every index 2..min(m, 170), with
+        # I_1 <= 1 and every raw moment at most 1.
+        k = depth_for_eps(n, m, eps, shifted)
         assert k & (k - 1) == 0
 
         def bound(depth):
-            lead = math.e * m * math.sqrt(m - 1)
-            return lead / n**depth + fast_module._rounding(n, depth, m)
+            def at(i):
+                size = 0.5**i if shifted else 1.0
+                return (i * n**-depth + fast_module._rounding(n, depth, i)) * size
+            return max(at(i) for i in range(2, min(m, 170) + 1))
 
         assert bound(k) <= eps
         if k > 1:
@@ -302,6 +315,42 @@ class TestShiftedFastMoments:
         assert s[0] == 1.0
         assert np.all(s[2::2] > 0)
         assert s[1::2] == pytest.approx([0.0, 0.0, 0.0], abs=1e-17)
+
+
+class TestTruncationTerm:
+    """Exact check of both truncation terms against the depth-k cells."""
+
+    RAW = ("1/5,3/10,1/10,2/5", "2/3,1/3", "1/100,99/100", "1/20,0,19/20")
+    PALINDROMIC = ("1/2,1/2", "1/2,0,1/2", "1/3,1/3,1/3", "1/3,1/9,1/9,1/9,1/3", "0,1/2,1/2,0")
+
+    def test_self_similar_split_bounds(self):
+        # X = X_k + N**-k X' gives 0 <= I_n - I_(n;k) <= n I_1 N**-k and, on
+        # the centred cells, |J_n - J_(n;k)| <= n 2**-n N**-k.  The depth-k
+        # moments are the cell sums: left-endpoint sums E[X_k**n], and the
+        # same cells shifted by (1 - N**-k)/2 for the centred ones.
+        worst = 0
+        for text in self.RAW + self.PALINDROMIC:
+            w = parse_weights(text)
+            n_base = w.n_branches
+            raw = exact_moments(w, 40).values
+            centred = shifted_moments(w, 40).values if w.is_palindromic else None
+            for k in range(1, 7):
+                masses, denominator = _digit_products(w, k)
+                size = n_base**k
+                cells = [(p, 2 * a - size + 1) for a, p in enumerate(masses) if p]
+                for n in range(1, 41):
+                    gap = raw[n] - left_endpoint_estimate(w, k, n)
+                    bound = n * raw[1] / size
+                    assert 0 <= gap <= bound, (text, k, n)
+                    if n == 1:
+                        assert gap == bound
+                    else:
+                        worst = max(worst, gap / bound)
+                    if centred is not None:
+                        at_depth = F(sum(p * b**n for p, b in cells), denominator * (2 * size)**n)
+                        assert abs(centred[n] - at_depth) <= F(n, 2**n * size), (text, k, n)
+        # Nearly attained from n = 2 on, so a term half as large fails.
+        assert worst > 0.9
 
 
 class TestCertifiedSweep:
@@ -449,11 +498,16 @@ class TestFastResultType:
     def test_certified_bound_formula(self, ternary):
         result = moments_at_depth(ternary, 12, 8)
         assert result.certified_bound[0] == 0.0
-        # The depth-8 product has I_1 * (1 - 3**-8), not I_1.
+        # The depth-8 product has I_1 * (1 - 3**-8), not I_1: the truncation
+        # term n * I_1 * 3**-8 is attained at n = 1.
         assert abs(F(result.moments[1]) - F(1, 2)) <= F(result.certified_bound[1])
-        for m in range(2, 13):
-            expected = math.e * m * math.sqrt(m - 1) / 3**8
-            assert result.certified_bound[m] == pytest.approx(expected, rel=1e-12)
+        moments, bounds = fast_module._certified(ternary, 12, 8, True)
+        for m in range(1, 13):
+            rounding = fast_module._rounding(3, 8, m)
+            raw = m * 0.5 / 3**8 + rounding * result.moments[m]
+            assert result.certified_bound[m] == pytest.approx(raw, rel=1e-12, abs=0)
+            centred = (m / 3**8 + rounding) * 0.5**m
+            assert bounds[m] == pytest.approx(centred, rel=1e-12, abs=0)
 
     def test_csv_layout(self, ternary):
         text = fast_moments(ternary, 3, 1e-9).to_csv()
@@ -519,7 +573,7 @@ class TestFastResultType:
         lambda w: partial_product_series(w, -1, 1),
         lambda w: mgf_eval(w, 1.0, 0),
         lambda w: partial_product_series(w, 4, -1),
-        lambda w: depth_for_eps(3, 1, 1e-6),
+        lambda w: mgf_eval(w, 1.0, -1),
         lambda w: partial_product_series(w, 4, 0),
         lambda w: fast_moments(w, -1, 1e-6),
         lambda w: shifted_fast_moments(w, -1, 1e-6),
