@@ -5,15 +5,15 @@ Exact moments versus the certified fast pipeline
 Moments of a weighted Cantor measure obey an exact rational recurrence, and
 independently arise as coefficients of a rapidly converging product of
 truncated exponential series.  The fast path carries a per-index certified
-error bound, the truncation term m*I_1/N**k plus the rounding error, so its
-accuracy needs no reference values; here we cross-check it against exact
-arithmetic anyway, then run it at a large degree.  That term replaces the
+error bound, the truncation term m*I_1/N**k plus the rounding and underflow
+errors, so its accuracy needs no reference values; here we cross-check it
+against exact arithmetic anyway, then run it at a large degree.  That term replaces the
 paper's Cauchy estimate e*m*sqrt(m-1)/N**k: the depth-k product is the
 moment generating function of the first k base-N digits of X, the digits
 after them add N**-k times an independent copy of X, and so the gap is at
-most m*I_1/N**k, at least e times less.  The bound holds only while
-I_m / m! is a normal double, i.e. for m up to about 170: above that the
-coefficients underflow, so only indices inside that range are shown.
+most m*I_1/N**k, at least e times less.  The bound is within eps at every
+index up to m = 170; from 171 on, m! leaves the double range and the bound
+is inf, so only indices inside that range are shown.
 """
 import time
 

@@ -15,10 +15,6 @@ class NotASimplexPoint(CantorMeasureError):
     """Weight entries are negative or do not sum to one exactly."""
 
 
-class DepthOverflow(CantorMeasureError):
-    """A requested table of N**k entries exceeds the cap."""
-
-
 class OutOfDomain(CantorMeasureError):
     """An evaluation point lies outside its domain.
 
@@ -39,7 +35,12 @@ class BadTolerance(CantorMeasureError):
 
 
 class OutOfRange(CantorMeasureError):
-    """A size argument (moment index, degree, depth, grid points) is too small."""
+    """A size (moment index, degree, depth, grid points) is below its minimum,
+    or above ``DEPTH_CAP``: the :class:`DepthOverflow` case."""
+
+
+class DepthOverflow(OutOfRange):
+    """A size (table entries, moment index, grid values) exceeds the cap."""
 
 
 class FloatOverflow(CantorMeasureError):

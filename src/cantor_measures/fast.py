@@ -18,11 +18,11 @@ needs no factor ``(3/2)**n``.
 
 Depths are powers of two: the depth-2k product is the depth-k product times
 itself at ``s / N**k``, so depth k costs log2(k) truncated multiplications,
-to degree ``min(m, 170)``.  A series is a float64 array of ``moment / n!``
-(at most e).  Each bound is a truncation, a rounding and an underflow term
-(:func:`_certified`); the last grows like ``n!``, and bounds stay within eps
-up to n = 168.  From n = 171, where ``n!`` leaves the double range, values
-are 0 and bounds inf; indices above :data:`MAX_INDEX` are refused at once.
+to degree ``min(m, 170)``.  A series is a float64 array of ``moment / n!``.
+Each bound is a truncation, a rounding and an underflow term
+(:func:`_certified`); :func:`depth_for_eps` charges all three, so bounds up
+to n = 170 are within eps.  From n = 171, where ``n!`` leaves the double
+range, values are 0 and bounds inf; indices above ``DEPTH_CAP`` are refused.
 
 This is the package's float API and its only numpy import; the package root
 does not re-export it, so import these names from ``cantor_measures.fast``.
@@ -36,7 +36,7 @@ import numpy as np
 
 from ._frozen import Frozen
 from .errors import BadTolerance, FloatOverflow, NotPalindromic, OutOfDomain, OutOfRange
-from .measure import DEPTH_CAP, WeightVector
+from .measure import WeightVector, _check_cap
 
 #: Smallest tolerance the double-precision pipeline certifies.
 MIN_TOLERANCE = 1e-12
@@ -44,10 +44,6 @@ MIN_TOLERANCE = 1e-12
 #: Highest moment index the pipeline returns a value for: 171! is past the
 #: double range.
 MAX_FINITE_INDEX = 170
-
-#: Highest moment index the certified path accepts: its rows are then about
-#: as many as the entries of the largest CDF table (:data:`DEPTH_CAP`).
-MAX_INDEX = DEPTH_CAP
 
 
 def _exp_terms(x: float, degree: int) -> np.ndarray:
@@ -102,27 +98,34 @@ def _rounding(n_base: int, depth: int, n):
     return rho / (1.0 - 2.0 * rho)
 
 
+def _underflow(n_base: int, depth: int, n, factorial):
+    """Absolute underflow bound ``(2 + 16**L (n + N + 8) 2**-n) n! eta`` at
+    index n (scalar or array) and depth ``2**L``, derived in :func:`_certified`."""
+    count = 16.0 ** (depth.bit_length() - 1) * (n + n_base + 8)
+    return (1.0 + count * 0.5 ** (n + 1)) * factorial * 2.0**-1074  # 2**-1075 is 0.0
+
+
 def depth_for_eps(n_base: int, m: int, eps: float, shifted: bool = False) -> int:
-    """Smallest power-of-two depth k whose truncation and rounding terms sum
-    to at most eps at every index ``2..min(m, 170)`` the product certifies;
-    the certified driver runs this k, and depth 1 when ``m < 2``.
+    """Smallest power-of-two depth k whose truncation, rounding and underflow
+    terms sum to at most eps at every index ``2..min(m, 170)`` the product
+    certifies; the certified path runs this k, and depth 1 when ``m < 2``.
 
     With ``I_1 <= 1`` the raw sum, ``n N**-k`` plus the rounding term
     (:func:`_rounding`) on a value of at most 1, is largest at the top
-    index; the centred sum, ``2**-n`` times that, at n = 2.  Raises
-    :class:`BadTolerance` at the first depth where the rounding term alone
-    reaches eps.  The underflow term of :func:`_certified` is left out, so
-    bounds can exceed eps at n = 169 and 170.
+    index; the centred sum, ``2**-n`` times that, at n = 2; the underflow
+    term (:func:`_underflow`) at the top index on both.  Raises
+    :class:`BadTolerance` at the first depth where the last two reach eps.
     """
     eps = _check_tolerance(eps)
     top = min(m, MAX_FINITE_INDEX)
     if top < 2:
         return 1
     n, size = (2, 0.25) if shifted else (top, 1.0)
-    depth = 1
+    factorial, depth = float(math.factorial(top)), 1
     while True:
         slack = eps - _rounding(n_base, depth, n) * size
-        if slack <= 0:  # the rounding term only grows with the depth
+        slack -= _underflow(n_base, depth, top, factorial)
+        if slack <= 0:  # both terms only grow with the depth
             raise BadTolerance(
                 f"eps = {eps} is below the rounding error at index {n} (depth {depth})"
             )
@@ -141,16 +144,18 @@ def partial_product_series(
     The depth k must be a power of two.  Each of the ``log2(k)`` truncated
     multiplications squares the product of the first ``2**j`` factors with
     an argument rescale: the next ``2**j`` factors are that product at
-    ``s / N**(2**j)``.  Coefficient n reads only inputs 0..n, so the result
-    is, bit for bit, the prefix of the result at any higher degree;
-    :func:`_certified` asks for degree ``min(m, 170)``.
+    ``s / N**(2**j)``.  It works at scale ``2**n``, as the product at
+    ``2s``, and one ``ldexp`` by ``-n`` ends it, so an underflow before that
+    costs ``2**-n`` times less (:func:`_certified`).  Coefficient n reads only
+    inputs 0..n, so the result is, bit for bit, the prefix of the result at
+    any higher degree; :func:`_certified` asks for degree ``min(m, 170)``.
     """
     if degree < 0:
         raise OutOfRange(f"degree must be nonnegative, got {degree}")
     if depth < 1 or depth & (depth - 1):
         raise OutOfRange(f"depth must be a power of two, got {depth}")
     center = (w.n_branches - 1) / 2 if shifted else 0
-    result = sum(float(a) * _exp_terms((n - center) / w.n_branches, degree)
+    result = sum(float(a) * _exp_terms(2 * (n - center) / w.n_branches, degree)
                  for n, a in enumerate(w.weights) if a)
     # The constant term is sum(alpha) = 1 exactly; don't let the float
     # conversions of the individual weights smear it.
@@ -159,7 +164,7 @@ def partial_product_series(
     for j in range(depth.bit_length() - 1):
         sigma = float(w.n_branches) ** -(1 << j)
         result = series_mul_trunc(result, result * sigma**powers)
-    return result
+    return np.ldexp(result, -powers)
 
 
 def _certified(
@@ -173,31 +178,28 @@ def _certified(
     factor ``3j + N + 1`` (offset 1, ``x**j/j!`` 3j, weight and product 2,
     sum over N branches N - 1); rescale by ``sigma**j`` ``2j + 3``; product
     n + 1 plus the counts of both inputs.  Over the ``L = log2 k``
-    multiplications of depth k that is
-    ``(3 + 3L) n + k (N + 5) - 4``, and the factorial adds n.  The error is
-    then ``gamma_rho = rho u / (1 - rho u)`` relative to the depth-k moment
-    on the raw path (nonnegative terms), or to ``2**-n`` on the centred path
+    multiplications of depth k that is ``(3 + 3L) n + k (N + 5) - 4``, and
+    the factorial adds n.  The error is then
+    ``gamma_rho = rho u / (1 - rho u)`` relative to the depth-k moment on
+    the raw path (nonnegative terms), or to ``2**-n`` on the centred path
     (every ``|offset| / N <= 1/2`` bounds the absolute-value series).
 
-    That count assumes no product underflows.  A product or quotient that
-    does is off by at most ``eta = 2**-1075`` more (half the smallest
-    subnormal), ``pow`` by ``2 eta``; sums of doubles are exact there.  In
-    units of eta, the absolute error of a coefficient at index ``j <= n``:
-    ``x**j/j!`` by ``t_j = t_(j-1) * x / j`` with ``|x| < 1`` is within
-    ``(E + 1) / j + 1 <= 4``, and the N weight products make a factor
-    within ``N + 5``.  The rescale by ``sigma**j <= 1`` adds 3 (pow and
-    product).  A product whose inputs are within A and B is within
-    ``3A + 3B + n + 2``: the absolute-value series of every input sums to at
-    most e at s = 1 (below 3 with rounding), its n + 1 products add eta each
-    and the cross terms of two errors less than one.  Over L
-    multiplications with one rescaled input each, ``E <- 6E + n + 11`` from
-    ``N + 5`` gives at most ``6**L (n + 5N + 36) / 5``.  Moment n multiplies
-    by ``n!`` and adds one eta; the count ``6**L (n + N + 20)`` exceeds that
-    sum by at least one more, which covers the rounding of the term itself.
-    The term is negligible below n of about 160 and can reach eps at
-    n = 169 and 170; from n = 171 ``n!`` overflows, so values there are 0 and
-    bounds inf.  The product is therefore taken to degree ``min(m, 170)``
-    only (:data:`MAX_FINITE_INDEX`), and indices above it are filled in.
+    That count assumes no product underflows.  At the product's scale
+    ``2**n`` every coefficient is at most 2, and the absolute-value series of
+    every input sums to at most ``e**2 < 8`` at s = 1.  An underflowing
+    product or quotient is off by at most ``eta = 2**-1075`` more (half the
+    smallest subnormal), ``pow`` by ``2 eta``; sums are exact there.  In
+    units of eta: ``x**j/j!`` by ``t_j = t_(j-1) * x / j`` with ``|x| < 2``
+    is within ``(2E + 1) / j + 1 <= 4``, a factor within ``N + 5``, and the
+    rescale by ``sigma**j <= 1`` adds 5.  A product of inputs within A and B
+    is within ``8A + 8B + n + 2``, so L multiplications give at most
+    ``16**L (n + 15N + 117) / 15``; the final ``ldexp`` scales that by
+    ``2**-n`` and adds one eta.  :func:`_underflow` charges
+    ``2 + 16**L (n + N + 8) 2**-n`` times ``n! eta``, one eta more, for the
+    rounding of n! and of the term: below ``4e-17`` up to n = 170 at depths
+    up to ``2**20``.  From n = 171 ``n!`` overflows, so the product is taken
+    to degree ``min(m, 170)`` only (:data:`MAX_FINITE_INDEX`), and values
+    above it are 0 with bounds inf.
     """
     # Coefficient n of a truncated product reads only inputs 0..n, so the
     # product to degree ``top`` is the prefix of the degree-m one, bit for bit.
@@ -208,8 +210,7 @@ def _certified(
     lead = 0.5**n if shifted else _round_up(_first_moment(w))
     bounds = _rounding(w.n_branches, depth, n) * (lead if shifted else np.abs(moments))
     bounds += n * lead * float(w.n_branches) ** -depth
-    count = 6.0 ** (depth.bit_length() - 1) * (n + w.n_branches + 20)
-    bounds += count * (factorial * 2.0**-1074) * 0.5
+    bounds += _underflow(w.n_branches, depth, n, factorial)
     # The constant coefficient is a product of exact ones.
     bounds[0] = 0.0
     tail = m_max - top
@@ -222,9 +223,9 @@ class FastResult(Frozen):
 
     ``moments[n]`` approximates the n-th moment at the partial-product depth
     ``depth_used``; ``certified_bound[n]`` bounds ``|true - computed|``,
-    truncation and rounding included (index 0 is exact, bound 0).  The
-    arrays are read-only one-dimensional copies of equal length; a result
-    equals only itself.
+    truncation, rounding and underflow included (index 0 is exact, bound
+    0).  The arrays are read-only one-dimensional copies of equal length; a
+    result equals only itself.
     """
 
     __slots__ = ("moments", "depth_used", "certified_bound")
@@ -281,8 +282,7 @@ def _certified_to_eps(w: WeightVector, m_max: int, eps: float, shifted: bool) ->
     """Certified moments to eps: depth, product, moments and bounds, low indices."""
     if m_max < 0:
         raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
-    if m_max > MAX_INDEX:
-        raise OutOfRange(f"m_max = {m_max} exceeds the cap {MAX_INDEX}")
+    _check_cap(m_max, f"m_max = {m_max}")
     depth = depth_for_eps(w.n_branches, m_max, eps, shifted)
     moments, bounds = _certified(w, m_max, depth, shifted)
     if shifted:
@@ -298,14 +298,14 @@ def fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:
     """First ``m_max`` moments within certified uniform error ``eps``.
 
     Picks the smallest power-of-two depth whose truncation term
-    ``n I_1 N**-k`` and rounding term together meet ``eps`` up to index
-    ``min(m_max, 170)`` (:func:`depth_for_eps`) and runs the doubling
+    ``n I_1 N**-k``, rounding and underflow terms together meet ``eps`` up to
+    index ``min(m_max, 170)`` (:func:`depth_for_eps`) and runs the doubling
     product, performing exactly ``log2(depth)`` truncated multiplications.
     Index 0 is exact; index 1 is the double nearest the exact ``I_1`` and
-    its bound is that rounding error.  Bounds stay within eps up to n = 168;
-    the underflow of ``I_n / n!`` can push n = 169 and 170 above it, and from
-    n = 171 values are 0 and bounds inf.  Raises :class:`OutOfRange` for
-    ``m_max`` above :data:`MAX_INDEX`, before anything is built.
+    its bound is that rounding error.  Bounds up to n = 170 are within eps;
+    from n = 171 values are 0 and bounds inf.  Raises :class:`DepthOverflow`
+    for ``m_max`` above :data:`~cantor_measures.measure.DEPTH_CAP`, before
+    anything is built.
     """
     return _certified_to_eps(w, m_max, eps, shifted=False)
 

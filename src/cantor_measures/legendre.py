@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ._frozen import Frozen
 from .errors import FloatOverflow, InsufficientMoments, NotPalindromic, OutOfRange, ZeroNorm
-from .measure import DEPTH_CAP, WeightVector
+from .measure import WeightVector, _check_cap
 from .moments import MomentSequence, _self_similar_moments
 from .rational import as_fraction, format_rational
 
@@ -191,16 +191,14 @@ def grid_csv(basis: OrthoBasis, n_points: int = GRID_POINTS) -> str:
     export for staircase-measure polynomial figures.  Each polynomial is
     evaluated by one Horner pass over all grid points, in the operation
     order of :func:`eval_poly`, so every value equals ``eval_poly(p, x)``.
-    Raises :class:`OutOfRange` for fewer than 2 points, or for more than
-    :data:`~cantor_measures.measure.DEPTH_CAP` values (points times
+    Raises :class:`OutOfRange` for fewer than 2 points, and
+    :class:`DepthOverflow` for more than ``DEPTH_CAP`` values (points times
     polynomials), before any list is built.
     """
     if n_points < 2:
         raise OutOfRange(f"need at least 2 grid points, got {n_points}")
-    if n_points * len(basis.polys) > DEPTH_CAP:
-        raise OutOfRange(
-            f"{n_points} grid points of {len(basis.polys)} polynomials exceed the cap {DEPTH_CAP}"
-        )
+    _check_cap(n_points * len(basis.polys),
+               f"a grid of {n_points} points by {len(basis.polys)} polynomials")
     normalized = normalize(basis)
     xs = [i / (n_points - 1) for i in range(n_points)]
     columns = [xs]

@@ -46,13 +46,10 @@ DEPTH_CAP = 3**14
 BLOCK_ROWS = 4096
 
 
-def _check_depth(n_base: int, k: int) -> None:
-    """Raise unless ``k >= 1`` and ``n_base**k <= DEPTH_CAP``."""
-    if k < 1:
-        raise OutOfRange(f"depth must be a positive integer, got {k}")
-    # From this exponent on 2**k passes the cap, so a huge N**k is never built.
-    if n_base ** min(k, DEPTH_CAP.bit_length()) > DEPTH_CAP:
-        raise DepthOverflow(f"{n_base}**{k} table entries exceed the cap {DEPTH_CAP}")
+def _check_cap(size: int, what: str) -> None:
+    """The one check of :data:`DEPTH_CAP`: :class:`DepthOverflow` past it."""
+    if size > DEPTH_CAP:
+        raise DepthOverflow(f"{what} exceeds the cap {DEPTH_CAP}")
 
 
 class WeightVector(Frozen):
@@ -122,9 +119,13 @@ def _digit_products(w: WeightVector, k: int) -> tuple[list[int], int]:
     With ``alpha_n = p_n / A`` (:func:`_integer_weights`), cell n has mass
     ``prod_l p_{n_l} / A**k`` over the digits of
     ``n = n_0 + n_1*N + ... + n_{k-1}*N**(k-1)``, ``n_0`` least significant.
-    Depth and size are checked (:func:`_check_depth`) before any product.
+    Depth and size are checked before any product.
     """
-    _check_depth(w.n_branches, k)
+    n_base = w.n_branches
+    if k < 1:
+        raise OutOfRange(f"depth must be a positive integer, got {k}")
+    # From this exponent on 2**k passes the cap, so a huge N**k is never built.
+    _check_cap(n_base ** min(k, DEPTH_CAP.bit_length()), f"a table of {n_base}**{k} entries")
     numerators, common = _integer_weights(w)
     masses = [1]
     # Prepending the most-significant digit keeps n_0 least significant.

@@ -24,6 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 import cantor_measures
 from cantor_measures import (
+    DEPTH_CAP,
+    DepthOverflow,
     cdf_table,
     check_decay,
     check_lipschitz,
@@ -34,7 +36,7 @@ from cantor_measures import (
     shifted_moments,
 )
 from cantor_measures.cli import run
-from cantor_measures.fast import MAX_INDEX, fast_moments, mgf_eval, shifted_fast_moments
+from cantor_measures.fast import fast_moments, mgf_eval, shifted_fast_moments
 from conftest import child_env
 
 
@@ -157,8 +159,8 @@ class TestInputContract:
               "--grid-points", "3"), 1),
             # Past the index cap the fast path used to build the arrays, and
             # --m 10000000000 printed a MemoryError traceback.
-            (("moments", *TERNARY, "--m", str(MAX_INDEX + 1), *FAST, "1e-4"), 1),
-            (("shifted-moments", *TERNARY, "--m", str(MAX_INDEX + 1), *FAST, "1e-4"), 1),
+            (("moments", *TERNARY, "--m", str(DEPTH_CAP + 1), *FAST, "1e-4"), 1),
+            (("shifted-moments", *TERNARY, "--m", str(DEPTH_CAP + 1), *FAST, "1e-4"), 1),
         ],
     )
     def test_malformed_argv(self, capsys, default_int_str_limit, argv, expected):
@@ -187,6 +189,27 @@ class TestInputContract:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,call",
+        [
+            (("moments", *TERNARY, "--m", str(DEPTH_CAP + 1), *FAST, "1e-4"),
+             lambda w: fast_moments(w, DEPTH_CAP + 1, 1e-4)),
+            (("shifted-moments", *TERNARY, "--m", str(DEPTH_CAP + 1), *FAST, "1e-4"),
+             lambda w: shifted_fast_moments(w, DEPTH_CAP + 1, 1e-4)),
+            (("cdf", *TERNARY, "--depth", "15"), lambda w: cdf_table(w, 15)),
+            (("legendre", *TERNARY, "--degree", "2", "--grid-points", str(DEPTH_CAP)),
+             lambda w: grid_csv(monic_basis_general(w, 2), DEPTH_CAP)),
+        ],
+    )
+    def test_every_cap_is_one_check(self, capsys, argv, call):
+        # The table, index and grid caps used to be three checks in three
+        # wordings, two of them OutOfRange; now one check raises DepthOverflow.
+        with pytest.raises(DepthOverflow, match=f"exceeds the cap {DEPTH_CAP}$"):
+            call(parse_weights("1/2,0,1/2"))
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.endswith(f"exceeds the cap {DEPTH_CAP}\n")
 
     def test_depth_cap_environment_ignored(self, capsys, monkeypatch):
         # CANTOR_DEPTH_CAP used to override the table cap; it is read no more.

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import cantor_measures.fast as fast_module
 from cantor_measures import (
+    DEPTH_CAP,
     BadTolerance,
+    DepthOverflow,
     FloatOverflow,
     NotPalindromic,
     OutOfDomain,
@@ -26,7 +28,6 @@ from cantor_measures import (
     shifted_moments,
 )
 from cantor_measures.fast import (
-    MAX_INDEX,
     FastResult,
     depth_for_eps,
     fast_moments,
@@ -162,15 +163,18 @@ class TestDepthForEps:
     @settings(max_examples=50)
     def test_minimal_sufficient_depth(self, n, m, eps, shifted):
         # Truncation plus rounding at every index 2..min(m, 170), with
-        # I_1 <= 1 and every raw moment at most 1.
+        # I_1 <= 1 and every raw moment at most 1, plus the underflow term
+        # at the top index, where it is largest.
         k = depth_for_eps(n, m, eps, shifted)
         assert k & (k - 1) == 0
+        top = min(m, 170)
 
         def bound(depth):
             def at(i):
                 size = 0.5**i if shifted else 1.0
                 return (i * n**-depth + fast_module._rounding(n, depth, i)) * size
-            return max(at(i) for i in range(2, min(m, 170) + 1))
+            underflow = fast_module._underflow(n, depth, top, float(math.factorial(top)))
+            return max(at(i) for i in range(2, top + 1)) + underflow
 
         assert bound(k) <= eps
         if k > 1:
@@ -375,6 +379,22 @@ class TestCertifiedSweep:
                 bound = F(result.certified_bound[n])
                 assert error <= bound <= F(eps), (str(w), m, eps, n)
 
+    def test_seeded_sweep_to_the_top_index(self):
+        # The underflow term of I_n / n! used to be left out of the depth
+        # rule, so bounds at n = 169 and 170 could exceed eps (50 indices of
+        # this sweep did).  Now every bound up to 170 is within eps.
+        rng = random.Random(170)
+        for i in range(40):
+            shifted = i % 2 == 1
+            w = random_weight_vector(rng, 2 + i // 2 % 4, palindromic=shifted)
+            exact = (shifted_moments if shifted else exact_moments)(w, 170).values
+            for eps in (1e-12, 1e-10):
+                result = (shifted_fast_moments if shifted else fast_moments)(w, 170, eps)
+                for n in range(2, 171):
+                    error = abs(F(result.moments[n]) - exact[n])
+                    bound = F(result.certified_bound[n])
+                    assert error <= bound <= F(eps), (str(w), eps, n)
+
     @pytest.mark.parametrize(
         "m,eps",
         # eps just above the truncation term at depth 16 (m = 20) or 32
@@ -411,7 +431,7 @@ class TestCertifiedRange:
                 assert bound == math.inf or (shifted and n % 2 == 1 and bound == 0.0)
             else:
                 assert abs(F(result.moments[n]) - exact.values[n]) <= F(bound), n
-                assert bound <= eps or n > 165, n
+                assert bound <= eps, n
 
     def test_moments_are_series_times_running_factorial(self):
         # The n roundings of the factorial loop the split reconstruction ran,
@@ -589,11 +609,13 @@ def test_range_errors(ternary, call):
 @pytest.mark.parametrize("compute", [fast_moments, shifted_fast_moments])
 def test_index_cap_raises_before_any_array(ternary, compute):
     # m = 10**10 used to pass depth_for_eps and die in np.zeros with a
-    # MemoryError traceback; past the cap nothing is built at all.
+    # MemoryError traceback; past the cap nothing is built at all.  The cap
+    # error is an OutOfRange, as it was before the one cap check.
+    assert issubclass(DepthOverflow, OutOfRange)
     tracemalloc.start()
     try:
-        with pytest.raises(OutOfRange, match="exceeds the cap"):
-            compute(ternary, MAX_INDEX + 1, 1e-4)
+        with pytest.raises(DepthOverflow, match=f"m_max = {DEPTH_CAP + 1} exceeds the cap"):
+            compute(ternary, DEPTH_CAP + 1, 1e-4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
