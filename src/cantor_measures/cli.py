@@ -1,23 +1,22 @@
 """Command-line interface: moments, CDF tables, MGF, polynomials, checks.
 
-One table, ``_COMMANDS``, maps each command's weights and flags to a result
-that renders itself: ``run`` writes its ``to_csv()`` or ``to_json()``.
+``_parse`` reads argv in one pass against ``_FLAGS``, the flags of each
+command, which ``-h`` or ``--help`` prints; the token after a flag is its
+value unless it starts with ``--``.  ``_COMMANDS`` maps each command's
+weights and flags to a result that renders itself, and ``run`` writes its
+``to_csv()`` or ``to_json()`` to ``--output`` (``-``, the default, is stdout).
 
 Exit codes: 0 on success, 1 on a domain error (the message names the
-violated invariant), 2 on usage errors and on output that cannot be
-written.  ``--output -``, the default, is stdout.  Output is deterministic
-UTF-8 with exact rationals rendered as ``p/q`` and floats with 17
-significant digits, so identical invocations produce byte-identical files.
-Only the float renderers (``--mode fast`` and ``mgf``) import :mod:`.fast`,
-and with it numpy.
+violated invariant), 2 on a usage error (one ``error:`` line) and on output
+that cannot be written.  Only the float renderers (``--mode fast`` and
+``mgf``) import :mod:`.fast`, and with it numpy.
 """
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .analysis import check_decay, check_lipschitz
 from .errors import CantorMeasureError
@@ -25,96 +24,96 @@ from .legendre import GRID_POINTS, BasisExport, monic_basis_general
 from .measure import WeightVector, cdf_table, parse_weights
 from .moments import exact_moments, shifted_moments
 
+_REQUIRED = object()  # the default of a flag that must be given
+#: flag: (int, float, str or a tuple of choices; default; minimum; help)
+_COMMON = {
+    "--weights": (str, _REQUIRED, None, "comma-separated exact rationals, e.g. 1/2,0,1/2"),
+    "--format": (("csv", "json"), "csv", None, "output format"),
+    "--output": (str, "-", None, "output path; - is stdout"),
+}
+_MOMENTS = {
+    "--m": (int, _REQUIRED, 0, "highest moment index"),
+    "--mode": (("exact", "fast"), "exact", None, "exact rationals or certified floats"),
+    "--eps": (float, None, None, "fast-mode error budget"),
+}
+_DEPTH = (int, _REQUIRED, 1, "grid depth k (N**k cells)")
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cantor-measures",
-        description="Exact and certified-fast computations for weighted Cantor measures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--weights",
-            required=True,
-            help="comma-separated exact rationals, e.g. 1/2,0,1/2",
-        )
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", default="-", help="output path; - (default) is stdout")
-
-    for name, text in (("moments", "raw moments, exact or certified-fast"),
-                       ("shifted-moments", "moments on [-1/2,1/2] (palindromic)")):
-        p = sub.add_parser(name, help=text)
-        common(p)
-        p.add_argument("--m", type=int, required=True, help="highest moment index")
-        p.add_argument("--mode", choices=("exact", "fast"), default="exact")
-        p.add_argument("--eps", type=float, default=None, help="fast-mode error budget")
-
-    p = sub.add_parser("cdf", help="exact CDF table on the depth-k grid")
-    common(p)
-    p.add_argument("--depth", type=int, required=True)
-
-    p = sub.add_parser("legendre", help="monic orthogonal polynomial basis")
-    common(p)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument(
-        "--grid-points",
-        type=int,
-        default=None,
-        help=f"grid resolution of the CSV plot-data export (default {GRID_POINTS})",
-    )
-
-    p = sub.add_parser("mgf", help="partial-product MGF value at s")
-    common(p)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--depth", type=int, default=30)
-
-    p = sub.add_parser("decay", help="moment decay regime report")
-    common(p)
-    p.add_argument("--m", type=int, default=64, help="highest moment to check")
-
-    p = sub.add_parser("lipschitz", help="CDF Lipschitz bound check for two vectors")
-    common(p)
-    p.add_argument("--weights-b", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    return parser
+#: command: (help, flags besides ``_COMMON``)
+_FLAGS = {
+    "moments": ("raw moments, exact or certified-fast", _MOMENTS),
+    "shifted-moments": ("moments on [-1/2,1/2] (palindromic)", _MOMENTS),
+    "cdf": ("exact CDF table on the depth-k grid", {"--depth": _DEPTH}),
+    "legendre": ("monic orthogonal polynomial basis", {
+        "--degree": (int, _REQUIRED, 0, "highest degree"),
+        "--grid-points": (int, None, 2, f"CSV plot-data grid size (default {GRID_POINTS})")}),
+    "mgf": ("partial-product MGF value at s", {"--s": (float, _REQUIRED, None, "argument s"),
+                                               "--depth": (int, 30, 1, "product factors")}),
+    "decay": ("moment decay regime report", {"--m": (int, 64, 0, "highest moment to check")}),
+    "lipschitz": ("CDF Lipschitz bound check for two vectors", {
+        "--weights-b": (str, _REQUIRED, None, "the second weight vector"), "--depth": _DEPTH}),
+}
 
 
-#: (attribute, flag, smallest accepted value) of the integer size flags.
-_MINIMUMS = (("m", "--m", 0), ("degree", "--degree", 0),
-             ("depth", "--depth", 1), ("grid_points", "--grid-points", 2))
+def _kind(kind, low: int | None) -> str:
+    """What a flag takes, as help and errors name it: ``int >= 0``, ``csv|json``."""
+    return ("|".join(kind) if isinstance(kind, tuple)
+            else kind.__name__ + ("" if low is None else f" >= {low}"))
 
 
-#: Built once per process: ``parse_args`` leaves a parser unchanged, so every
-#: in-process ``run`` shares it.
-_PARSER = _build_parser()
+def _usage(command: str | None) -> str:
+    """The help text: the flags of ``command``, or the commands."""
+    rows = [f"{name:<16} {about}" for name, (about, _) in _FLAGS.items()] if command is None else [
+        f"{flag:<14} {_kind(kind, low):<11} {about}"
+        + {None: "", _REQUIRED: " (required)"}.get(default, f" (default {default})")
+        for flag, (kind, default, low, about) in {**_COMMON, **_FLAGS[command][1]}.items()]
+    return "\n  ".join([f"usage: cantor-measures {command or 'COMMAND'} --flag VALUE ...\n",
+                        *rows])
 
 
-def _parse(argv: Sequence[str] | None) -> tuple[argparse.Namespace, WeightVector]:
+def _exit(code: int, text: str) -> None:
+    """Print the help (code 0) to stdout or one error line to stderr, and exit."""
+    print(f"error: {text}" if code else text, file=sys.stderr if code else sys.stdout)
+    raise SystemExit(code)
+
+
+def _parse(argv: Sequence[str] | None) -> tuple[SimpleNamespace, WeightVector]:
     """Parsed flags and weights; a usage error exits 2, bad weights raise."""
-    # argparse reads a dash-led value such as "-1/3,4/3", "-inf" or "-1e-9"
-    # as a flag; bind it to the flag before it, as "--flag=value" does.
-    argv = list(sys.argv[1:] if argv is None else argv)
-    for i in range(len(argv) - 1, 0, -1):
-        if re.fullmatch("--[a-z-]+", argv[i - 1]) and re.match("-[^-]", argv[i]):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = _PARSER.parse_args(argv)
-    for attr, flag, low in _MINIMUMS:
-        value = getattr(args, attr, None)
-        if value is not None and value < low:
-            _PARSER.error(f"{args.command} {flag} must be at least {low}, got {value}")
+    command, *rest = (sys.argv[1:] if argv is None else argv) or [""]
+    if command in ("-h", "--help"):
+        _exit(0, _usage(None))
+    if command not in _FLAGS:
+        _exit(2, f"unknown command {command!r}; choose from {', '.join(_FLAGS)}")
+    flags, given = {**_COMMON, **_FLAGS[command][1]}, {}
+    for token in (tokens := iter(rest)):
+        if token in ("-h", "--help"):
+            _exit(0, _usage(command))
+        flag, eq, text = token.partition("=")
+        if flag not in flags or flag in given:
+            _exit(2, f"{command}: {'repeated' if flag in given else 'unknown'} argument {token!r}")
+        if not eq and (text := next(tokens, "--")).startswith("--"):
+            _exit(2, f"{command} {flag}: expected a value")
+        kind, _, low, _ = flags[flag]
+        try:
+            value = text if isinstance(kind, tuple) else kind(text)
+            valid = value in kind if isinstance(kind, tuple) else low is None or value >= low
+        except ValueError:
+            valid = False
+        if not valid:
+            _exit(2, f"{command} {flag}: invalid value {text!r}, expected {_kind(kind, low)}")
+        given[flag] = value
+    if missing := [f for f, spec in flags.items() if spec[1] is _REQUIRED and f not in given]:
+        _exit(2, f"{command} {missing[0]}: required")
+    args = SimpleNamespace(command=command, **{
+        flag[2:].replace("-", "_"): given.get(flag, spec[1]) for flag, spec in flags.items()})
     weights = parse_weights(args.weights)
-    fast = getattr(args, "mode", None) == "fast"
-    if fast and args.eps is None:
-        _PARSER.error(f"{args.command} --mode fast requires --eps")
-    if not fast and getattr(args, "eps", None) is not None:
-        _PARSER.error(f"{args.command} --eps applies only to --mode fast")
+    if hasattr(args, "eps") and (args.mode == "fast") == (args.eps is None):
+        _exit(2, f"{command} --eps goes with --mode fast, and only with it")
     if args.format == "json" and getattr(args, "grid_points", None) is not None:
-        _PARSER.error(f"{args.command} --grid-points applies only to --format csv")
+        _exit(2, f"{command} --grid-points applies only to --format csv")
     return args, weights
 
 
-def _moments(w: WeightVector, args: argparse.Namespace):
+def _moments(w: WeightVector, args: SimpleNamespace):
     shifted = args.command == "shifted-moments"
     if shifted and not w.is_palindromic:
         raise CantorMeasureError(
@@ -129,7 +128,7 @@ def _moments(w: WeightVector, args: argparse.Namespace):
     return (shifted_moments if shifted else exact_moments)(w, args.m)
 
 
-def _mgf(w: WeightVector, args: argparse.Namespace):
+def _mgf(w: WeightVector, args: SimpleNamespace):
     from . import fast
 
     return fast.MgfValue(args.s, args.depth, fast.mgf_eval(w, args.s, args.depth))

@@ -245,21 +245,31 @@ class FastResult(Frozen):
                 f"{self.certified_bound.shape} are not two 1-D arrays of equal length"
             )
 
-    def _tail_start(self) -> int:
-        """Start of the trailing run of values ``+0.0`` with bounds ``+inf``."""
+    def _tail(self) -> tuple[int, list[float]]:
+        """Start of the trailing 0/inf run, and the bounds of its first two rows.
+
+        In the run every value is ``+0.0`` and the bounds, each ``+0.0`` or
+        ``+inf``, repeat with period 2: ``inf`` above index 170, and ``0`` at
+        the odd indices of a centred result.
+        """
         values, bounds = self.moments, self.certified_bound
-        in_tail = (values == 0.0) & ~np.signbit(values) & (bounds == math.inf)
+        in_tail = ((values == 0.0) & ~np.signbit(values) & ~np.signbit(bounds)
+                   & ((bounds == 0.0) | (bounds == math.inf)))
+        in_tail[:-2] &= bounds[:-2] == bounds[2:]
         outside = np.flatnonzero(~in_tail)
-        return int(outside[-1]) + 1 if len(outside) else 0
+        top = int(outside[-1]) + 1 if len(outside) else 0
+        return top, bounds[top:top + 2].tolist()
 
     def to_csv(self) -> str:
         # Python floats from tolist() format as format_float does; the tail
-        # rows are all "m,0,inf", one format pass for the lot.
-        top, size = self._tail_start(), len(self.moments)
+        # rows are "m,0,inf" or "m,0,0", one format pass for the lot.
+        (top, period), size = self._tail(), len(self.moments)
         rows = map("%d,%.17g,%.17g\n".__mod__, zip(
             range(top), self.moments[:top].tolist(), self.certified_bound[:top].tolist()
         ))
-        tail = ("%d,0,inf\n" * (size - top)) % tuple(range(top, size))
+        formats, count = ["%%d,0,%.17g\n" % bound for bound in period], size - top
+        tail = ("".join(formats) * (count // 2) + "".join(formats[:count % 2])) % tuple(
+            range(top, size))
         return "m,value,bound\n" + "".join(rows) + tail
 
     def to_json(self) -> str:
@@ -267,15 +277,15 @@ class FastResult(Frozen):
         # rows before the tail go through json.dumps.
         import json
 
-        top, size = self._tail_start(), len(self.moments)
+        (top, period), size = self._tail(), len(self.moments)
 
-        def array(values: np.ndarray, fill: str) -> str:
+        def array(values: np.ndarray, fill: list[str]) -> str:
             items = [json.dumps(values[:top].tolist())[1:-1]] if top else []
-            return "[" + ", ".join(items + [fill] * (size - top)) + "]"
+            return "[" + ", ".join(items + (fill * (size - top))[:size - top]) + "]"
 
         return (f'{{"depth": {json.dumps(self.depth_used)}, '
-                f'"moments": {array(self.moments, "0.0")}, '
-                f'"bounds": {array(self.certified_bound, "Infinity")}}}')
+                f'"moments": {array(self.moments, ["0.0"])}, '
+                f'"bounds": {array(self.certified_bound, [json.dumps(b) for b in period])}}}')
 
 
 def _certified_to_eps(w: WeightVector, m_max: int, eps: float, shifted: bool) -> FastResult:

@@ -33,19 +33,32 @@ def as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+#: ``j: 10**(640 * 2**j)``, the split points of :func:`format_int`, squared
+#: on demand and kept for later calls.  Keyed by j, so two threads that
+#: square the same power store the same entry.
+_POWERS = {0: 10**640}
+
+
 def format_int(value: int) -> str:
     """Decimal digits of an integer of any size, by divide and conquer.
 
     As in :func:`_parse_int`, ``str()`` converts only pieces of at most 640
-    digits; above about 6,000 bits this beats one ``str()`` call.
+    digits; a larger value splits at the largest cached power of ten below
+    it.  Above about 6,000 bits this beats one ``str()`` call.
     """
-    if value.bit_length() <= 2126:  # below 2**2126 < 10**640
+    if abs(value) < _POWERS[0]:
         return str(value)
     if value < 0:
         return "-" + format_int(-value)
-    half = value.bit_length() * 3 // 20  # about half of the digits, and 10**half <= value
-    high, low = divmod(value, 10**half)
-    return format_int(high) + format_int(low).zfill(half)
+    j = 0
+    while 2 * _POWERS[j].bit_length() - 1 <= value.bit_length():  # the next may be <= value
+        if j + 1 not in _POWERS:
+            _POWERS[j + 1] = _POWERS[j] ** 2
+        j += 1
+    if _POWERS[j] > value:
+        j -= 1
+    high, low = divmod(value, _POWERS[j])
+    return format_int(high) + format_int(low).zfill(640 << j)
 
 
 def _parse_int(text: str) -> int:

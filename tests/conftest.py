@@ -71,7 +71,17 @@ def random_weight_vector(
     zero_last: bool = False,
     max_part: int = 9,
 ) -> WeightVector:
-    """Deterministic pseudo-random simplex point for seeded sweeps."""
+    """Deterministic pseudo-random simplex point for seeded sweeps.
+
+    Raises ``ValueError`` when no draw can pass: fewer than one free
+    (possibly nonzero) part, or fewer than two under ``interior``.
+    """
+    # zero_last fixes the last part, and with palindromic the first as well.
+    free = n - zero_last * (1 + palindromic) if max_part > 0 else 0
+    if free < 1 + interior:
+        raise ValueError(f"no weight vector with n = {n}, interior = {interior}, "
+                         f"palindromic = {palindromic}, zero_last = {zero_last}, "
+                         f"max_part = {max_part}")
     while True:
         if palindromic:
             half = [rng.randint(0, max_part) for _ in range((n + 1) // 2)]

@@ -6,7 +6,9 @@ for both.
 """
 from __future__ import annotations
 
+import argparse
 import math
+import re
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
@@ -24,8 +26,10 @@ from cantor_measures import (
     eval_poly,
     exact_moments,
     normalize,
+    parse_weights,
 )
 from cantor_measures.fast import FastResult, _certified, partial_product_series
+from cantor_measures.legendre import GRID_POINTS
 from cantor_measures.rational import format_float, format_int
 
 
@@ -242,3 +246,92 @@ def grid_csv_per_point(basis: OrthoBasis, n_points: int) -> str:
         row = [format_float(x)] + [format_float(eval_poly(p, x)) for p in normalized]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, as it was before the flag table replaced it."""
+    parser = argparse.ArgumentParser(
+        prog="cantor-measures",
+        description="Exact and certified-fast computations for weighted Cantor measures.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--weights",
+            required=True,
+            help="comma-separated exact rationals, e.g. 1/2,0,1/2",
+        )
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--output", default="-", help="output path; - (default) is stdout")
+
+    for name, text in (("moments", "raw moments, exact or certified-fast"),
+                       ("shifted-moments", "moments on [-1/2,1/2] (palindromic)")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--m", type=int, required=True, help="highest moment index")
+        p.add_argument("--mode", choices=("exact", "fast"), default="exact")
+        p.add_argument("--eps", type=float, default=None, help="fast-mode error budget")
+
+    p = sub.add_parser("cdf", help="exact CDF table on the depth-k grid")
+    common(p)
+    p.add_argument("--depth", type=int, required=True)
+
+    p = sub.add_parser("legendre", help="monic orthogonal polynomial basis")
+    common(p)
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument(
+        "--grid-points",
+        type=int,
+        default=None,
+        help=f"grid resolution of the CSV plot-data export (default {GRID_POINTS})",
+    )
+
+    p = sub.add_parser("mgf", help="partial-product MGF value at s")
+    common(p)
+    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--depth", type=int, default=30)
+
+    p = sub.add_parser("decay", help="moment decay regime report")
+    common(p)
+    p.add_argument("--m", type=int, default=64, help="highest moment to check")
+
+    p = sub.add_parser("lipschitz", help="CDF Lipschitz bound check for two vectors")
+    common(p)
+    p.add_argument("--weights-b", required=True)
+    p.add_argument("--depth", type=int, required=True)
+    return parser
+
+
+#: (attribute, flag, smallest accepted value) of the integer size flags.
+_MINIMUMS = (("m", "--m", 0), ("degree", "--degree", 0),
+             ("depth", "--depth", 1), ("grid_points", "--grid-points", 2))
+
+
+def parse_argv(argv: Sequence[str]) -> tuple[argparse.Namespace, WeightVector]:
+    """The CLI's flags and weights as its argparse parser read them.
+
+    A usage error exits 2, bad weights raise.  A dash-led value is bound to
+    the flag before it, then the size minimums, the weights and the
+    ``--eps``/``--grid-points`` rules are checked, in that order.
+    """
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if re.fullmatch("--[a-z-]+", argv[i - 1]) and re.match("-[^-]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for attr, flag, low in _MINIMUMS:
+        value = getattr(args, attr, None)
+        if value is not None and value < low:
+            parser.error(f"{args.command} {flag} must be at least {low}, got {value}")
+    weights = parse_weights(args.weights)
+    fast = getattr(args, "mode", None) == "fast"
+    if fast and args.eps is None:
+        parser.error(f"{args.command} --mode fast requires --eps")
+    if not fast and getattr(args, "eps", None) is not None:
+        parser.error(f"{args.command} --eps applies only to --mode fast")
+    if args.format == "json" and getattr(args, "grid_points", None) is not None:
+        parser.error(f"{args.command} --grid-points applies only to --format csv")
+    return args, weights
+

@@ -35,9 +35,11 @@ from cantor_measures import (
     parse_weights,
     shifted_moments,
 )
+from cantor_measures import cli
 from cantor_measures.cli import run
 from cantor_measures.fast import fast_moments, mgf_eval, shifted_fast_moments
 from conftest import child_env
+from oracles import parse_argv
 
 
 def tiny_last(digits: int) -> str:
@@ -161,6 +163,18 @@ class TestInputContract:
             # --m 10000000000 printed a MemoryError traceback.
             (("moments", *TERNARY, "--m", str(DEPTH_CAP + 1), *FAST, "1e-4"), 1),
             (("shifted-moments", *TERNARY, "--m", str(DEPTH_CAP + 1), *FAST, "1e-4"), 1),
+            # argparse read an abbreviation as the flag it starts, and the
+            # last of two equal flags; either is now a usage error.
+            (("cdf", *TERNARY, "--dep", "3"), 2),
+            (("moments", *TERNARY, "--m", "2", "--mod", "exact"), 2),
+            (("moments", *TERNARY, "--m", "2", "--m", "3"), 2),
+            (("lipschitz", *TERNARY, "--weights-b", "1/2,1/2", "--depth", "1",
+              "--weights=1/2,1/2"), 2),
+            ((), 2),
+            (("--weights", "1/2,1/2", "moments", "--m", "2"), 2),
+            (("moments", *TERNARY, "--m", "2", "3"), 2),
+            (("moments", *TERNARY, "--m", "2", "--output"), 2),
+            (("moments", *TERNARY, "--m", "2", "--output", "--format", "csv"), 2),
         ],
     )
     def test_malformed_argv(self, capsys, default_int_str_limit, argv, expected):
@@ -169,8 +183,47 @@ class TestInputContract:
         assert code == expected
         assert out == ""
         assert "Traceback" not in err
-        if code == 1:
-            assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("moments", *TERNARY, "--m", "-1"), "moments --m: invalid value '-1', expected int >= 0"),
+            (("moments", *TERNARY, "--m", "2", "--mode", "slow"),
+             "moments --mode: invalid value 'slow', expected exact|fast"),
+            (("mgf", *TERNARY, "--s", "x"), "mgf --s: invalid value 'x', expected float"),
+            (("cdf", *TERNARY), "cdf --depth: required"),
+            (("cdf", *TERNARY, "--dep", "3"), "cdf: unknown argument '--dep'"),
+            (("cdf", *TERNARY, "--depth", "3", "--depth=4"), "cdf: repeated argument '--depth=4'"),
+            (("moments", "--weights", "--m", "2"), "moments --weights: expected a value"),
+            (("moments", *TERNARY, "--m", "2", "--eps", "1e-9"),
+             "moments --eps goes with --mode fast, and only with it"),
+        ],
+    )
+    def test_usage_error_names_command_and_flag(self, capsys, argv, message):
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,command",
+        [
+            (("--help",), None),
+            (("-h", "moments"), None),
+            (("moments", "--help"), "moments"),
+            (("cdf", *TERNARY, "--depth", "3", "-h"), "cdf"),
+            (("lipschitz", "-h", "--bogus"), "lipschitz"),
+        ],
+    )
+    def test_help_computes_nothing(self, capsys, monkeypatch, argv, command):
+        # argparse printed the same texts; the flag table now builds them.
+        monkeypatch.setattr(cli, "parse_weights", None)
+        monkeypatch.setattr(cli, "_COMMANDS", {})
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: cantor-measures {command or 'COMMAND'} --flag VALUE")
+        if command is None:
+            assert all(f"\n  {name} " in out for name in cli._FLAGS)
+        else:
+            assert all(f"\n  {flag} " in out for flag in {**cli._COMMON, **cli._FLAGS[command][1]})
 
     def test_long_weight_fails_fast(self, capsys, default_int_str_limit):
         # Parsing the 400,001-digit weight alone used to take 6.6 s.
@@ -569,8 +622,7 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_after_usage_and_domain_errors(self, capsys):
-        # run() shares one parser across calls: errors on earlier calls must
-        # not change what a later call prints.
+        # Errors on earlier calls must not change what a later call prints.
         assert invoke(capsys, "moments", *TERNARY, "--m", "two")[0] == 2
         assert invoke(capsys, "moments", "--weights", "1/2,1/3", "--m", "2")[0] == 1
         argv, digest = GOLDEN[0]
@@ -660,6 +712,40 @@ class TestRunContract:
         assert second == first
 
 
+def parsed(parse, argv) -> object:
+    """What ``parse(argv)`` gives: the flag values (as reprs) and weights, or an exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, weights = parse(argv)
+        except SystemExit as exc:
+            return exc.code
+        except cantor_measures.CantorMeasureError:
+            return 1
+    return {name: repr(value) for name, value in vars(args).items()}, weights
+
+
+class TestFlagTable:
+    """The flag table reads argv as the argparse parser it replaced did."""
+
+    @given(argv=cli_argv())
+    @settings(max_examples=300)
+    def test_parity_with_argparse(self, argv):
+        # Same values where argparse accepted argv, exit 2 where it exited 2,
+        # and the same domain error (exit 1) where the weights are bad.
+        assert parsed(cli._parse, argv) == parsed(parse_argv, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("moments", "--weights", "-1/3,4/3", "--m", "2"),
+        ("mgf", *TERNARY, "--s", "-inf", "--depth=3", "--format=json", "--output", "-"),
+        ("moments", *TERNARY, "--m", "4", *FAST, "-1e-9"),
+        ("legendre", *TERNARY, "--degree", "0", "--grid-points", "2"),
+        ("lipschitz", *TERNARY, "--weights-b=1/3,1/3,1/3", "--depth", "1"),
+    ])
+    def test_dash_led_and_equals_forms(self, argv):
+        # Both parsers bind these; argparse only after the dash-led rewrite.
+        assert parsed(cli._parse, argv) == parsed(parse_argv, argv) != 2
+
+
 #: Runs ``run(argv)`` in a fresh interpreter, then reports on stderr whether
 #: numpy was imported.
 _CHILD = (
@@ -685,8 +771,9 @@ _NEW_MODULES = (
 )
 
 #: Modules the package does not need at import: ``dataclasses`` alone
-#: brings ``inspect``, ``ast``, ``dis`` and ``tokenize``.
-_HEAVY = ("dataclasses", "inspect", "typing", "pathlib")
+#: brings ``inspect``, ``ast``, ``dis`` and ``tokenize``, and ``argparse``
+#: brings ``gettext``, ``locale`` and ``shutil``.
+_HEAVY = ("dataclasses", "inspect", "typing", "pathlib", "argparse", "gettext", "locale")
 
 
 class TestImportIsolation:

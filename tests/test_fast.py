@@ -59,23 +59,34 @@ def reference_renderings(result: FastResult) -> tuple[str, str]:
 #: Rows that are not in the 0/inf tail: ``(value, bound)``.
 _HEAD_ROWS = [(1.0, 0.0), (0.30000000000000004, 1e-17), (5e-324, math.inf),
               (-2.5, math.inf), (0.0, 1e-300)]
+#: A tail row of the centred path, which ends a run of inf bounds only.
+_ZERO_ROW = (0.0, 0.0)
 #: Rows that look like the tail but print otherwise, so they end the run.
-_RUN_BREAKERS = [(-0.0, math.inf), (math.nan, math.inf), (0.0, 1e-3), (0.0, 0.0),
+_RUN_BREAKERS = [(-0.0, math.inf), (math.nan, math.inf), (0.0, 1e-3), _ZERO_ROW,
                  (0.0, -0.0), (0.0, math.nan), (0.0, -math.inf), (math.inf, math.inf)]
 
 
 def _hand_built_cases() -> list[tuple[list[tuple[float, float]], int]]:
-    """Rows and the index where the tail of ``(0.0, inf)`` rows starts."""
+    """Rows and the index where the 0/inf tail starts.
+
+    In the tail every value is ``+0.0`` and the bounds repeat the last two,
+    each ``+0.0`` or ``+inf``: the centred tail alternates them.
+    """
     cases = []
     for size in range(7):  # every tail length, the whole array included
         for tail in range(size + 1):
             head = (_HEAD_ROWS * 2)[: size - tail]
             cases.append((head + [(0.0, math.inf)] * tail, size - tail))
     for row in _RUN_BREAKERS:
-        cases.append(([row], 1))
-        cases.append(([row, (0.0, math.inf)], 1))
+        cases.append(([row], 0 if row is _ZERO_ROW else 1))
+        cases.append(([row, (0.0, math.inf)], 0 if row is _ZERO_ROW else 1))
         cases.append(([_HEAD_ROWS[0], row, (0.0, math.inf), (0.0, math.inf)], 2))
-        cases.append(([(0.0, math.inf), row], 2))
+        cases.append(([(0.0, math.inf), row], 0 if row is _ZERO_ROW else 2))
+    # Both phases of the alternating tail, and rows that break the period.
+    zero, inf = _ZERO_ROW, (0.0, math.inf)
+    cases += [([_HEAD_ROWS[0], inf, zero, inf], 1), ([_HEAD_ROWS[1], zero, inf, zero], 1),
+              ([zero, zero, inf], 1), ([inf, inf, zero, inf], 1), ([zero, inf, inf], 1),
+              ([(-0.0, 0.0), inf, zero], 1), ([zero, (0.0, -0.0), zero, inf], 2)]
     return cases
 
 
@@ -555,18 +566,19 @@ class TestFastResultType:
     def test_renderers_match_reference_on_hand_built_tails(self, rows, tail_start):
         result = FastResult(moments=np.array([v for v, _ in rows], dtype=float), depth_used=4,
                             certified_bound=np.array([b for _, b in rows], dtype=float))
-        assert result._tail_start() == tail_start
+        assert result._tail()[0] == tail_start
         assert (result.to_csv(), result.to_json()) == reference_renderings(result)
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 170, 171, 400, 4096])
+    @pytest.mark.parametrize("m", [0, 1, 2, 170, 171, 400, 4096, 200, 201])
     @pytest.mark.parametrize("shifted", [False, True])
     def test_renderers_match_reference_on_pipeline_results(self, ternary, m, shifted):
         result = (shifted_fast_moments if shifted else fast_moments)(ternary, m, 1e-8)
         assert (result.to_csv(), result.to_json()) == reference_renderings(result)
-        # The raw tail starts at 171; a shifted one alternates bounds 0 and
-        # inf there, so only an even last index, with bound inf, is in it.
-        expected = m + 1 if m <= 170 else (m + m % 2 if shifted else 171)
-        assert result._tail_start() == expected
+        # The tail starts at 171, where a centred one alternates bounds 0
+        # (odd n) and inf (even n); below it, an odd last centred index,
+        # value 0 and bound 0, is a tail of one row.
+        expected = 171 if m > 170 else m + 1 - (shifted and m % 2)
+        assert result._tail()[0] == expected
 
     @pytest.mark.parametrize(
         "moments,bounds",

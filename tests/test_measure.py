@@ -191,6 +191,50 @@ class TestFormatInt:
             sys.set_int_max_str_digits(previous)
         assert rendered == expected
 
+    def test_at_the_cached_split_points(self):
+        # A value splits at the largest cached 10**(640 * 2**j) below it.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int/str digit limit")
+        values = [0, 2**2126]
+        for k in (640, 1280, 2560):
+            values += [10**k - 1, 10**k, 10**k + 1]
+        values += [-v for v in values]
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert [format_int(v) for v in values] == [str(v) for v in values]
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+
+class TestRandomWeightVector:
+    """The seeded-sweep helper of ``conftest``."""
+
+    @pytest.mark.parametrize("n,options", [
+        (2, {"zero_last": True}),
+        (2, {"zero_last": True, "palindromic": True}),
+        (3, {"zero_last": True, "palindromic": True}),
+        (2, {"zero_last": True, "palindromic": True, "interior": False}),
+        (1, {}),
+        (4, {"max_part": 0, "interior": False}),
+    ])
+    def test_impossible_draws_raise(self, n, options):
+        # These used to loop forever: no draw can pass.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="no weight vector"):
+            random_weight_vector(random.Random(0), n, **options)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("n,options", [
+        (2, {"zero_last": True, "interior": False}),
+        (3, {"zero_last": True, "palindromic": True, "interior": False}),
+        (3, {"zero_last": True}),
+        (4, {"zero_last": True, "palindromic": True}),
+    ])
+    def test_possible_draws_return(self, n, options):
+        w = random_weight_vector(random.Random(0), n, **options)
+        assert w.n_branches == n and w.weights[-1] == 0
+
 
 class TestKroneckerPower:
     def test_identity_at_depth_one(self):
