@@ -54,7 +54,7 @@ _FLAGS = {
 }
 
 
-def _kind(kind, low: int | None) -> str:
+def _expects(kind, low: int | None) -> str:
     """What a flag takes, as help and errors name it: ``int >= 0``, ``csv|json``."""
     return ("|".join(kind) if isinstance(kind, tuple)
             else kind.__name__ + ("" if low is None else f" >= {low}"))
@@ -63,7 +63,7 @@ def _kind(kind, low: int | None) -> str:
 def _usage(command: str | None) -> str:
     """The help text: the flags of ``command``, or the commands."""
     rows = [f"{name:<16} {about}" for name, (about, _) in _FLAGS.items()] if command is None else [
-        f"{flag:<14} {_kind(kind, low):<11} {about}"
+        f"{flag:<14} {_expects(kind, low):<11} {about}"
         + {None: "", _REQUIRED: " (required)"}.get(default, f" (default {default})")
         for flag, (kind, default, low, about) in {**_COMMON, **_FLAGS[command][1]}.items()]
     return "\n  ".join([f"usage: cantor-measures {command or 'COMMAND'} --flag VALUE ...\n",
@@ -99,7 +99,7 @@ def _parse(argv: Sequence[str] | None) -> tuple[SimpleNamespace, WeightVector]:
         except ValueError:
             valid = False
         if not valid:
-            _exit(2, f"{command} {flag}: invalid value {text!r}, expected {_kind(kind, low)}")
+            _exit(2, f"{command} {flag}: invalid value {text!r}, expected {_expects(kind, low)}")
         given[flag] = value
     if missing := [f for f, spec in flags.items() if spec[1] is _REQUIRED and f not in given]:
         _exit(2, f"{command} {missing[0]}: required")

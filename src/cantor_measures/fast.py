@@ -268,9 +268,8 @@ class FastResult(Frozen):
             range(top), self.moments[:top].tolist(), self.certified_bound[:top].tolist()
         ))
         formats, count = ["%%d,0,%.17g\n" % bound for bound in period], size - top
-        tail = ("".join(formats) * (count // 2) + "".join(formats[:count % 2])) % tuple(
-            range(top, size))
-        return "m,value,bound\n" + "".join(rows) + tail
+        tail = "".join(formats) * (count // 2) + "".join(formats[:count % 2])
+        return "m,value,bound\n" + "".join(rows) + tail % tuple(range(top, size))
 
     def to_json(self) -> str:
         # Equal to json.dumps of the dict of depth and both lists; only the

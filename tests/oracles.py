@@ -334,4 +334,3 @@ def parse_argv(argv: Sequence[str]) -> tuple[argparse.Namespace, WeightVector]:
     if args.format == "json" and getattr(args, "grid_points", None) is not None:
         parser.error(f"{args.command} --grid-points applies only to --format csv")
     return args, weights
-

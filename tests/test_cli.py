@@ -188,7 +188,8 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (("moments", *TERNARY, "--m", "-1"), "moments --m: invalid value '-1', expected int >= 0"),
+            (("moments", *TERNARY, "--m", "-1"),
+             "moments --m: invalid value '-1', expected int >= 0"),
             (("moments", *TERNARY, "--m", "2", "--mode", "slow"),
              "moments --mode: invalid value 'slow', expected exact|fast"),
             (("mgf", *TERNARY, "--s", "x"), "mgf --s: invalid value 'x', expected float"),
@@ -214,7 +215,7 @@ class TestInputContract:
         ],
     )
     def test_help_computes_nothing(self, capsys, monkeypatch, argv, command):
-        # argparse printed the same texts; the flag table now builds them.
+        # Help exits 0 before any weight is parsed or any command runs.
         monkeypatch.setattr(cli, "parse_weights", None)
         monkeypatch.setattr(cli, "_COMMANDS", {})
         code, out, err = invoke(capsys, *argv)
