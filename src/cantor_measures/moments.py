@@ -19,7 +19,9 @@ grows, with gap strictly below ``(1 + N**-k)**m - 1``.
 Shifted moments ``J_m`` (measure translated to ``[-1/2, 1/2]``) satisfy
 the same recurrence with the branch offsets ``n`` replaced by
 ``n - (N-1)/2``; both are solved by one integer kernel.  ``|J_m| <= 2**-m``
-for every weight vector.
+for every weight vector; the odd ``J_m`` of palindromic weights vanish, and
+the kernel steps over even indices only.  Large reduced denominators print
+as the kernel's denominator product over a small cofactor, in ``decimal``.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from fractions import Fraction
 from ._frozen import Frozen
 from .errors import OutOfRange
 from .measure import WeightVector, _digit_products, _integer_weights
-from .rational import format_int, format_rational
+from .rational import _POWERS, format_int, format_rational
 
 
 class MomentSequence(Frozen):
@@ -60,10 +62,7 @@ class MomentSequence(Frozen):
 
     def to_csv(self) -> str:
         lines = ["m,numerator,denominator"]
-        lines += [
-            f"{m},{format_int(v.numerator)},{format_int(v.denominator)}"
-            for m, v in enumerate(self.values)
-        ]
+        lines += [f"{m},{n},{d}" for m, (n, d) in enumerate(self._digits())]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -72,10 +71,36 @@ class MomentSequence(Frozen):
         return json.dumps(
             {
                 "kind": self.kind,
-                "moments": [format_rational(v) for v in self.values],
+                "moments": [f"{n}/{d}" for n, d in self._digits()],
                 "weights": [format_rational(w) for w in self.weights],
             }
         )
+
+    def _digits(self) -> list[tuple[str, str]]:
+        """Numerator and denominator digits of each moment.
+
+        A computed denominator ``L_m`` past ``10**640`` is the kernel's ``D_m``
+        (:func:`_chain`) over a cofactor g.  While g is below ``10**640`` too,
+        ``L_m`` prints as ``D_m // g`` in exact ``decimal`` arithmetic, linear
+        in the size of ``D_m``; any other goes through :func:`format_int`."""
+        from decimal import MAX_EMAX, MAX_PREC, Context, Inexact
+
+        leaf, texts = _POWERS[0], []
+        if all(v.denominator < leaf for v in self.values):  # no chain needed
+            return [(format_int(v.numerator), str(v.denominator)) for v in self.values]
+        stride = 1 if any(self.values[1::2]) else 2  # the kernel's stride, see its docstring
+        factors = _chain(self.weights, self.m_max, 2 if self.kind == "shifted" else 1, stride)
+        context = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+        chain = pending = digits = 1  # digits * pending == chain == D_m
+        for v, factor in zip(self.values, factors):
+            chain, pending, den = chain * factor, pending * factor, v.denominator
+            near = leaf <= den and chain.bit_length() - den.bit_length() <= leaf.bit_length()
+            g, rest = divmod(chain, den) if near else (0, 1)
+            if not rest:  # the Decimal product starts at the first index that uses it
+                digits, pending = context.multiply(digits, pending), 1
+            texts.append((format_int(v.numerator),
+                          format_int(den) if rest else str(context.divide_int(digits, g))))
+        return texts
 
 
 def _pascal_row(previous: list[int]) -> list[int]:
@@ -83,54 +108,59 @@ def _pascal_row(previous: list[int]) -> list[int]:
     return [1] + [previous[i - 1] + previous[i] for i in range(1, len(previous))] + [1]
 
 
+def _chain(w: WeightVector, m_max: int, q: int, stride: int) -> list[int]:
+    """Factors of ``D_m = f_1 * ... * f_m``: ``A (N**m - 1) q**stride`` if stride | m, else 1."""
+    common, n_base = _integer_weights(w)[1], w.n_branches
+    return [1] + [common * (n_base**m - 1) * q**stride if m % stride == 0 else 1
+                  for m in range(1, m_max + 1)]
+
+
 def _self_similar_moments(
     w: WeightVector, offsets: Sequence[int], m_max: int, q: int = 1
 ) -> tuple[list[int], list[int]]:
     """Unreduced moments ``E[Y**m] = u_m / D_m`` of ``Y = (c_n / q + Y') / N``.
 
-    Branch n is taken with probability ``alpha_n``.
+    Branch n is taken with probability ``alpha_n = p_n / A``, A the lcm of
+    the weight denominators.  With the integer power sums
+    ``P_j = sum_n p_n * c_n**j`` and the step factors ``s_j = A * (N**j - 1)``,
+    the moments ``X_m = E[(qY)**m]`` satisfy ``s_m X_m = sum_{i<m} C(m,i)
+    P_{m-i} X_i``.  The stride r is 2 when every odd ``P_j`` vanishes
+    (centred palindromic offsets): by induction every odd ``X_m`` is then 0,
+    and an even one reads only even i.  Conversely, odd ``X_m`` that all
+    vanish force every odd ``P_j`` to.  Else r is 1.  The loop keeps
+    ``u_m = X_m * s_r * s_{2r} * ... * s_m`` for r | m, so
 
-    With A the lcm of the weight denominators, ``alpha_n = p_n / A``, the
-    integer power sums ``P_j = sum_n p_n * c_n**j`` and the step factors
-    ``s_j = A * (N**j - 1)``, the moments ``X_m = E[(qY)**m]`` satisfy
-    ``s_m X_m = sum_{i<m} C(m,i) P_{m-i} X_i``.  The loop keeps the integer
-    numerators ``u_m = X_m * s_1 * ... * s_m``, so
-
-        u_m = sum_{i<m} C(m,i) P_{m-i} u_i * s_{i+1} * ... * s_{m-1},
+        u_m = sum_{i<m, r|i} C(m,i) P_{m-i} u_i * s_{i+r} * ... * s_{m-r},
 
     evaluated as a Horner sum over the step factors: one big-integer product
     per i, and no stored ``u_i`` is ever rescaled.  The power sums cost
-    O(N * m_max) products and the steps O(m_max**2) big products.  Returns
-    the numerators ``u_0..u_{m_max}`` and the denominators
-    ``D_m = s_1 * ... * s_m * q**m``, unreduced: a caller that prints
-    values reduces each one (one gcd per index), and one that only compares
-    or rounds them reads the integers as they are.
+    O(N * m_max) products and the steps O((m_max / r)**2) big products.
+    Returns the numerators ``u_0..u_{m_max}`` and the denominators ``D_m``
+    of :func:`_chain`, unreduced: a caller that prints values reduces each
+    one (one gcd per index), and one that only compares or rounds them reads
+    the integers as they are.
     """
     if m_max < 0:
         raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
-    n_base = w.n_branches
-    numerators, common = _integer_weights(w)
-    branches = [(p_n, c) for p_n, c in zip(numerators, offsets) if p_n and c]
+    branches = [(p_n, c) for p_n, c in zip(_integer_weights(w)[0], offsets) if p_n and c]
     power_sums = [0]  # power_sums[j] == P_j for j >= 1
     terms = [p_n for p_n, _ in branches]
     for _ in range(m_max):
         terms = [t * c for t, (_, c) in zip(terms, branches)]
         power_sums.append(sum(terms))
-    steps = [common * (n_base**j - 1) for j in range(m_max + 1)]
-    scaled = [1]  # scaled[i] == u_i
-    row = [1]
+    stride = 1 if any(power_sums[1::2]) else 2
+    factors = _chain(w, m_max, q, stride)
+    steps = [f // q**stride for f in factors]  # s_j where the stride divides j
+    scaled, row = [1], [1]  # scaled[i] == u_i
     for m in range(1, m_max + 1):
         row = _pascal_row(row)
         acc = power_sums[m]
-        for i in range(1, m):
-            acc *= steps[i]
-            coefficient = row[i] * power_sums[m - i]
-            if coefficient:  # odd P_j vanish for centred palindromic offsets
-                acc += coefficient * scaled[i]
+        for i in range(stride, m if m % stride == 0 else 0, stride):
+            acc = acc * steps[i] + row[i] * power_sums[m - i] * scaled[i]
         scaled.append(acc)
     denominators = [1]
-    for m in range(1, m_max + 1):
-        denominators.append(denominators[-1] * steps[m] * q)
+    for factor in factors[1:]:
+        denominators.append(denominators[-1] * factor)
     return scaled, denominators
 
 

@@ -7,6 +7,7 @@ for both.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import re
 from fractions import Fraction
@@ -29,8 +30,9 @@ from cantor_measures import (
     parse_weights,
 )
 from cantor_measures.fast import FastResult, _certified, partial_product_series
+from cantor_measures.measure import _integer_weights
 from cantor_measures.legendre import GRID_POINTS
-from cantor_measures.rational import format_float, format_int
+from cantor_measures.rational import format_float, format_int, format_rational
 
 
 def branch_recurrence_moments(
@@ -63,6 +65,55 @@ def branch_recurrence_moments(
         scaled.append(total)
         denom *= step
     return tuple(Fraction(u, denom * q**m) for m, u in enumerate(scaled))
+
+
+def full_stride_moments(
+    w: WeightVector, offsets: Sequence[int], m_max: int, q: int = 1
+) -> tuple[list[int], list[int]]:
+    """Unreduced ``E[Y**m] = u_m / D_m`` by the power-sum Horner kernel at stride 1.
+
+    The package's kernel before it stepped over even indices only: every
+    step factor ``s_j = A (N**j - 1)`` enters ``D_m = s_1 * ... * s_m * q**m``,
+    and odd power sums that vanish are skipped term by term.
+    """
+    n_base = w.n_branches
+    numerators, common = _integer_weights(w)
+    branches = [(p_n, c) for p_n, c in zip(numerators, offsets) if p_n and c]
+    power_sums = [0]
+    terms = [p_n for p_n, _ in branches]
+    for _ in range(m_max):
+        terms = [t * c for t, (_, c) in zip(terms, branches)]
+        power_sums.append(sum(terms))
+    steps = [common * (n_base**j - 1) for j in range(m_max + 1)]
+    scaled = [1]
+    for m in range(1, m_max + 1):
+        acc = power_sums[m]
+        for i in range(1, m):
+            acc *= steps[i]
+            coefficient = math.comb(m, i) * power_sums[m - i]
+            if coefficient:
+                acc += coefficient * scaled[i]
+        scaled.append(acc)
+    denominators = [1]
+    for m in range(1, m_max + 1):
+        denominators.append(denominators[-1] * steps[m] * q)
+    return scaled, denominators
+
+
+def moments_csv(moments: MomentSequence) -> str:
+    """CSV of a moment sequence with :func:`format_int` on both parts of
+    each value: the package's renderer before it printed denominators from
+    the kernel's chain."""
+    rows = [f"{m},{format_int(v.numerator)},{format_int(v.denominator)}"
+            for m, v in enumerate(moments.values)]
+    return "\n".join(["m,numerator,denominator", *rows]) + "\n"
+
+
+def moments_json(moments: MomentSequence) -> str:
+    """JSON of a moment sequence rendered value by value, as :func:`moments_csv`."""
+    return json.dumps({"kind": moments.kind,
+                       "moments": [format_rational(v) for v in moments.values],
+                       "weights": [format_rational(a) for a in moments.weights]})
 
 
 def exact_moments_via_depth(w: WeightVector, k: int, m_max: int) -> MomentSequence:

@@ -85,6 +85,13 @@ class TestCheckDecay:
         assert report.gamma == 0.0
         assert report.witness_constant == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_dirac_at_zero(self, n):
+        # The only raw vector whose moment kernel runs at stride 2.
+        report = check_decay(WeightVector([1] + [0] * (n - 1)), 12)
+        assert (report.regime, report.gamma, report.witness_constant) == ("exponential", math.inf, 1.0)
+        assert (report.max_m_checked, report.violations) == (12, ())
+
     @given(weight_vectors_st(zero_last=True), st.integers(2, 16))
     @settings(max_examples=30)
     def test_exponential_regime_random(self, w, m_max):

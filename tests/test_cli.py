@@ -604,6 +604,12 @@ GOLDEN = [
      "d0877fbdd6163fe64ca32515c865507ea114b5b1e2489f6a7488fb60d4251182"),
     (("legendre", *FOUR_BRANCH, "--degree", "8", "--grid-points", "57"),
      "bb4d0e520f59be5fdf0e8d01c352ea6fe198f55765063553cf54350fa1efb1a3"),
+    # Denominators whose cofactor is too large for the decimal route.
+    (("moments", "--weights", "1/2,0,1/2", "--m", "300"),
+     "b036ae14c0d1fcb60b4b91606b1d87c97d2a4fd90847b6009228219fecca1f7d"),
+    # A palindromic vector: the stride-2 kernel and its chain.
+    (("shifted-moments", "--weights", "1/3,1/9,1/9,1/9,1/3", "--m", "200", "--format", "json"),
+     "70e464eb8017c616e2aa23f8bb65a8612211f4d1ba5ddc245e44ba7e84555d67"),
 ]
 
 

@@ -124,6 +124,14 @@ class TestGeneralBasis:
         with pytest.raises(ZeroNorm):
             monic_basis_general(WeightVector([0, 1]), 1)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_dirac_at_zero(self, n):
+        # The only raw vector whose moment kernel runs at stride 2.
+        w = WeightVector([1] + [0] * (n - 1))
+        assert monic_basis_general(w, 0).polys == ((F(1),),)
+        with pytest.raises(ZeroNorm, match="degree 1"):
+            monic_basis_general(w, 3)
+
     @given(weight_vectors_st(interior=True), st.integers(1, 5))
     @settings(max_examples=25)
     def test_orthogonal_to_lower_monomials(self, w, d):

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -20,19 +22,58 @@ from cantor_measures import (
     parse_weights,
     shifted_moments,
 )
+from cantor_measures import moments
+from cantor_measures.moments import _self_similar_moments
 from cantor_measures.rational import parse_rational
 
-from conftest import weight_vectors_st
+from conftest import parts_to_weights, random_weight_vector, weight_vectors_st
 from oracles import (
     approx_error_depth,
     branch_recurrence_moments,
     exact_moments_via_depth,
+    full_stride_moments,
+    moments_csv,
+    moments_json,
     palindromic_odd_moment,
 )
 
 F = Fraction
 
 TERNARY_MOMENTS = (F(1), F(1, 2), F(3, 8), F(5, 16), F(87, 320))
+
+
+def centred_sweep(seed: int = 25) -> list[tuple[WeightVector, int]]:
+    """Seeded ``(w, m)`` for the shifted kernel, N = 2..5, m from 100 to 150.
+
+    Per N: a palindromic vector, for odd N also one with a zero middle
+    weight, and a vector that is not palindromic.
+    """
+    rng = random.Random(seed)
+    vectors = []
+    for n in range(2, 6):
+        half = [rng.randint(1, 9) for _ in range(n // 2)]
+        for middle in ([0], [rng.randint(1, 9)]) if n % 2 else ([],):
+            vectors.append(parts_to_weights(half + middle + half[::-1]))
+        parts = [rng.randint(0, 9) for _ in range(n)]
+        parts[0] = parts[-1] + 1  # not palindromic
+        vectors.append(parts_to_weights(parts))
+    return [(w, rng.randint(100, 150)) for w in vectors]
+
+
+def render_sweep(seed: int = 26) -> list[tuple[WeightVector, str, int]]:
+    """Seeded ``(w, kind, m)`` for the renderer, N = 2..5, m from 100 to 200.
+
+    Per N: a raw and a shifted sequence of a vector with zero weights
+    allowed, and a shifted palindromic one (the stride-2 chain).
+    """
+    rng = random.Random(seed)
+    cases = []
+    for n in range(2, 6):
+        cases.append((random_weight_vector(rng, n), "raw", rng.randint(100, 200)))
+        cases.append((random_weight_vector(rng, n), "shifted", rng.randint(100, 200)))
+        w = random_weight_vector(rng, n, palindromic=True)
+        cases.append((w, "shifted", rng.randint(100, 200)))
+    return cases
 
 
 def brute_force_left_sum(w, k: int, m: int) -> Fraction:
@@ -153,6 +194,17 @@ class TestKernelOracle:
         kernel = shifted_moments if shifted else exact_moments
         expected = branch_recurrence_moments(w, m_max, shifted)
         assert kernel(w, m_max).values == expected
+
+    @pytest.mark.parametrize("w,m_max", centred_sweep())
+    def test_equals_full_stride(self, w, m_max):
+        offsets = range(1 - w.n_branches, w.n_branches, 2)
+        got = _self_similar_moments(w, offsets, m_max, q=2)
+        expected = full_stride_moments(w, offsets, m_max, q=2)
+        if w.is_palindromic:  # stride 2: equal values, a chain without odd steps
+            assert list(map(F, *got)) == list(map(F, *expected))
+            assert got[1][-1].bit_length() < expected[1][-1].bit_length()
+        else:  # stride 1: the same integers
+            assert got == expected
 
 
 class TestLeftEndpointEstimate:
@@ -338,3 +390,57 @@ class TestMomentSequenceType:
         data = json.loads(ms.to_json())
         assert data["kind"] == "shifted"
         assert [parse_rational(v) for v in data["moments"]] == list(ms.values)
+
+
+class TestRendering:
+    """Denominators printed from the kernel's chain against value-by-value rendering."""
+
+    @pytest.mark.parametrize("w,kind,m_max", render_sweep())
+    def test_equals_per_value(self, w, kind, m_max):
+        ms = (exact_moments if kind == "raw" else shifted_moments)(w, m_max)
+        if len(set(w.weights)) > 1:  # uniform weights: Lebesgue, small denominators
+            assert max(v.denominator for v in ms.values) >= 10**640
+        assert ms.to_csv() == moments_csv(ms)
+        assert ms.to_json() == moments_json(ms)
+
+    @pytest.mark.parametrize("kernel,weights,m_max", [
+        (exact_moments, "2/9,2/9,1/3,2/9", 133),
+        (shifted_moments, "1/5,1/10,2/5,1/10,1/5", 150),  # the stride-2 chain
+    ])
+    def test_large_denominators_skip_format_int(self, monkeypatch, kernel, weights, m_max):
+        ms = kernel(parse_weights(weights), m_max)
+        large = {v.denominator for v in ms.values if v.denominator >= 10**640}
+        calls = []
+        real = moments.format_int
+        monkeypatch.setattr(moments, "format_int", lambda v: calls.append(v) or real(v))
+        ms.to_csv()
+        assert large and not large & set(calls)
+
+    @pytest.mark.parametrize("kind", ["raw", "shifted"])
+    def test_hand_built_off_chain(self, kind):
+        w = parse_weights("2/9,2/9,1/3,2/9")
+        n = w.n_branches
+        offsets, q = (range(n), 1) if kind == "raw" else (range(1 - n, n, 2), 2)
+        chain = _self_similar_moments(w, offsets, 120, q)[1]
+        values = [F(1)] + [F(1, 10**700 + 1), F(-3, 7 * 10**650), F(0)] * 30
+        values += [F(1, chain[91]), F(5, 3 * chain[92]), F(1, chain[93] // 2 + 1)]
+        values += [F(7, chain[m] // 3) for m in range(94, 121)]
+        ms = MomentSequence(w, kind, tuple(values))
+        assert ms.to_csv() == moments_csv(ms)
+        assert ms.to_json() == moments_json(ms)
+        assert ms.to_csv().split("\n")[2] == "1,1," + "1" + "0" * 699 + "1"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="interpreter without an int/str digit limit")
+    def test_strictest_digit_limit(self):
+        sequences = [exact_moments(parse_weights("2/9,2/9,1/3,2/9"), 133),
+                     shifted_moments(parse_weights("1/5,1/10,2/5,1/10,1/5"), 150)]
+        expected = [(moments_csv(ms), moments_json(ms)) for ms in sequences]
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = [(ms.to_csv(), ms.to_json()) for ms in sequences]
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert got == expected
