@@ -10,10 +10,15 @@ Three checkable facts about a weighted Cantor measure:
 * depth-k CDF interpolants are Lipschitz in the weights:
   ``sup|F_alpha,k - F_beta,k| <= k * N**k * max|alpha - beta|``.
 
-The polynomial-decay branch ships as a bounded-range empirical check (the
-infimum of ``I_m * m**gamma`` over ``1 <= m <= m_max``) because the
-constant in the supporting argument is not constructive; the exponential
-branch and the Lipschitz bound are exact rational comparisons.
+The polynomial-decay branch reports the empirical infimum of
+``I_m * m**gamma`` over ``1 <= m <= m_max``.  A constant is at hand (the
+last depth-k cell, ``k = ceil(log_N m)``, gives ``I_m >= (alpha_{N-1}/4) *
+m**-gamma`` for m >= 2) but is not checked yet.  The exponential branch is
+an exact comparison and the Lipschitz bound an exact rational one.  Both
+decay branches read a fixed-point enclosure of ``I_m``, O(m**2) products of
+O(m)-bit integers where the exact kernel's grow to O(m**2) bits, and fall
+back to the exact kernel only where the enclosure leaves a float or a
+comparison undecided.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from collections import namedtuple
 from ._frozen import Frozen
 from .errors import Degenerate, FloatOverflow, InsufficientMoments, MeshMismatch
 from .measure import WeightVector, cdf_sup_distance, cdf_table
-from .moments import _self_similar_moments
+from .moments import _moment_enclosure, _self_similar_moments
 from .rational import format_float, format_rational
 
 
@@ -89,36 +94,62 @@ def check_decay(w: WeightVector, m_max: int) -> DecayReport:
     and no violations, or raises :class:`FloatOverflow` when the last
     weight is so small that this float report leaves the double range.
 
-    Both read the moment kernel's unreduced ``I_m = u_m / D_m``: the exact
-    test is ``u_m * N**m > D_m * (N-1)**m``, and ``u_m / D_m`` is integer
-    true division, correctly rounded, so each float equals that of the
-    reduced ``Fraction``.  No value is reduced.
+    Both read the fixed-point enclosure ``lo_m <= I_m * 2**b <= lo_m + m``
+    of :func:`moments._moment_enclosure`, with ``b = 96 + m_max * bits(N)``.
+    A float is decided when both ends, in integer true division, round to
+    the same double (rounding is monotone, so that double is the correctly
+    rounded value), and the exact test ``I_m * N**m > (N-1)**m`` when both
+    ends fall on one side.  If some index stays undecided (a value on a
+    rounding tie, an exact 0, or one below ``2**-b``), the exact kernel's
+    ``u_m / D_m`` decides every index instead, with the same tests on an
+    interval of width 0.  Either way each float equals that of the reduced
+    ``Fraction``, and no value is reduced.
     """
     n_base = w.n_branches
-    numerators, denominators = _self_similar_moments(w, range(n_base), m_max)
+    bits = 96 + m_max * n_base.bit_length()
+    lows = _moment_enclosure(w, m_max, bits)
     if m_max < 1:
         raise InsufficientMoments("need at least the first moment")
-    last = w.weights[-1]
-    if last == 0:
-        regime, gamma = "exponential", math.inf
-        scaled = [(u * n_base**m, d * (n_base - 1)**m)
-                  for m, (u, d) in enumerate(zip(numerators, denominators))]
-        witness = max(u / d for u, d in scaled)
-        violations = tuple(m for m, (u, d) in enumerate(scaled) if u > d)
-    else:
-        regime, violations = "polynomial", ()
-        try:
-            gamma = math.log(1 / float(last)) / math.log(n_base)
-            terms = [numerators[m] / denominators[m] * m**gamma for m in range(1, m_max + 1)]
-            if gamma == math.inf or not all(0 < t < math.inf for t in terms):
-                raise OverflowError
-        except (ZeroDivisionError, OverflowError):
-            raise FloatOverflow(
-                "the decay witness I_m * m**gamma leaves the double range: "
-                "the last weight is too small for a float report"
-            ) from None
-        witness = min(terms)
-    return DecayReport(regime, gamma, witness, m_max, violations)
+    one = 1 << bits
+    report = _decay_report(w, [(lo, lo + m, one) for m, lo in enumerate(lows)])
+    if report is None:
+        numerators, denominators = _self_similar_moments(w, range(n_base), m_max)
+        report = _decay_report(w, list(zip(numerators, numerators, denominators)))
+    return report
+
+
+def _decay_report(w: WeightVector, bounds: list[tuple[int, int, int]]) -> DecayReport | None:
+    """The report from ``lo_m / d_m <= I_m <= hi_m / d_m`` for each ``(lo_m, hi_m, d_m)``
+    of ``bounds``, or None when they leave a float or a comparison undecided."""
+    n_base, last, m_max = w.n_branches, w.weights[-1], len(bounds) - 1
+    if last == 0:  # the bounds of I_m * (N/(N-1))**m, compared with 1
+        values, violations = [], []
+        for m, (lo, hi, d) in enumerate(bounds):
+            lo, hi, d = lo * n_base**m, hi * n_base**m, d * (n_base - 1)**m
+            value = lo / d
+            if value != hi / d or lo <= d < hi:
+                return None
+            values.append(value)
+            if lo > d:
+                violations.append(m)
+        return DecayReport("exponential", math.inf, max(values), m_max, tuple(violations))
+    try:
+        gamma = math.log(1 / float(last)) / math.log(n_base)
+        # An overflowing m**gamma raises here, before the exact kernel could run.
+        powers, terms = [m**gamma for m in range(1, m_max + 1)], []
+        for power, (lo, hi, d) in zip(powers, bounds[1:]):
+            value = lo / d
+            if value != hi / d:
+                return None
+            terms.append(value * power)
+        if gamma == math.inf or not all(0 < t < math.inf for t in terms):
+            raise OverflowError
+    except (ZeroDivisionError, OverflowError):
+        raise FloatOverflow(
+            "the decay witness I_m * m**gamma leaves the double range: "
+            "the last weight is too small for a float report"
+        ) from None
+    return DecayReport("polynomial", gamma, min(terms), m_max, ())
 
 
 class LipschitzCheck(namedtuple("LipschitzCheck", ("distance", "bound", "ok"))):

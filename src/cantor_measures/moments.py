@@ -10,8 +10,10 @@ sum collapses into integer power sums of the offsets, computed once in
 O(N * m) products; each step is then a Horner sum over the step factors
 ``A * (N**j - 1)`` (A the lcm of the weight denominators), O(m**2) big
 products in all, on numerators that are never rescaled.  The moments
-returned as ``Fraction`` are reduced once, by one gcd per index; the decay
-check and the orthogonal bases read the unreduced integers.  The
+returned as ``Fraction`` are reduced once, by one gcd per index; the
+orthogonal bases read the unreduced integers, and the decay check a
+fixed-point enclosure from the same recurrence (:func:`_moment_enclosure`),
+on integers of O(m) bits.  The
 left-endpoint lower sum over the depth-k grid serves as an independent
 brute-force check: it never exceeds ``I_m`` and converges to it as k
 grows, with gap strictly below ``(1 + N**-k)**m - 1``.
@@ -115,6 +117,19 @@ def _chain(w: WeightVector, m_max: int, q: int, stride: int) -> list[int]:
                   for m in range(1, m_max + 1)]
 
 
+def _power_sums(w: WeightVector, offsets: Sequence[int], m_max: int) -> list[int]:
+    """``[0, P_1, ..., P_{m_max}]``, ``P_j = sum_n p_n * c_n**j`` with c_n the offsets
+    (see :func:`_self_similar_moments`), in O(N * m_max) products."""
+    if m_max < 0:
+        raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
+    branches = [(p_n, c) for p_n, c in zip(_integer_weights(w)[0], offsets) if p_n and c]
+    power_sums, terms = [0], [p_n for p_n, _ in branches]
+    for _ in range(m_max):
+        terms = [t * c for t, (_, c) in zip(terms, branches)]
+        power_sums.append(sum(terms))
+    return power_sums
+
+
 def _self_similar_moments(
     w: WeightVector, offsets: Sequence[int], m_max: int, q: int = 1
 ) -> tuple[list[int], list[int]]:
@@ -140,14 +155,7 @@ def _self_similar_moments(
     one (one gcd per index), and one that only compares or rounds them reads
     the integers as they are.
     """
-    if m_max < 0:
-        raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
-    branches = [(p_n, c) for p_n, c in zip(_integer_weights(w)[0], offsets) if p_n and c]
-    power_sums = [0]  # power_sums[j] == P_j for j >= 1
-    terms = [p_n for p_n, _ in branches]
-    for _ in range(m_max):
-        terms = [t * c for t, (_, c) in zip(terms, branches)]
-        power_sums.append(sum(terms))
+    power_sums = _power_sums(w, offsets, m_max)
     stride = 1 if any(power_sums[1::2]) else 2
     factors = _chain(w, m_max, q, stride)
     steps = [f // q**stride for f in factors]  # s_j where the stride divides j
@@ -162,6 +170,32 @@ def _self_similar_moments(
     for factor in factors[1:]:
         denominators.append(denominators[-1] * factor)
     return scaled, denominators
+
+
+def _moment_enclosure(w: WeightVector, m_max: int, bits: int) -> list[int]:
+    """Integers ``lo_m`` with ``lo_m <= I_m * 2**bits <= lo_m + m`` for m = 0..m_max.
+
+    The raw recurrence ``s_m I_m = sum_{i<m} C(m,i) P_{m-i} I_i`` of
+    :func:`_self_similar_moments` (offsets ``0..N-1``), run in fixed point:
+    ``lo_0 = 2**bits`` and ``lo_m = floor(sum_{i<m} C(m,i) P_{m-i} lo_i / s_m)``.
+    The weights ``C(m,i) P_{m-i} / s_m`` are nonnegative, and as
+    ``sum_{i<m} C(m,i) n**(m-i) = (n+1)**m - 1`` they sum to
+    ``sum_n alpha_n ((n+1)**m - 1) / (N**m - 1) <= 1``.  So if every earlier
+    ``lo_i`` lies at most e below ``I_i * 2**bits`` and not above it, their
+    weighted sum lies at most e below ``I_m * 2**bits`` and not above it, and
+    the floor takes off less than 1 more: by induction from the exact
+    ``lo_0``, ``I_m * 2**bits - lo_m`` is in ``[0, m)`` for m >= 1.  One floor division
+    per index, and O(m_max**2) products of integers of O(bits + m_max * log N)
+    bits, where the exact kernel's grow to O(m_max**2 * log N).
+    """
+    power_sums = _power_sums(w, range(w.n_branches), m_max)
+    common, n_base = _integer_weights(w)[1], w.n_branches
+    lows, row = [1 << bits], [1]  # lows[i] == lo_i
+    for m in range(1, m_max + 1):
+        row = _pascal_row(row)
+        total = sum(row[i] * power_sums[m - i] * lows[i] for i in range(m))
+        lows.append(total // (common * (n_base**m - 1)))
+    return lows
 
 
 def exact_moments(w: WeightVector, m_max: int) -> MomentSequence:

@@ -268,7 +268,8 @@ def chebyshev_basis(w: WeightVector, degree: int) -> OrthoBasis:
 
 def decay_report(moments: MomentSequence) -> DecayReport:
     """The decay check on reduced raw moments, one ``Fraction`` per index:
-    the package's ``check_decay`` before it read the unreduced kernel."""
+    the package's ``check_decay`` before it read the unreduced kernel, and
+    then its fixed-point enclosure."""
     n_base = moments.weights.n_branches
     last = moments.weights.weights[-1]
     if last == 0:

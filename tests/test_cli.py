@@ -610,6 +610,11 @@ GOLDEN = [
     # A palindromic vector: the stride-2 kernel and its chain.
     (("shifted-moments", "--weights", "1/3,1/9,1/9,1/9,1/3", "--m", "200", "--format", "json"),
      "70e464eb8017c616e2aa23f8bb65a8612211f4d1ba5ddc245e44ba7e84555d67"),
+    # Decay past the benchmark's sizes, in both regimes.
+    (("decay", "--weights", "1/2,1/2,0", "--m", "256", "--format", "json"),
+     "7ea4ba2c50dc31b7f2b8e9e55f2b62508fe66b1aa06c09cdd6e6f3502b6c340a"),
+    (("decay", "--weights", "1/3,1/9,2/9,1/3", "--m", "256"),
+     "a0b86d549141928cb321b5bdbcd383debde9456f8d04832d1a2f87d838f3b507"),
 ]
 
 
