@@ -11,6 +11,7 @@ We build the first six polynomials for the ternary measure, verify
 orthogonality and parity, run the same routine on an asymmetric measure,
 and export normalized plot data.
 """
+import math
 from fractions import Fraction
 
 from cantor_measures import (
@@ -20,7 +21,6 @@ from cantor_measures import (
     inner_product,
     monic_basis_general,
     monic_basis_symmetric,
-    normalize,
     parse_weights,
 )
 
@@ -50,12 +50,14 @@ skewed = parse_weights("1/5,3/10,1/10,2/5")
 p2 = monic_basis_general(skewed, 2).polys[2]
 print(f"same routine, weights {skewed}: p_2(x) = ({', '.join(map(str, p2))})")
 
-unit = normalize(basis)
-print("\nnormalized leading coefficients:", [round(p[-1], 6) for p in unit])
+leading = [1 / math.sqrt(float(norm_sq)) for norm_sq in basis.norms_sq]
+print("\nnormalized leading coefficients 1/|p_n|:", [round(c, 6) for c in leading])
 
+# The grid runs the same three-term recurrence in floats over all points.
+grid = grid_csv(basis, n_points=301)
 path = "legendre_ternary_grid.csv"
 with open(path, "w", encoding="utf-8") as fh:
-    fh.write(grid_csv(basis, n_points=301))
+    fh.write(grid)
 print(f"wrote normalized plot data -> {path}")
 
 try:
@@ -66,10 +68,9 @@ try:
 except ImportError:
     print("matplotlib not available; skipping PNG rendering")
 else:
-    xs = [i / 300 for i in range(301)]
+    xs, *columns = zip(*([float(v) for v in line.split(",")] for line in grid.splitlines()[1:]))
     fig, ax = plt.subplots(figsize=(8, 5))
-    for n, coeffs in enumerate(unit):
-        ys = [sum(c * x**k for k, c in enumerate(coeffs)) for x in xs]
+    for n, ys in enumerate(columns):
         ax.plot(xs, ys, label=f"p{n}", linewidth=0.9)
     ax.legend()
     ax.set_xlabel("x")

@@ -38,7 +38,6 @@ from .legendre import (
     inner_product,
     monic_basis_general,
     monic_basis_symmetric,
-    normalize,
 )
 from .measure import (
     DEPTH_CAP,
@@ -93,7 +92,6 @@ __all__ = [
     "left_endpoint_estimate",
     "monic_basis_general",
     "monic_basis_symmetric",
-    "normalize",
     "parse_weights",
     "shifted_moments",
 ]

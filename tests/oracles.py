@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import re
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
@@ -24,15 +25,13 @@ from cantor_measures import (
     OutOfRange,
     WeightVector,
     ZeroNorm,
-    eval_poly,
     exact_moments,
-    normalize,
     parse_weights,
 )
 from cantor_measures.fast import FastResult, _certified, partial_product_series
 from cantor_measures.measure import _integer_weights
 from cantor_measures.legendre import GRID_POINTS
-from cantor_measures.rational import format_float, format_int, format_rational
+from cantor_measures.rational import format_int, format_rational
 
 
 def branch_recurrence_moments(
@@ -288,16 +287,34 @@ def decay_report(moments: MomentSequence) -> DecayReport:
     return DecayReport(regime, gamma, witness, moments.m_max, violations)
 
 
-def grid_csv_per_point(basis: OrthoBasis, n_points: int) -> str:
-    """The plot-data CSV evaluated point by point with :func:`eval_poly`:
-    the package's ``grid_csv`` before it ran one Horner pass per polynomial."""
-    normalized = normalize(basis)
-    lines = ["x," + ",".join(f"p{n}" for n in range(len(normalized)))]
+def grid_values_exact(basis: OrthoBasis, n_points: int, digits: int = 60) -> list[list[Decimal]]:
+    """Rows of ``p_n(x) / |p_n|`` at the float grid points x of ``grid_csv``.
+
+    Each ``p_n(x)`` is exact: the monomial coefficients over their least
+    common denominator, evaluated at the dyadic rational x by integer Horner.
+    Only the division by a ``digits``-digit decimal square root of
+    ``|p_n|^2`` rounds.
+    """
+    context = Context(prec=digits)
+    scales = [context.sqrt(context.divide(Decimal(v.numerator), Decimal(v.denominator)))
+              for v in basis.norms_sq]
+    polys = []
+    for poly in basis.polys:
+        den = math.lcm(*(c.denominator for c in poly))
+        polys.append(([c.numerator * (den // c.denominator) for c in reversed(poly)], den))
+    rows = []
     for i in range(n_points):
-        x = i / (n_points - 1)
-        row = [format_float(x)] + [format_float(eval_poly(p, x)) for p in normalized]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        r, s = (i / (n_points - 1)).as_integer_ratio()
+        row = []
+        for (coeffs, den), scale in zip(polys, scales):
+            acc, s_power = 0, 1  # acc = s**n * p_n(r / s) * den
+            for c in coeffs:
+                acc = acc * r + c * s_power
+                s_power *= s
+            acc_den = den * s_power // s
+            row.append(context.divide(context.divide(Decimal(acc), Decimal(acc_den)), scale))
+        rows.append(row)
+    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,13 +23,12 @@ from cantor_measures import (
     inner_product,
     monic_basis_general,
     monic_basis_symmetric,
-    normalize,
     parse_weights,
 )
 from cantor_measures.rational import parse_rational
 
 from conftest import oracle_sweep, weight_vectors_st
-from oracles import chebyshev_basis, grid_csv_per_point
+from oracles import chebyshev_basis, grid_values_exact
 
 F = Fraction
 
@@ -189,41 +189,81 @@ class TestEvalPoly:
         assert value == pytest.approx(-0.125)
 
 
+#: Relative accuracy, against ``max(1, |value|)``, of every grid value.
+GRID_TOLERANCE = Decimal("1e-12")
+
+
+def grid_columns(basis, n_points):
+    """The columns ``x, p0, ..., pd`` of :func:`grid_csv`, parsed back to floats."""
+    lines = grid_csv(basis, n_points).splitlines()[1:]
+    return list(zip(*([float(v) for v in line.split(",")] for line in lines)))
+
+
+def assert_grid_accurate(basis, n_points):
+    """Every value ``grid_csv`` prints is within ``1e-12 * max(1, |exact|)``
+    of exact rational evaluation over a decimal square root of the norm."""
+    lines = grid_csv(basis, n_points).splitlines()[1:]
+    exact = grid_values_exact(basis, n_points)
+    assert len(lines) == len(exact) == n_points
+    for i, (line, want_row) in enumerate(zip(lines, exact)):
+        got_row = line.split(",")[1:]
+        assert len(got_row) == len(want_row) == len(basis.polys)
+        for n, (got, want) in enumerate(zip(got_row, want_row)):
+            assert abs(Decimal(got) - want) <= GRID_TOLERANCE * max(1, abs(want)), (i, n)
+
+
 class TestNormalize:
+    """``grid_csv`` scales each monic ``p_n`` to unit norm."""
+
     def test_constant(self, ternary):
-        basis = monic_basis_symmetric(ternary, 0)
-        assert normalize(basis) == [[1.0]]
+        columns = grid_columns(monic_basis_symmetric(ternary, 3), 11)
+        assert columns[1] == (1.0,) * 11
 
     def test_ternary_linear_scale(self, ternary):
-        coeffs = normalize(monic_basis_symmetric(ternary, 1))[1]
+        xs, _, p1 = grid_columns(monic_basis_symmetric(ternary, 1), 21)
         root8 = math.sqrt(8.0)
-        assert coeffs == pytest.approx([-root8 / 2, root8], rel=1e-15)
+        assert p1 == pytest.approx([root8 * (x - 0.5) for x in xs], rel=1e-15)
 
     def test_uniform_linear_scale(self, lebesgue3):
-        coeffs = normalize(monic_basis_symmetric(lebesgue3, 1))[1]
+        xs, _, p1 = grid_columns(monic_basis_symmetric(lebesgue3, 1), 21)
         root12 = math.sqrt(12.0)
-        assert coeffs == pytest.approx([-root12 / 2, root12], rel=1e-15)
+        assert p1 == pytest.approx([root12 * (x - 0.5) for x in xs], rel=1e-15)
 
     def test_zero_norm_rejected(self):
         basis = OrthoBasis(polys=((F(1),), (F(0), F(1))), norms_sq=(F(1), F(0)))
         with pytest.raises(ZeroNorm):
-            normalize(basis)
+            grid_csv(basis, 5)
 
     def test_norm_below_double_range(self):
         # float(norm_sq) of p_1 is 0.0 here; it used to raise ZeroDivisionError.
         w = WeightVector([1 - F(1, 10**400), F(1, 10**400)])
         with pytest.raises(FloatOverflow, match="p_1"):
-            normalize(monic_basis_general(w, 2))
+            grid_csv(monic_basis_general(w, 2), 3)
 
-    @given(weight_vectors_st(palindromic=True, interior=True), st.integers(0, 4))
-    @settings(max_examples=20)
-    def test_unit_norms(self, w, d):
-        basis = monic_basis_symmetric(w, d)
-        ms = exact_moments(w, 2 * d)
-        for coeffs in normalize(basis):
-            poly = [F(c).limit_denominator(10**15) for c in coeffs]
-            value = inner_product(poly, poly, ms)
-            assert float(value) == pytest.approx(1.0, rel=1e-10)
+
+class TestGridAccuracy:
+    """The grid against exact evaluation of the monomial coefficients.
+
+    The four-branch vector stops at degree 24, where its exact basis
+    already takes about a second (degree 40 would take about a minute).
+    """
+
+    @pytest.mark.parametrize("weights,degree", [
+        (weights, degree)
+        for weights in ("1/2,0,1/2", "1/5,3/10,1/10,2/5", "1/3,1/3,1/3", "1/2,1/2")
+        for degree in (12, 17, 24, 40)
+        if (weights, degree) != ("1/5,3/10,1/10,2/5", 40)
+    ])
+    def test_within_tolerance(self, weights, degree):
+        assert_grid_accurate(monic_basis_general(parse_weights(weights), degree), 25)
+
+    def test_lebesgue_endpoint(self):
+        # The normalized shifted Legendre polynomials have p_n(1) = sqrt(2n + 1).
+        basis = monic_basis_general(parse_weights("1/2,1/2"), 40)
+        exact = grid_values_exact(basis, 2)[-1]
+        for n, (got, want) in enumerate(zip(grid_columns(basis, 2)[1:], exact)):
+            assert abs(want - Context(prec=60).sqrt(2 * n + 1)) < Decimal("1e-50")
+            assert got[-1] == pytest.approx(math.sqrt(2 * n + 1), rel=1e-12)
 
 
 class TestOrthoBasisType:
@@ -272,7 +312,8 @@ class TestOrthoBasisType:
 class TestAgainstOracles:
     def test_seeded_sweep(self):
         # Bases, norms and the ZeroNorm degree equal the per-entry Fraction
-        # Chebyshev algorithm; the grid CSV equals the per-point renderer.
+        # Chebyshev algorithm; every grid value is within the tolerance of
+        # exact evaluation.
         zero_norms = grids = 0
         for w, d, m in oracle_sweep():
             try:
@@ -288,6 +329,6 @@ class TestAgainstOracles:
             assert basis.norms_sq == expected.norms_sq
             if m % 4 == 0:
                 n_points = 2 + m // 2
-                assert grid_csv(basis, n_points) == grid_csv_per_point(expected, n_points)
+                assert_grid_accurate(basis, n_points)
                 grids += 1
         assert zero_norms >= 25 and grids >= 50
