@@ -13,9 +13,14 @@ weight is ``p_n / A``, every cell mass is a digit product of the integers
 ``p_n`` over ``A**k``, and every depth-k CDF value is a cumulative sum of
 those products over the same denominator.  A table stores these integers
 only; the exact ``Fraction`` pairs ``(j / N**k, F)`` are built per index on
-request.  Rendering writes both coordinates in lowest terms, block by block:
-the grid column follows the self-similarity of ``j / N**k`` and needs no gcd
-for j coprime to N, and the F column takes its gcds in bulk.
+request.  Rendering writes both coordinates in lowest terms, one ``%``
+template per block of rows.  Both columns follow the self-similarity of the
+measure (Hutchinson, Indiana Univ. Math. J. 30, 1981): the grid column needs
+no gcd for j coprime to N, and the F column of a table built by
+:func:`cdf_table` copies its gcds with ``A**k`` from the depth-(k-1) table
+under every digit where :func:`_digit_gcds` proves the copy exact (for a
+prime or prime-power A, whenever every nonzero ``p_n`` is prime to A), and
+otherwise takes one gcd per row.
 This module uses no floats.  Every type is immutable and every operation is
 a pure function, so concurrent use needs no locking.
 """
@@ -158,7 +163,8 @@ class CdfTable(Frozen):
     always returns them with no common factor.
     """
 
-    __slots__ = ("depth", "n_base", "numerators", "denominator")
+    # _weights: the integer weights of the table built by cdf_table, or unset.
+    __slots__ = ("depth", "n_base", "numerators", "denominator", "_weights")
 
     def __init__(self, depth: int, n_base: int, numerators: Sequence[int],
                  denominator: int) -> None:
@@ -187,29 +193,44 @@ class CdfTable(Frozen):
         """``head``, then ``x{sep}F{end}`` per sample in lowest terms, then ``tail``.
 
         The last row ends in ``tail`` in place of ``end``.  Rows render in
-        blocks of :data:`BLOCK_ROWS`; each block fills the eight pieces of
-        its rows by slice and is joined once.
+        blocks of :data:`BLOCK_ROWS`, each by one ``%`` template of four
+        fields per row: x's numerator and denominator, F's numerator and
+        denominator.  F's gcds with the denominator come from the digit
+        structure (:func:`_digit_gcds`) for a table built by
+        :func:`cdf_table` where the rule holds, and from one ``math.gcd`` per
+        row otherwise (hand-built, copied and unpickled tables included).
         """
         nums, den, n, k = self.numerators, self.denominator, self.n_base, self.depth
+        weights = getattr(self, "_weights", None)
+        digit_gcds = None if weights is None else _digit_gcds(weights, k)
         reduced_dens: dict[int, str] = {}
+        row = f"%s/%s{sep}%s/%s"  # sep, end and tail hold no "%"
+        line = row + end
+        full = line * BLOCK_ROWS
         blocks = [head]
         for start in range(0, len(nums), BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, len(nums))
             block = nums[start:stop]
-            gcds = list(map(math.gcd, block, repeat(den)))
+            if digit_gcds is None:
+                gcds = list(map(math.gcd, block, repeat(den)))
+            else:
+                gcds = digit_gcds[start:stop]
             for g in set(gcds).difference(reduced_dens):
                 reduced_dens[g] = format_int(den // g)
-            reduced = list(map(operator.floordiv, block, gcds))
-            out = [None, "/", None, sep, None, "/", None, end] * (stop - start)
-            out[0::8], out[2::8] = _grid_terms(n, k, start, stop)
+            fields = [None] * (4 * (stop - start))
+            fields[0::4], fields[1::4] = _grid_terms(n, k, start, stop)
+            fields[2::4] = map(operator.floordiv, block, gcds)
+            fields[3::4] = map(reduced_dens.__getitem__, gcds)
+            if stop < len(nums):
+                template = full
+            else:
+                template = line * (stop - start - 1) + row + tail
             try:
-                out[4::8] = map(str, reduced)
+                blocks.append(template % tuple(fields))
             except ValueError:  # past the int/str digit limit
-                out[4::8] = map(format_int, reduced)
-            out[6::8] = map(reduced_dens.__getitem__, gcds)
-            if stop == len(nums):
-                out[-1] = tail
-            blocks.append("".join(out))
+                fields[2::4] = map(format_int, fields[2::4])
+                blocks.append(template % tuple(fields))
+        del digit_gcds  # the gcds of every row are not held while the blocks join
         return "".join(blocks)
 
     def to_csv(self) -> str:
@@ -223,30 +244,95 @@ class CdfTable(Frozen):
         )
 
 
-def _grid_terms(n: int, k: int, start: int, stop: int) -> tuple[list[str], list[str]]:
-    """Numerators and denominators of ``j / n**k`` in lowest terms, ``start <= j < stop``.
+def _grid_terms(n: int, k: int, start: int, stop: int) -> tuple[list[int], list[str]]:
+    """Numerators and denominator texts of ``j / n**k`` in lowest terms, ``start <= j < stop``.
 
     The grid is self-similar: ``j / n**k`` for a multiple j of n is
     ``(j / n) / n**(k - 1)``, one level up.  A residue coprime to n is
     already in lowest terms, so only residues sharing a factor with a
-    composite n take a gcd.
+    composite n take a gcd.  The numerators are ints, for a ``%s`` template.
     """
     if k == 0:  # j is 0 or 1
-        return list(map(str, range(start, stop))), ["1"] * (stop - start)
+        return list(range(start, stop)), ["1"] * (stop - start)
     cells = n**k
     js = range(start, stop)
-    nums, dens = [""] * len(js), [str(cells)] * len(js)
+    nums, dens = [0] * len(js), [str(cells)] * len(js)
     for r in range(1, n):
         at = (r - start) % n
         if math.gcd(r, n) == 1:
-            nums[at::n] = map(str, js[at::n])
+            nums[at::n] = js[at::n]
         else:
             gcds = list(map(math.gcd, js[at::n], repeat(cells)))
-            nums[at::n] = map(str, map(operator.floordiv, js[at::n], gcds))
+            nums[at::n] = map(operator.floordiv, js[at::n], gcds)
             dens[at::n] = map(str, map(operator.floordiv, repeat(cells), gcds))
     at = -start % n
     nums[at::n], dens[at::n] = _grid_terms(n, k - 1, (start + at) // n, (stop - 1) // n + 1)
     return nums, dens
+
+
+def _digit_gcds(weights: Sequence[int], k: int) -> list[int] | None:
+    """``gcd(S_k[i], A**k)`` for every row i of the table :func:`cdf_table`
+    builds from the integer weights ``p_n``, or None where the rule below
+    does not apply.
+
+    Notation: ``A = sum(p_n)``, ``C_d = p_0 + ... + p_(d-1)``, and ``S_l``
+    is the integer depth-l table over ``A**l``, with ``S_0 = (0, 1)``.
+    Self-similarity gives ``S_l[d*N**(l-1) + j] = C_d*A**(l-1) + p_d*S_(l-1)[j]``
+    for ``0 <= j < N**(l-1)``, and the last row is ``A**l``.  Write
+    ``G_l[i] = gcd(S_l[i], A**l)`` and ``T = A**(l-1)``.  Then the block of
+    ``G_l`` under digit d follows from ``G_(l-1)`` alone:
+
+    * If ``p_d = 0``, every row is ``C_d*T``, with gcd ``T*gcd(C_d, A)``.
+    * Rows where ``S_(l-1)[j] = 0`` are ``C_d*T`` as well; rows where
+      ``S_(l-1)[j] = T`` are ``C_(d+1)*T``, with gcd ``T*gcd(C_(d+1), A)``.
+      Since S is nondecreasing, these are a prefix and a suffix of the
+      block.  Their lengths follow from the weights: the zero rows of
+      ``S_l`` number ``a*N**(l-1)`` more than those of ``S_(l-1)``, with
+      ``a`` the number of leading zero weights, and the rows equal to
+      ``A**l`` number ``b*N**(l-1)`` more, with ``b`` the trailing ones.
+    * Every other row has ``0 < S < T``, so ``v = G_(l-1)[j]`` divides T
+      and is not T.  Suppose that every nonzero ``p_n`` is prime to A and
+      that every prime of A divides ``T / v``.  Take a prime q of A, of
+      exponent e in A.  Since q divides ``T / v``, the q-adic order of S
+      equals that of v and is below ``(l-1)*e``.  Since q does not divide
+      ``p_d``, ``p_d*S`` has the same order, while ``C_d*T`` has order at
+      least ``(l-1)*e``.  So the row has that order too, which is below
+      ``l*e``: its gcd with ``A**l`` has the q-part of v.  Primes outside
+      A divide neither gcd, so the row's gcd is v, copied from ``G_(l-1)``.
+
+    Every prime of A divides ``T / v`` if and only if A divides
+    ``(T / v)**A.bit_length()``, because ``A.bit_length()`` is at least
+    every exponent in A; this is checked on the distinct values of each
+    ``G_(l-1)``.  For a prime or prime-power A it always holds, so only the
+    condition on the weights is left; for composite A it can fail
+    (``1/6,1/6,1/6,1/6,1/6,1/6``).  A weight that shares a prime with A
+    (``p_1 = 2`` in ``1/4,1/2,1/4``, or ``1/6,1/3,1/2``) returns None.
+    """
+    a = sum(weights)
+    if any(math.gcd(p, a) != 1 for p in weights if p):
+        return None
+    n = len(weights)
+    bounds = list(accumulate(weights, initial=0))  # C_0 .. C_N
+    lead = next(d for d, p in enumerate(weights) if p)
+    trail = next(d for d, p in enumerate(reversed(weights)) if p)
+    gcds, zeros, ones = [1, 1], 1, 1  # G_0, and the rows of S_0 at 0 and at 1
+    for level in range(k):
+        top, size = a**level, n**level
+        if any(pow(top // v, a.bit_length(), a) for v in set(gcds) if v != top):
+            return None
+        middle = gcds[zeros:size + 1 - ones]
+        rows: list[int] = []
+        for d, p in enumerate(weights):
+            low = top * math.gcd(bounds[d], a)
+            if p:
+                rows += [low] * zeros
+                rows += middle
+                rows += [top * math.gcd(bounds[d + 1], a)] * (ones - 1)
+            else:
+                rows += [low] * size
+        rows.append(top * a)
+        gcds, zeros, ones = rows, zeros + lead * size, ones + trail * size
+    return gcds
 
 
 class _CdfPoints(Sequence):
@@ -279,12 +365,14 @@ class _CdfPoints(Sequence):
 def cdf_table(w: WeightVector, k: int) -> CdfTable:
     """Exact depth-k CDF table: cumulative sums of the integer cell masses."""
     masses, denominator = _digit_products(w, k)
-    return CdfTable(
+    table = CdfTable(
         depth=k,
         n_base=w.n_branches,
         numerators=tuple(accumulate(masses, initial=0)),
         denominator=denominator,
     )
+    object.__setattr__(table, "_weights", tuple(_integer_weights(w)[0]))
+    return table
 
 
 def cdf_eval(table: CdfTable, x: RationalLike) -> Fraction:

@@ -615,6 +615,12 @@ GOLDEN = [
      "7ea4ba2c50dc31b7f2b8e9e55f2b62508fe66b1aa06c09cdd6e6f3502b6c340a"),
     (("decay", "--weights", "1/3,1/9,2/9,1/3", "--m", "256"),
      "a0b86d549141928cb321b5bdbcd383debde9456f8d04832d1a2f87d838f3b507"),
+    # F's gcds from the digit structure: prime A with an interior zero weight.
+    (("cdf", "--weights", "1/5,0,4/5", "--depth", "8"),
+     "eb7ba255235fc4001578fb46869289893b72d780bc2e3470911ca7c1697389b0"),
+    # A weight that shares a prime with A: one gcd per row.
+    (("cdf", "--weights", "1/4,1/2,1/4", "--depth", "7", "--format", "json"),
+     "21b6dacf72f938c0adf33bf112caa9b1f1a1e9dbd6804082b40367c3eb452633"),
 ]
 
 
@@ -626,7 +632,9 @@ class TestGoldenOutput:
     rendered in blocks, and the float ``mgf`` rows while ``cli.py`` still
     built that text.  The two ``legendre`` grid rows are those of the
     three-term recurrence, which replaced float monomial coefficients that
-    were off by 3.9e-3 and 2.3e-11.  Any change to a byte fails here.
+    were off by 3.9e-3 and 2.3e-11.  The last two cdf digests were computed
+    before F's gcds came from the digit structure.  Any change to a byte
+    fails here.
     """
 
     @pytest.mark.parametrize("argv,digest", GOLDEN)

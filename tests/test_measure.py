@@ -1,8 +1,10 @@
 """Weight vectors, Kronecker powers and exact CDF tables."""
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import random
 import sys
 import time
@@ -26,10 +28,10 @@ from cantor_measures import (
     kronecker_power,
     parse_weights,
 )
-from cantor_measures.measure import BLOCK_ROWS
+from cantor_measures.measure import BLOCK_ROWS, _digit_gcds
 from cantor_measures.rational import format_int, format_rational, parse_rational
 
-from conftest import random_weight_vector, weight_vectors_st
+from conftest import parts_to_weights, random_weight_vector, weight_vectors_st
 from oracles import cdf_csv, cdf_json, interval_mass
 
 F = Fraction
@@ -559,6 +561,11 @@ class TestBlockRendering:
     @example(cdf_table(parse_weights("1/1000,999/1000"), 12))
     @example(cdf_table(parse_weights("1/4,1/4,1/4,1/4"), 6))
     @example(cdf_table(parse_weights("1/6,1/12,1/4,1/12,1/3,1/12"), 4))
+    @example(cdf_table(parse_weights("1/5,0,4/5"), 8))
+    @example(cdf_table(parse_weights("0,1/3,2/3"), 6))
+    @example(cdf_table(parse_weights("1/2,1/2,0"), 6))
+    @example(cdf_table(parse_weights("1/6,5/6"), 12))
+    @example(cdf_table(parse_weights("1/4,1/2,1/4"), 6))
     def test_matches_row_oracle(self, t):
         assert t.to_csv() == cdf_csv(t)
         assert t.to_json() == cdf_json(t)
@@ -586,3 +593,88 @@ class TestBlockRendering:
             str(t.denominator)
         assert t.to_csv() == cdf_csv(t)
         assert t.to_json() == cdf_json(t)
+
+    @pytest.mark.parametrize("text,k", [("1/2,0,1/2", 7), ("1/5,0,4/5", 5),
+                                        ("1/4,1/2,1/4", 5)])
+    def test_copies_render_alike(self, text, k):
+        # A copy has no integer weights, so it takes one gcd per row.
+        t = cdf_table(parse_weights(text), k)
+        for other in (copy.copy(t), pickle.loads(pickle.dumps(t)),
+                      CdfTable(t.depth, t.n_base, t.numerators, t.denominator)):
+            assert not hasattr(other, "_weights")
+            assert other == t and hash(other) == hash(t) and repr(other) == repr(t)
+            assert other.to_csv() == t.to_csv()
+            assert other.to_json() == t.to_json()
+
+
+def _is_prime_power(a: int) -> bool:
+    q = next(q for q in range(2, a + 1) if a % q == 0)
+    while a % q == 0:
+        a //= q
+    return a == 1
+
+
+def _digit_gcd_sweep(seed: int = 29) -> list[tuple[str, CdfTable]]:
+    """Seeded tables over A prime, a prime power or composite, N = 2..6.
+
+    The parts of A are drawn with a zero weight first, inside, last or
+    nowhere; other parts may be zero as well.  The weights are then reduced,
+    so the table's own A divides the one drawn.
+    """
+    rng = random.Random(seed)
+    cases = [("1,0,0", cdf_table(parse_weights("1,0,0"), 4))]
+    for a in (2, 3, 5, 7, 11, 4, 8, 9, 27, 6, 10, 12, 1000):
+        for n in range(2, 7):
+            for zero in ("first", "inside", "last", None):
+                if zero == "inside" and n < 3:
+                    continue
+                free = list(range(n))
+                if zero == "first":
+                    free.remove(0)
+                elif zero == "inside":
+                    free.remove(rng.randrange(1, n - 1))
+                elif zero == "last":
+                    free.remove(n - 1)
+                cuts = sorted(rng.randint(0, a) for _ in range(len(free) - 1))
+                parts = [0] * n
+                for at, lo, hi in zip(free, [0, *cuts], [*cuts, a]):
+                    parts[at] = hi - lo
+                k = rng.randint(1, max(k for k in range(1, 9) if n**k <= 1000))
+                cases.append((f"{parts} over {a}", cdf_table(parts_to_weights(parts), k)))
+    return cases
+
+
+class TestDigitGcds:
+    """The gcds of F from the digit structure equal one ``math.gcd`` per row."""
+
+    def test_sweep_matches_math_gcd(self):
+        taken = {"prime power": 0, "composite": 0}
+        for label, t in _digit_gcd_sweep():
+            weights = t._weights
+            a = sum(weights)
+            assert a**t.depth == t.denominator, label
+            gcds = _digit_gcds(weights, t.depth)
+            coprime = all(math.gcd(p, a) == 1 for p in weights if p)
+            if a > 1 and _is_prime_power(a):
+                # The rule covers every prime or prime-power A.
+                assert (gcds is not None) == coprime, label
+            elif not coprime:
+                assert gcds is None, label
+            if gcds is not None:
+                assert gcds == [math.gcd(s, t.denominator) for s in t.numerators], label
+                if a > 1:
+                    taken["prime power" if _is_prime_power(a) else "composite"] += 1
+        assert min(taken.values()) >= 10, taken
+
+    @pytest.mark.parametrize("text", ["1/2,0,1/2", "1/1000,999/1000", "1/6,5/6"])
+    def test_covered(self, text):
+        t = cdf_table(parse_weights(text), 6)
+        assert _digit_gcds(t._weights, 6) == [math.gcd(s, t.denominator) for s in t.numerators]
+
+    @pytest.mark.parametrize("text,k", [("1/4,1/2,1/4", 1), ("1/6,1/3,1/2", 1),
+                                        ("1/6,1/6,1/6,1/6,1/6,1/6", 2)])
+    def test_declined(self, text, k):
+        # A weight sharing a prime with A, and a composite A whose gcds at
+        # depth 1 (2 of 6) leave a prime of 6 out of 6 / 2.
+        t = cdf_table(parse_weights(text), k)
+        assert _digit_gcds(t._weights, k) is None

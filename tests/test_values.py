@@ -21,6 +21,7 @@ from cantor_measures import (
     OrthoBasis,
     WeightVector,
 )
+from cantor_measures._frozen import Frozen
 from cantor_measures.fast import FastResult, MgfValue
 from cantor_measures.legendre import BasisExport
 
@@ -41,6 +42,17 @@ CASES = [
 ]
 
 IDS = [case[0].__name__ for case in CASES]
+
+
+class Tagged(Frozen):
+    """A value type with one field and one private slot."""
+
+    __slots__ = ("value", "_note")
+
+    def __init__(self, value: object, note: object = None) -> None:
+        object.__setattr__(self, "value", value)
+        if note is not None:
+            object.__setattr__(self, "_note", note)
 
 
 @pytest.mark.parametrize("cls,fields,args,index,changed", CASES, ids=IDS)
@@ -101,3 +113,26 @@ class TestIdentityAndTuple:
         assert isinstance(check, tuple)
         assert (check.distance, check.bound, check.ok) == (0, 0, True)
         assert LipschitzCheck(distance=F(0), bound=F(0), ok=True) == check
+
+
+class TestPrivateSlots:
+    def test_only_public_fields_count(self):
+        a, b, bare = Tagged(1, "a"), Tagged(1, "b"), Tagged(1)
+        assert a == b == bare and a != Tagged(2, "a")
+        assert hash(a) == hash(b) == hash(bare)
+        assert repr(a) == repr(bare) == "Tagged(value=1)"
+        assert a._fields() == (1,)
+
+    def test_copies_leave_the_private_slot_unset(self):
+        a = Tagged(1, "a")
+        for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert copied == a and hash(copied) == hash(a)
+            assert not hasattr(copied, "_note")
+
+    def test_private_slot_is_frozen(self):
+        a = Tagged(1, "a")
+        with pytest.raises(AttributeError):
+            a._note = "b"
+        with pytest.raises(AttributeError):
+            del a._note
+        assert a._note == "a"
