@@ -36,7 +36,7 @@ import numpy as np
 
 from ._frozen import Frozen
 from .errors import BadTolerance, FloatOverflow, NotPalindromic, OutOfDomain, OutOfRange
-from .measure import WeightVector, _check_cap
+from .measure import WeightVector, _check_cap, _integer_weights
 
 #: Smallest tolerance the double-precision pipeline certifies.
 MIN_TOLERANCE = 1e-12
@@ -46,12 +46,13 @@ MIN_TOLERANCE = 1e-12
 MAX_FINITE_INDEX = 170
 
 
-def _exp_terms(x: float, degree: int) -> np.ndarray:
-    """Coefficients ``x**n / n!`` for ``n = 0..degree`` (truncated exp)."""
-    terms = [1.0]
-    for n in range(1, degree + 1):
-        terms.append(terms[-1] * x / n)
-    return np.array(terms)
+def _exp_terms(x: np.ndarray, degree: int) -> np.ndarray:
+    """Rows ``x_i**j / j!`` for ``j = 0..degree``, one per entry of x
+    (truncated exp): the running products ``t_j = t_(j-1) * (x_i / j)``."""
+    terms = np.empty((len(x), degree + 1))
+    terms[:, 0] = 1.0
+    np.divide(x[:, None], np.arange(1, degree + 1), out=terms[:, 1:])
+    return np.cumprod(terms, axis=1, out=terms)
 
 
 def series_mul_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -59,8 +60,11 @@ def series_mul_trunc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The direct sum of products keeps the relative accuracy of every
     nonnegative coefficient, however small; an FFT product's error is normwise.
+    The exact zeros that end ``b`` (where ``sigma**j`` underflows in
+    :func:`partial_product_series`) give only zero products and are skipped.
     """
-    return np.convolve(a, b)[: len(a)]
+    nonzero = np.nonzero(b)[0]
+    return np.convolve(a, b[: nonzero[-1] + 1] if len(nonzero) else b)[: len(a)]
 
 
 def _check_tolerance(eps: float) -> float:
@@ -82,8 +86,10 @@ def _round_up(x: Fraction) -> float:
 
 
 def _first_moment(w: WeightVector) -> Fraction:
-    """Exact ``I_1 = sum_n alpha_n * n / (N - 1)``, from the one-level recurrence."""
-    return sum(a * n for n, a in enumerate(w.weights)) / Fraction(w.n_branches - 1)
+    """Exact ``I_1 = sum_n n p_n / (A (N - 1))``, from the one-level recurrence,
+    with ``alpha_n = p_n / A`` (:func:`_integer_weights`)."""
+    numerators, common = _integer_weights(w)
+    return Fraction(sum(n * p for n, p in enumerate(numerators)), common * (w.n_branches - 1))
 
 
 def _rounding(n_base: int, depth: int, n):
@@ -146,37 +152,50 @@ def partial_product_series(
     an argument rescale: the next ``2**j`` factors are that product at
     ``s / N**(2**j)``.  It works at scale ``2**n``, as the product at
     ``2s``, and one ``ldexp`` by ``-n`` ends it, so an underflow before that
-    costs ``2**-n`` times less (:func:`_certified`).  Coefficient n reads only
-    inputs 0..n, so the result is, bit for bit, the prefix of the result at
-    any higher degree; :func:`_certified` asks for degree ``min(m, 170)``.
+    costs ``2**-n`` times less (:func:`_certified`).  The first factor is one
+    array: row n holds the running products of ``x_n / j``, ``x_n = 2 c_n / N``
+    (:func:`_exp_terms`), and the weighted rows are summed in branch order.
+    From there the series is carried at a further scale ``2**500``, exact in
+    both directions: each product is formed at ``2**1000`` and scaled back
+    by ``2**-500``, so it stays in the normal range unless its true value is
+    below about ``2**-1522``, and the last ``ldexp`` by ``-500 - n`` ends it.
+    Coefficient n reads only inputs 0..n, and numpy sums the same products in
+    the same order at every degree from 170 up, so the degree-170 result is,
+    bit for bit, the prefix of the result at any higher degree;
+    :func:`_certified` asks for degree ``min(m, 170)``.
     """
     if degree < 0:
         raise OutOfRange(f"degree must be nonnegative, got {degree}")
     if depth < 1 or depth & (depth - 1):
         raise OutOfRange(f"depth must be a power of two, got {depth}")
     center = (w.n_branches - 1) / 2 if shifted else 0
-    result = sum(float(a) * _exp_terms(2 * (n - center) / w.n_branches, degree)
-                 for n, a in enumerate(w.weights) if a)
+    live = [(float(a), 2 * (n - center) / w.n_branches) for n, a in enumerate(w.weights) if a]
+    weights, xs = np.array(live).T
+    result = (weights[:, None] * _exp_terms(xs, degree)).sum(axis=0)
     # The constant term is sum(alpha) = 1 exactly; don't let the float
     # conversions of the individual weights smear it.
     result[0] = 1.0
+    result = np.ldexp(result, 500)
     powers = np.arange(degree + 1)
     for j in range(depth.bit_length() - 1):
         sigma = float(w.n_branches) ** -(1 << j)
-        result = series_mul_trunc(result, result * sigma**powers)
-    return np.ldexp(result, -powers)
+        result = np.ldexp(series_mul_trunc(result, result * sigma**powers), -500)
+    return np.ldexp(result, -500 - powers)
 
 
 def _certified(
-    w: WeightVector, m_max: int, depth: int, shifted: bool
+    w: WeightVector, m_max: int, depth: int, shifted: bool,
+    first_moment: Fraction | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Depth-k moments and bounds: truncation, rounding and underflow error.
 
-    Truncation: ``n I_1 N**-k`` with I_1 rounded up, centred ``n 2**-n N**-k``.
+    Truncation: ``n I_1 N**-k`` with ``I_1 = first_moment`` rounded up
+    (None on the centred path), centred ``n 2**-n N**-k``.
     ``rho(n)`` counts the unit roundoffs u from the weights to moment n, per
     coefficient j <= n and with libm ``pow`` within 1 ulp (2 roundoffs):
-    factor ``3j + N + 1`` (offset 1, ``x**j/j!`` 3j, weight and product 2,
-    sum over N branches N - 1); rescale by ``sigma**j`` ``2j + 3``; product
+    factor ``3j + N + 1`` (offset 1, ``x**j/j!`` 3j, of which each step of
+    the recurrence below takes two, weight and product 2, sum over N
+    branches N - 1); rescale by ``sigma**j`` ``2j + 3``; product
     n + 1 plus the counts of both inputs.  Over the ``L = log2 k``
     multiplications of depth k that is ``(3 + 3L) n + k (N + 5) - 4``, and
     the factorial adds n.  The error is then
@@ -189,25 +208,33 @@ def _certified(
     every input sums to at most ``e**2 < 8`` at s = 1.  An underflowing
     product or quotient is off by at most ``eta = 2**-1075`` more (half the
     smallest subnormal), ``pow`` by ``2 eta``; sums are exact there.  In
-    units of eta: ``x**j/j!`` by ``t_j = t_(j-1) * x / j`` with ``|x| < 2``
-    is within ``(2E + 1) / j + 1 <= 4``, a factor within ``N + 5``, and the
-    rescale by ``sigma**j <= 1`` adds 5.  A product of inputs within A and B
-    is within ``8A + 8B + n + 2``, so L multiplications give at most
-    ``16**L (n + 15N + 117) / 15``; the final ``ldexp`` scales that by
-    ``2**-n`` and adds one eta.  :func:`_underflow` charges
+    units of eta at that scale: ``x**j/j!`` by ``t_j = t_(j-1) * fl(x / j)``
+    with ``|x| < 2``, where the quotient never underflows, is within
+    ``E_j <= (2/j) E_(j-1) + 1 <= 3 < 4``, and a factor within ``N + 5``.
+    The products run at the further scale ``2**500`` of
+    :func:`partial_product_series`, exact both ways: operands are at most
+    ``2**501`` and every sum of products is below ``64 * 2**1000``, so
+    nothing overflows, and a product or its rescale by ``2**-500`` underflows
+    only by ``2**-500`` eta.  Every charge here is in units of the
+    ``2**n``-scaled series and only shrinks with that scale: the rescale by
+    ``sigma**j <= 1`` still adds at most 5 (``pow``'s ``2 eta`` on a
+    coefficient of at most 2, and the product), and a product of inputs
+    within A and B is within ``8A + 8B + n + 2``, so L multiplications give
+    at most ``16**L (n + 15N + 117) / 15``; the final ``ldexp`` scales that
+    by ``2**-n`` and adds one eta.  :func:`_underflow` charges
     ``2 + 16**L (n + N + 8) 2**-n`` times ``n! eta``, one eta more, for the
     rounding of n! and of the term: below ``4e-17`` up to n = 170 at depths
     up to ``2**20``.  From n = 171 ``n!`` overflows, so the product is taken
     to degree ``min(m, 170)`` only (:data:`MAX_FINITE_INDEX`), and values
     above it are 0 with bounds inf.
     """
-    # Coefficient n of a truncated product reads only inputs 0..n, so the
-    # product to degree ``top`` is the prefix of the degree-m one, bit for bit.
+    # The product to degree ``top`` is the prefix of the degree-m one, bit
+    # for bit (:func:`partial_product_series`).
     top = min(m_max, MAX_FINITE_INDEX)
     n = np.arange(top + 1, dtype=np.float64)
     factorial = np.cumprod(np.maximum(n, 1.0))
     moments = partial_product_series(w, top, depth, shifted) * factorial
-    lead = 0.5**n if shifted else _round_up(_first_moment(w))
+    lead = 0.5**n if shifted else _round_up(first_moment)
     bounds = _rounding(w.n_branches, depth, n) * (lead if shifted else np.abs(moments))
     bounds += n * lead * float(w.n_branches) ** -depth
     bounds += _underflow(w.n_branches, depth, n, factorial)
@@ -261,15 +288,18 @@ class FastResult(Frozen):
         return top, bounds[top:top + 2].tolist()
 
     def to_csv(self) -> str:
-        # Python floats from tolist() format as format_float does; the tail
-        # rows are "m,0,inf" or "m,0,0", one format pass for the lot.
+        # Python floats from tolist() format as format_float does.  One "%"
+        # template renders every row: three fields per computed row, then
+        # the index of each tail row, "m,0,inf" or "m,0,0".
         (top, period), size = self._tail(), len(self.moments)
-        rows = map("%d,%.17g,%.17g\n".__mod__, zip(
-            range(top), self.moments[:top].tolist(), self.certified_bound[:top].tolist()
-        ))
+        fields = [None] * (3 * top)
+        fields[0::3] = range(top)
+        fields[1::3] = self.moments[:top].tolist()
+        fields[2::3] = self.certified_bound[:top].tolist()
         formats, count = ["%%d,0,%.17g\n" % bound for bound in period], size - top
         tail = "".join(formats) * (count // 2) + "".join(formats[:count % 2])
-        return "m,value,bound\n" + "".join(rows) + tail % tuple(range(top, size))
+        template = "m,value,bound\n" + "%d,%.17g,%.17g\n" * top + tail
+        return template % (*fields, *range(top, size))
 
     def to_json(self) -> str:
         # Equal to json.dumps of the dict of depth and both lists; only the
@@ -293,11 +323,11 @@ def _certified_to_eps(w: WeightVector, m_max: int, eps: float, shifted: bool) ->
         raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
     _check_cap(m_max, f"m_max = {m_max}")
     depth = depth_for_eps(w.n_branches, m_max, eps, shifted)
-    moments, bounds = _certified(w, m_max, depth, shifted)
+    exact = None if shifted else _first_moment(w)
+    moments, bounds = _certified(w, m_max, depth, shifted, exact)
     if shifted:
         moments[1::2] = bounds[1::2] = 0.0
     elif m_max >= 1:
-        exact = _first_moment(w)
         moments[1] = float(exact)
         bounds[1] = _round_up(abs(Fraction(moments[1]) - exact))
     return FastResult(moments=moments, depth_used=depth, certified_bound=bounds)

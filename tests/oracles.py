@@ -28,7 +28,7 @@ from cantor_measures import (
     exact_moments,
     parse_weights,
 )
-from cantor_measures.fast import FastResult, _certified, partial_product_series
+from cantor_measures.fast import FastResult, _certified, _first_moment, partial_product_series
 from cantor_measures.measure import _integer_weights
 from cantor_measures.legendre import GRID_POINTS
 from cantor_measures.rational import format_int, format_rational
@@ -176,7 +176,7 @@ def moments_at_depth(w: WeightVector, m_max: int, depth: int) -> FastResult:
     Unlike ``fast_moments`` it keeps indices 0 and 1 as computed; index 1 is
     ``I_1 * (1 - N**-k)``, within the truncation term ``I_1 N**-k``.
     """
-    moments, bounds = _certified(w, m_max, depth, shifted=False)
+    moments, bounds = _certified(w, m_max, depth, False, _first_moment(w))
     return FastResult(moments=moments, depth_used=depth, certified_bound=bounds)
 
 

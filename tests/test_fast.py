@@ -110,14 +110,17 @@ class TestTruncatedFactor:
 
     @pytest.mark.parametrize("x", [0.25, -0.4, 1 / 3, -0.5, 5e-324])
     def test_exp_terms_match_float64_loop(self, x):
-        # The same recurrence on numpy float64 scalars gives the same bits.
+        # The same recurrence on numpy float64 scalars gives the same bits,
+        # in a row of its own and beside the other four x values.
         expected = np.empty(171)
         expected[0] = 1.0
         for n in range(1, 171):
-            expected[n] = expected[n - 1] * x / n
-        terms = fast_module._exp_terms(x, 170)
-        assert terms.dtype == np.float64
-        assert np.array_equal(terms.view(np.int64), expected.view(np.int64))
+            expected[n] = expected[n - 1] * (x / n)
+        xs = [0.25, -0.4, 1 / 3, -0.5, 5e-324]
+        for terms in (fast_module._exp_terms(np.array([x]), 170)[0],
+                      fast_module._exp_terms(np.array(xs), 170)[xs.index(x)]):
+            assert terms.dtype == np.float64
+            assert np.array_equal(terms.view(np.int64), expected.view(np.int64))
 
 
 class TestSeriesMulTrunc:
@@ -133,6 +136,62 @@ class TestSeriesMulTrunc:
     def test_truncated_exp_square(self):
         a = np.array([1.0, 1.0, 0.5])
         assert list(series_mul_trunc(a, a)) == [1.0, 2.0, 2.0]
+
+    @staticmethod
+    def _operand(rng: random.Random, size: int, signed: bool) -> np.ndarray:
+        """Doubles from ``2**-1074`` to 2, subnormals and exact zeros included."""
+        values = []
+        for _ in range(size):
+            kind = rng.random()
+            if kind < 0.1:
+                value = 0.0
+            elif kind < 0.2:
+                value = 5e-324 * rng.randint(1, 2**52)  # subnormal, 2**-1074 up
+            else:
+                value = math.ldexp(rng.random(), rng.randint(-1073, 1))
+            values.append(-value if signed and rng.random() < 0.5 else value)
+        return np.array(values)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_within_gamma_of_exact_convolution(self, seed):
+        # Every double is an integer times 2**-1074, so the exact convolution
+        # is an integer times 2**-2148.  Coefficient n is a sum of n + 1
+        # products: gamma_(n+1) of the absolute sum, and each product and the
+        # sum may underflow by 2**-1075 more.
+        rng = random.Random(f"series_mul_trunc:{seed}")
+        u, eta = F(1, 2**53), F(1, 2**1075)
+        for size in (1, 2, 3, 11, 12, 17, 64, 171, rng.randint(1, 171)):
+            signed = seed % 2 == 1
+            a = self._operand(rng, size, signed)
+            b = self._operand(rng, rng.choice([size, rng.randint(1, 171)]), signed)
+            if seed % 3 == 1:  # trailing exact zeros
+                b[rng.randint(1, len(b)):] = 0.0
+            elif seed % 3 == 2:  # zero past index 0
+                b[1:] = 0.0
+            ints_a = [int(F(x) * 2**1074) for x in a]
+            ints_b = [int(F(x) * 2**1074) for x in b]
+            product = series_mul_trunc(a, b)
+            assert product.shape == a.shape
+            for n, value in enumerate(product):
+                terms = [ints_a[i] * ints_b[n - i] for i in range(max(0, n - len(b) + 1), n + 1)]
+                exact = F(sum(terms), 2**2148)
+                gamma = (n + 1) * u / (1 - (n + 1) * u)
+                bound = gamma * F(sum(map(abs, terms)), 2**2148) + (n + 2) * eta
+                assert abs(F(value) - exact) <= bound, (size, n)
+            if not signed:
+                assert not np.signbit(product).any()
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("weights", ["0,1", "1/2,1/2", "1/3,1/9,1/9,1/9,1/3"])
+    def test_degree_4096_product_is_finite(self, weights, shifted):
+        # The series runs at scale 2**500: operands up to 2**501, sums of
+        # products below 2**1006, at any degree.  Dirac at 1 ("0,1") has the
+        # largest coefficients, 2**n / n! at the product's scale.
+        w = parse_weights(weights)
+        for depth in (1, 2, 64, 1024):
+            series = partial_product_series(w, 4096, depth, shifted)
+            assert np.isfinite(series).all()
+            assert series[0] == 1.0
 
 
 class TestDepthForEps:
@@ -461,7 +520,8 @@ class TestCertifiedRange:
             for n in range(171):
                 fact *= max(n, 1)
                 expected.append(series[n] * fact)
-            moments, _ = fast_module._certified(w, m_max, depth, shifted)
+            exact = None if shifted else fast_module._first_moment(w)
+            moments, _ = fast_module._certified(w, m_max, depth, shifted, exact)
             assert np.array_equal(moments[:171], expected)
             assert not moments[171:].any()
 
@@ -532,7 +592,7 @@ class TestFastResultType:
         # The depth-8 product has I_1 * (1 - 3**-8), not I_1: the truncation
         # term n * I_1 * 3**-8 is attained at n = 1.
         assert abs(F(result.moments[1]) - F(1, 2)) <= F(result.certified_bound[1])
-        moments, bounds = fast_module._certified(ternary, 12, 8, True)
+        moments, bounds = fast_module._certified(ternary, 12, 8, True, None)
         for m in range(1, 13):
             rounding = fast_module._rounding(3, 8, m)
             raw = m * 0.5 / 3**8 + rounding * result.moments[m]
@@ -568,6 +628,23 @@ class TestFastResultType:
                             certified_bound=np.array([b for _, b in rows], dtype=float))
         assert result._tail()[0] == tail_start
         assert (result.to_csv(), result.to_json()) == reference_renderings(result)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_csv_template_matches_per_row_form(self, seed):
+        # Seeded heads with -0.0, subnormal, nan and inf rows, then a tail
+        # that repeats inf bounds or alternates 0 and inf in either phase.
+        rng = random.Random(f"fast-csv:{seed}")
+        specials = [-0.0, 0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 1e-17]
+        for _ in range(20):
+            head = [rng.choice(specials) if rng.random() < 0.4 else rng.uniform(-2, 2)
+                    for _ in range(2 * rng.randint(0, 40))]
+            period = rng.choice([[math.inf, math.inf], [0.0, math.inf], [math.inf, 0.0]])
+            tail = rng.randint(0, 9)
+            result = FastResult(moments=np.array(head[0::2] + [0.0] * tail), depth_used=8,
+                                certified_bound=np.array(head[1::2] + (period * 5)[:tail]))
+            rows = zip(result.moments.tolist(), result.certified_bound.tolist())
+            per_row = ["%d,%.17g,%.17g\n" % (m, v, b) for m, (v, b) in enumerate(rows)]
+            assert result.to_csv() == "m,value,bound\n" + "".join(per_row)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 170, 171, 400, 4096, 200, 201])
     @pytest.mark.parametrize("shifted", [False, True])
