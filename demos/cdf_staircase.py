@@ -10,7 +10,7 @@ their plot data to CSV and, when matplotlib is importable, renders PNGs.
 """
 from fractions import Fraction
 
-from cantor_measures import cdf_eval, cdf_table, parse_weights
+from cantor_measures import cdf_table, parse_weights
 
 EXAMPLES = {
     "ternary": parse_weights("1/2,0,1/2"),
@@ -27,9 +27,12 @@ for name, weights in EXAMPLES.items():
     print(f"{name}: alpha = ({weights}), depth {depth}, "
           f"{len(table.points)} exact points -> {csv_path}")
 
-    # A few exact interpolant values; rationals in, rationals out.
+    # A few exact interpolant values: the chord between the grid points
+    # around x; rationals in, rationals out.
     for x in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-        print(f"  F({x}) = {cdf_eval(table, x)}")
+        j = int(x * table.mesh_size)  # x < 1, so cell j and point j + 1 exist
+        (x0, f0), (x1, f1) = table.points[j], table.points[j + 1]
+        print(f"  F({x}) = {f0 + (x - x0) * (f1 - f0) / (x1 - x0)}")
 
 try:
     import matplotlib

@@ -8,13 +8,9 @@ they decay like m**-gamma with gamma = log_N(1/alpha_{N-1}).  The CDF is
 Holder continuous with exponent log(1/max(alpha))/log(N), and depth-k CDF
 interpolants are Lipschitz in the weights with constant k*N**k.
 """
-from cantor_measures import (
-    check_decay,
-    check_lipschitz,
-    holder_exponent,
-    parse_weights,
-    shifted_moments,
-)
+import math
+
+from cantor_measures import check_decay, check_lipschitz, parse_weights, shifted_moments
 
 CASES = [
     ("ternary", parse_weights("1/2,0,1/2")),
@@ -25,7 +21,7 @@ CASES = [
 
 for name, w in CASES:
     report = check_decay(w, 64)
-    holder = holder_exponent(w)
+    holder = math.log(1 / float(max(w.weights))) / math.log(w.n_branches)
     gamma = "inf" if report.regime == "exponential" else f"{report.gamma:.5f}"
     print(f"{name:s}: alpha = ({w})")
     print(f"  Holder exponent {holder:.5f}; {report.regime} moment decay, "

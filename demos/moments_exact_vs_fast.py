@@ -16,8 +16,9 @@ index up to m = 170; from 171 on, m! leaves the double range and the bound
 is inf, so only indices inside that range are shown.
 """
 import time
+from fractions import Fraction
 
-from cantor_measures import exact_moments, left_endpoint_estimate, parse_weights
+from cantor_measures import cdf_table, exact_moments, parse_weights
 from cantor_measures.fast import fast_moments
 
 ternary = parse_weights("1/2,0,1/2")
@@ -29,7 +30,12 @@ for m, value in enumerate(exact.values):
 
 print("\nleft-endpoint lower sums converge from below (m = 2):")
 for depth in (1, 2, 4, 8):
-    lower = left_endpoint_estimate(ternary, depth, 2)
+    # Cell j of the depth-k table has mass (S[j+1] - S[j]) / denominator,
+    # and the lower sum weighs it by its left endpoint j / N**k, squared.
+    table = cdf_table(ternary, depth)
+    nums = table.numerators
+    lower = Fraction(sum((b - a) * j**2 for j, (a, b) in enumerate(zip(nums, nums[1:]))),
+                     table.denominator * table.mesh_size**2)
     print(f"  depth {depth}: {float(lower):.10f}  (exact 0.375)")
 
 eps = 1e-10

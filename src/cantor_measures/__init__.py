@@ -15,12 +15,10 @@ from .analysis import (
     LipschitzCheck,
     check_decay,
     check_lipschitz,
-    holder_exponent,
 )
 from .errors import (
     BadTolerance,
     CantorMeasureError,
-    Degenerate,
     DepthOverflow,
     FloatOverflow,
     InsufficientMoments,
@@ -33,7 +31,6 @@ from .errors import (
 )
 from .legendre import (
     OrthoBasis,
-    eval_poly,
     grid_csv,
     inner_product,
     monic_basis_general,
@@ -43,7 +40,6 @@ from .measure import (
     DEPTH_CAP,
     CdfTable,
     WeightVector,
-    cdf_eval,
     cdf_sup_distance,
     cdf_table,
     kronecker_power,
@@ -52,7 +48,6 @@ from .measure import (
 from .moments import (
     MomentSequence,
     exact_moments,
-    left_endpoint_estimate,
     shifted_moments,
 )
 
@@ -64,7 +59,6 @@ __all__ = [
     "CdfTable",
     "DEPTH_CAP",
     "DecayReport",
-    "Degenerate",
     "DepthOverflow",
     "FloatOverflow",
     "InsufficientMoments",
@@ -78,18 +72,14 @@ __all__ = [
     "OutOfRange",
     "WeightVector",
     "ZeroNorm",
-    "cdf_eval",
     "cdf_sup_distance",
     "cdf_table",
     "check_decay",
     "check_lipschitz",
-    "eval_poly",
     "exact_moments",
     "grid_csv",
-    "holder_exponent",
     "inner_product",
     "kronecker_power",
-    "left_endpoint_estimate",
     "monic_basis_general",
     "monic_basis_symmetric",
     "parse_weights",

@@ -1,9 +1,7 @@
 """Quantitative regularity and decay checks.
 
-Three checkable facts about a weighted Cantor measure:
+Two checkable facts about a weighted Cantor measure:
 
-* its CDF is Holder continuous with exponent ``log(1/r) / log(N)`` where
-  ``r`` is the largest weight (degenerate vectors excluded);
 * its moments decay exponentially, ``I_m <= ((N-1)/N)**m``, exactly when the
   last weight is zero, and otherwise only polynomially,
   ``I_m >= C * m**-gamma`` with ``gamma = log_N(1 / alpha_{N-1})``;
@@ -26,20 +24,10 @@ import math
 from collections import namedtuple
 
 from ._frozen import Frozen
-from .errors import Degenerate, FloatOverflow, InsufficientMoments, MeshMismatch
+from .errors import FloatOverflow, InsufficientMoments, MeshMismatch
 from .measure import WeightVector, cdf_sup_distance, cdf_table
 from .moments import _moment_enclosure, _self_similar_moments
 from .rational import format_float, format_rational
-
-
-def holder_exponent(w: WeightVector) -> float:
-    """Holder continuity exponent ``log(1/max(alpha)) / log(N)`` of the CDF."""
-    if w.is_degenerate:
-        raise Degenerate(
-            "a Dirac measure has a discontinuous CDF (no positive Holder exponent)"
-        )
-    r = max(w.weights)
-    return math.log(1 / float(r)) / math.log(w.n_branches)
 
 
 class DecayReport(Frozen):

@@ -94,6 +94,8 @@ def _parse(argv: Sequence[str] | None) -> tuple[SimpleNamespace, WeightVector]:
             _exit(2, f"{command} {flag}: expected a value")
         kind, _, low, _ = flags[flag]
         try:
+            if kind in (int, float) and (not text.isascii() or "_" in text):
+                raise ValueError  # int() and float() read "３" and "1_0"
             value = text if isinstance(kind, tuple) else kind(text)
             valid = value in kind if isinstance(kind, tuple) else low is None or value >= low
         except ValueError:

@@ -16,10 +16,7 @@ class NotASimplexPoint(CantorMeasureError):
 
 
 class OutOfDomain(CantorMeasureError):
-    """An evaluation point lies outside its domain.
-
-    A CDF point outside ``[0, 1]``, or a non-finite MGF argument ``s``.
-    """
+    """A non-finite MGF argument ``s``."""
 
 
 class MeshMismatch(CantorMeasureError):
@@ -53,7 +50,3 @@ class ZeroNorm(CantorMeasureError):
 
 class InsufficientMoments(CantorMeasureError):
     """A moment sequence is too short for the requested computation."""
-
-
-class Degenerate(CantorMeasureError):
-    """The weight vector is a simplex vertex (Dirac measure)."""

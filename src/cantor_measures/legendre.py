@@ -54,15 +54,6 @@ def inner_product(p: Sequence, q: Sequence, moments: MomentSequence) -> Fraction
     return acc
 
 
-def eval_poly(p: Sequence, x):
-    """Horner evaluation; exact for rational ``x``, float for float ``x``."""
-    coeffs = tuple(p)
-    acc = coeffs[-1] if coeffs else 0
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
 class OrthoBasis(Frozen):
     """Monic orthogonal polynomials ``p_0..p_d`` with exact squared norms."""
 

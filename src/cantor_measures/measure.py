@@ -37,7 +37,6 @@ from .errors import (
     DepthOverflow,
     MeshMismatch,
     NotASimplexPoint,
-    OutOfDomain,
     OutOfRange,
 )
 from .rational import (
@@ -90,11 +89,6 @@ class WeightVector(Frozen):
     def is_palindromic(self) -> bool:
         """True iff ``alpha_{N-1-n} == alpha_n`` for all n (symmetric measure)."""
         return self.weights == self.weights[::-1]
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True iff some weight equals 1 (the measure is a Dirac mass)."""
-        return any(w == 1 for w in self.weights)
 
     def __iter__(self):
         return iter(self.weights)
@@ -373,19 +367,6 @@ def cdf_table(w: WeightVector, k: int) -> CdfTable:
     )
     object.__setattr__(table, "_weights", tuple(_integer_weights(w)[0]))
     return table
-
-
-def cdf_eval(table: CdfTable, x: RationalLike) -> Fraction:
-    """Exact value of the piecewise-linear interpolant of ``table`` at ``x``.
-
-    A float ``x`` raises ``TypeError`` (:func:`~.rational.as_fraction`).
-    """
-    cells, nums, den = table.mesh_size, table.numerators, table.denominator
-    xq = as_fraction(x)
-    if not 0 <= xq <= 1:
-        raise OutOfDomain(f"x = {xq} outside [0, 1]")
-    j = min(int(xq * cells), cells - 1)
-    return Fraction(nums[j] + (xq * cells - j) * (nums[j + 1] - nums[j]), den)
 
 
 def cdf_sup_distance(a: CdfTable, b: CdfTable) -> Fraction:

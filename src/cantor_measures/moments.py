@@ -13,10 +13,7 @@ products in all, on numerators that are never rescaled.  The moments
 returned as ``Fraction`` are reduced once, by one gcd per index; the
 orthogonal bases read the unreduced integers, and the decay check a
 fixed-point enclosure from the same recurrence (:func:`_moment_enclosure`),
-on integers of O(m) bits.  The
-left-endpoint lower sum over the depth-k grid serves as an independent
-brute-force check: it never exceeds ``I_m`` and converges to it as k
-grows, with gap strictly below ``(1 + N**-k)**m - 1``.
+on integers of O(m) bits.
 
 Shifted moments ``J_m`` (measure translated to ``[-1/2, 1/2]``) satisfy
 the same recurrence with the branch offsets ``n`` replaced by
@@ -32,7 +29,7 @@ from fractions import Fraction
 
 from ._frozen import Frozen
 from .errors import OutOfRange
-from .measure import WeightVector, _digit_products, _integer_weights
+from .measure import WeightVector, _integer_weights
 from .rational import _POWERS, format_int, format_rational
 
 
@@ -202,20 +199,6 @@ def exact_moments(w: WeightVector, m_max: int) -> MomentSequence:
     """Exact raw moments ``I_0..I_{m_max}``: branch offsets ``0..N-1``."""
     values = tuple(map(Fraction, *_self_similar_moments(w, range(w.n_branches), m_max)))
     return MomentSequence(weights=w, kind="raw", values=values)
-
-
-def left_endpoint_estimate(w: WeightVector, k: int, m: int) -> Fraction:
-    """Depth-k left-endpoint lower sum for the m-th moment.
-
-    Sums ``mass(address) * (address / N**k)**m`` over all ``N**k`` addresses,
-    with the mass the integer digit product of the weight numerators
-    (:func:`measure._digit_products`).  Always a lower bound for ``I_m``.
-    """
-    if m < 0:
-        raise OutOfRange(f"m must be nonnegative, got {m}")
-    masses, denominator = _digit_products(w, k)
-    total = sum(p * n**m for n, p in enumerate(masses) if p)
-    return Fraction(total, denominator * len(masses)**m)
 
 
 def shifted_moments(w: WeightVector, m_max: int) -> MomentSequence:

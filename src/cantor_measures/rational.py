@@ -12,8 +12,9 @@ from fractions import Fraction
 
 RationalLike = Fraction | int | str
 
-_INTEGER_RATIO = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
-_DECIMAL = re.compile(r"\s*[+-]?(?:\d+\.\d*|\.\d+)\s*")
+# Without re.ASCII, "\d" and "\s" would match any Unicode digit or space.
+_INTEGER_RATIO = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*", re.ASCII)
+_DECIMAL = re.compile(r"\s*[+-]?(?:\d+\.\d*|\.\d+)\s*", re.ASCII)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -78,8 +79,9 @@ def _parse_int(text: str) -> int:
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, a plain integer or a plain decimal such as ``"0.25"``.
 
-    Any other form raises ``ValueError``, exponent notation included: the
-    exact value of ``"1e100000000"`` alone would take minutes to build.
+    Digits and spaces are ASCII.  Any other form raises ``ValueError``,
+    exponent notation included: the exact value of ``"1e100000000"`` alone
+    would take minutes to build.
     """
     if _DECIMAL.fullmatch(text):
         whole, _, part = text.strip().partition(".")

@@ -13,7 +13,7 @@ import re
 from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from cantor_measures import (
     parse_weights,
 )
 from cantor_measures.fast import FastResult, _certified, _first_moment, partial_product_series
-from cantor_measures.measure import _integer_weights
+from cantor_measures.measure import _digit_products, _integer_weights
 from cantor_measures.legendre import GRID_POINTS
 from cantor_measures.rational import format_int, format_rational
 
@@ -149,10 +149,24 @@ def exact_moments_via_depth(w: WeightVector, k: int, m_max: int) -> MomentSequen
     return MomentSequence(weights=w, kind="raw", values=tuple(values))
 
 
+def left_endpoint_sum(w: WeightVector, k: int, m: int) -> Fraction:
+    """Depth-k left-endpoint lower sum for the m-th moment.
+
+    Sums ``mass(address) * (address / N**k)**m`` over all ``N**k`` addresses,
+    with the mass the integer digit product of the weight numerators
+    (:func:`measure._digit_products`).  Always a lower bound for ``I_m``.
+    """
+    if m < 0:
+        raise OutOfRange(f"m must be nonnegative, got {m}")
+    masses, denominator = _digit_products(w, k)
+    total = sum(p * n**m for n, p in enumerate(masses) if p)
+    return Fraction(total, denominator * len(masses)**m)
+
+
 def approx_error_depth(n_base: int, m: int, eps: Fraction) -> int:
     """Smallest depth k with ``(1 + N**-k)**m - 1 <= eps``.
 
-    The gap ``I_m - left_endpoint_estimate(w, k, m)`` is strictly below that
+    The gap ``I_m - left_endpoint_sum(w, k, m)`` is strictly below that
     quantity, so the depth-k lower sum is within eps of ``I_m``.
     """
     k = 1
@@ -317,8 +331,19 @@ def grid_values_exact(basis: OrthoBasis, n_points: int, digits: int = 60) -> lis
     return rows
 
 
+def _ascii(kind: type) -> Callable[[str], object]:
+    """``kind`` (int or float) on ASCII text without ``_``; else ValueError."""
+    def read(text: str) -> object:
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"not an ASCII {kind.__name__}: {text!r}")
+        return kind(text)
+
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argparse parser, as it was before the flag table replaced it."""
+    """The CLI's argparse parser, as it was before the flag table replaced it,
+    with its numbers read as ASCII without ``_``."""
     parser = argparse.ArgumentParser(
         prog="cantor-measures",
         description="Exact and certified-fast computations for weighted Cantor measures.",
@@ -338,37 +363,37 @@ def build_parser() -> argparse.ArgumentParser:
                        ("shifted-moments", "moments on [-1/2,1/2] (palindromic)")):
         p = sub.add_parser(name, help=text)
         common(p)
-        p.add_argument("--m", type=int, required=True, help="highest moment index")
+        p.add_argument("--m", type=_ascii(int), required=True, help="highest moment index")
         p.add_argument("--mode", choices=("exact", "fast"), default="exact")
-        p.add_argument("--eps", type=float, default=None, help="fast-mode error budget")
+        p.add_argument("--eps", type=_ascii(float), default=None, help="fast-mode error budget")
 
     p = sub.add_parser("cdf", help="exact CDF table on the depth-k grid")
     common(p)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_ascii(int), required=True)
 
     p = sub.add_parser("legendre", help="monic orthogonal polynomial basis")
     common(p)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_ascii(int), required=True)
     p.add_argument(
         "--grid-points",
-        type=int,
+        type=_ascii(int),
         default=None,
         help=f"grid resolution of the CSV plot-data export (default {GRID_POINTS})",
     )
 
     p = sub.add_parser("mgf", help="partial-product MGF value at s")
     common(p)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--depth", type=int, default=30)
+    p.add_argument("--s", type=_ascii(float), required=True)
+    p.add_argument("--depth", type=_ascii(int), default=30)
 
     p = sub.add_parser("decay", help="moment decay regime report")
     common(p)
-    p.add_argument("--m", type=int, default=64, help="highest moment to check")
+    p.add_argument("--m", type=_ascii(int), default=64, help="highest moment to check")
 
     p = sub.add_parser("lipschitz", help="CDF Lipschitz bound check for two vectors")
     common(p)
     p.add_argument("--weights-b", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_ascii(int), required=True)
     return parser
 
 

@@ -21,7 +21,6 @@ from cantor_measures import (
     exact_moments,
     inner_product,
     kronecker_power,
-    left_endpoint_estimate,
     monic_basis_general,
     monic_basis_symmetric,
     parse_weights,
@@ -30,7 +29,7 @@ from cantor_measures import (
 from cantor_measures.fast import fast_moments, mgf_eval
 
 from conftest import random_weight_vector
-from oracles import interval_mass, moments_at_depth, palindromic_odd_moment
+from oracles import interval_mass, left_endpoint_sum, moments_at_depth, palindromic_odd_moment
 
 F = Fraction
 
@@ -68,7 +67,7 @@ def test_criterion_01_exact_ternary_moments_and_oracle():
     ms = exact_moments(TERNARY, 4)
     assert ms.values == TERNARY_MOMENTS
     for m in range(5):
-        lower = left_endpoint_estimate(TERNARY, 12, m)
+        lower = left_endpoint_sum(TERNARY, 12, m)
         gap = (1 + F(1, 3**12)) ** m - 1
         assert lower <= ms.values[m] <= lower + gap
     elapsed = time.perf_counter() - start

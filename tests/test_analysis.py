@@ -1,4 +1,4 @@
-"""Holder exponents, moment decay regimes, Lipschitz CDF bound."""
+"""Moment decay regimes, Lipschitz CDF bound, largest CDF increments."""
 from __future__ import annotations
 
 import collections
@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantor_measures import (
-    Degenerate,
     FloatOverflow,
     InsufficientMoments,
     MeshMismatch,
@@ -21,7 +20,6 @@ from cantor_measures import (
     check_decay,
     check_lipschitz,
     exact_moments,
-    holder_exponent,
     parse_weights,
     shifted_moments,
 )
@@ -43,26 +41,10 @@ def enclosure_report(w: WeightVector, m_max: int):
     return _decay_report(w, [(lo, lo + m, 2**bits) for m, lo in enumerate(lows)])
 
 
-class TestHolderExponent:
-    def test_ternary(self, ternary):
-        assert holder_exponent(ternary) == pytest.approx(
-            math.log(2) / math.log(3), rel=1e-15
-        )
-
-    def test_uniform_is_lipschitz(self, lebesgue3):
-        assert holder_exponent(lebesgue3) == pytest.approx(1.0)
-
-    def test_five_branch(self):
-        w = parse_weights("1/20,1/5,1/2,1/5,1/20")
-        assert holder_exponent(w) == pytest.approx(math.log(2) / math.log(5), rel=1e-15)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(Degenerate):
-            holder_exponent(WeightVector([0, 1]))
-
+class TestCdfIncrements:
     @given(weight_vectors_st(interior=True), st.integers(1, 3))
     @settings(max_examples=30)
-    def test_max_increment_matches_exponent(self, w, k):
+    def test_max_increment_is_max_weight_power(self, w, k):
         # The largest depth-k cell mass is exactly (max weight)**k.
         t = cdf_table(w, k)
         values = [f for _, f in t.points]

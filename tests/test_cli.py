@@ -175,6 +175,13 @@ class TestInputContract:
             (("moments", *TERNARY, "--m", "2", "3"), 2),
             (("moments", *TERNARY, "--m", "2", "--output"), 2),
             (("moments", *TERNARY, "--m", "2", "--output", "--format", "csv"), 2),
+            # Weights and numbers are ASCII, without "_": int(), float() and
+            # the weights' "\d" read each of these as a number and exited 0.
+            (("moments", "--weights", "\uff11/\uff12,\u0661/\u0662", "--m", "2"), 1),
+            (("moments", *TERNARY, "--m", "1_0"), 2),
+            (("moments", *TERNARY, "--m", "\uff13"), 2),
+            (("moments", *TERNARY, "--m", "2", *FAST, "\uff10.\uff11"), 2),
+            (("mgf", *TERNARY, "--s", "1_0.5"), 2),
         ],
     )
     def test_malformed_argv(self, capsys, default_int_str_limit, argv, expected):
@@ -670,7 +677,7 @@ def _mostly(good, bad):
     return st.integers(0, 5).flatmap(lambda i: bad if i == 5 else good)
 
 
-_BAD_SIZES = _values("-3", "", "1/0", "nan", "1e400", "two")
+_BAD_SIZES = _values("-3", "", "1/0", "nan", "1e400", "two", "1_0", "\uff13", "\u0663", "\u0967_2")
 
 
 def _sizes(low: int, high: int):
@@ -678,13 +685,15 @@ def _sizes(low: int, high: int):
 
 
 def _floats(*good: str):
-    return _mostly(_values(*good), _values("", "1/0", "nan", "inf", "-inf", "1e400"))
+    return _mostly(_values(*good), _values("", "1/0", "nan", "inf", "-inf", "1e400",
+                                           "1_0.5", "1e-1_0", "\uff10.\uff11", "\u0661e-\u0669"))
 
 
 _WEIGHTS = _mostly(
     _values("1/2,0,1/2", "1/3,1/3,1/3", "2/3,1/3", "1/2,1/2,0",
             "1/5,1/10,2/5,1/10,1/5", "0,1", tiny_last(300), tiny_last(400)),
-    _values("1/2,1/3", "", "1/0,1", "nan", "-3", "1e400", "abc"),
+    _values("1/2,1/3", "", "1/0,1", "nan", "-3", "1e400", "abc", "\uff11/\uff12,\u0661/\u0662",
+            "1/2,1_0/20"),
 )
 #: Depths up to 6 build small tables; 25 is past the cap for every base.
 _DEPTH = _mostly(_values(*map(str, range(7)), "25"), _BAD_SIZES)

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion from a scratch working directory."""
+"""Every demo script runs to completion from a scratch working directory,
+and so does the README's quick tour."""
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +20,11 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_quick_tour_runs():
+    # The tour's one python block runs, so no removed name lingers in it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -23,7 +23,6 @@ from cantor_measures import (
     OutOfRange,
     WeightVector,
     exact_moments,
-    left_endpoint_estimate,
     parse_weights,
     shifted_moments,
 )
@@ -40,7 +39,7 @@ from cantor_measures.measure import _digit_products
 from cantor_measures.rational import format_float
 
 from conftest import random_weight_vector, weight_vectors_st
-from oracles import factor_by_factor_series, moments_at_depth
+from oracles import factor_by_factor_series, left_endpoint_sum, moments_at_depth
 
 F = Fraction
 
@@ -413,7 +412,7 @@ class TestTruncationTerm:
                 size = n_base**k
                 cells = [(p, 2 * a - size + 1) for a, p in enumerate(masses) if p]
                 for n in range(1, 41):
-                    gap = raw[n] - left_endpoint_estimate(w, k, n)
+                    gap = raw[n] - left_endpoint_sum(w, k, n)
                     bound = n * raw[1] / size
                     assert 0 <= gap <= bound, (text, k, n)
                     if n == 1:

@@ -17,7 +17,6 @@ from cantor_measures import (
     OutOfRange,
     ZeroNorm,
     WeightVector,
-    eval_poly,
     exact_moments,
     grid_csv,
     inner_product,
@@ -175,18 +174,15 @@ class TestGeneralBasis:
 
 
 class TestEvalPoly:
-    def test_centered_linear_root(self):
-        assert eval_poly((F(-1, 2), F(1)), F(1, 2)) == 0
+    """Basis values by Horner's rule on Fractions."""
 
     def test_ternary_quadratic_endpoints(self, ternary):
         poly = monic_basis_symmetric(ternary, 2).polys[2]
-        assert eval_poly(poly, 0) == F(1, 8)
-        assert eval_poly(poly, 1) == F(1, 8)
-
-    def test_float_path(self):
-        value = eval_poly((F(1, 8), F(-1), F(1)), 0.5)
-        assert isinstance(value, float)
-        assert value == pytest.approx(-0.125)
+        for x in (F(0), F(1)):
+            value = F(0)
+            for c in reversed(poly):  # Horner, exact on Fractions
+                value = value * x + c
+            assert value == F(1, 8)
 
 
 #: Relative accuracy, against ``max(1, |value|)``, of every grid value.

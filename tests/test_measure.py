@@ -19,10 +19,8 @@ from cantor_measures import (
     DepthOverflow,
     MeshMismatch,
     NotASimplexPoint,
-    OutOfDomain,
     OutOfRange,
     WeightVector,
-    cdf_eval,
     cdf_sup_distance,
     cdf_table,
     kronecker_power,
@@ -58,11 +56,6 @@ class TestWeightVector:
         w = WeightVector([F(1, 2), 0, F(1, 2)])
         assert w.n_branches == 3
         assert w.is_palindromic
-        assert not w.is_degenerate
-
-    def test_dirac_is_degenerate(self):
-        w = WeightVector([0, 1])
-        assert w.is_degenerate
 
     def test_sum_must_be_one(self):
         with pytest.raises(NotASimplexPoint):
@@ -161,6 +154,17 @@ class TestParseRational:
     @pytest.mark.parametrize("text", ["1e5", "1E-2", "2.5e1", "1e400", "1_0", "1.5_0"])
     def test_other_forms_rejected(self, text):
         # Exponent notation used to build 10**exponent: minutes for "1e100000000".
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", [
+        "\uff11/\uff12", "\uff10.\uff15",  # fullwidth 1/2, 0.5
+        "\u0661/\u0662", "1/\u0662",  # Arabic-Indic digits
+        "\u0967/\u0968", "\u0966.\u0969",  # Devanagari digits
+        "\u00a01/2", "1/2\u3000", "\u20031",  # no-break, ideographic and em spaces
+    ])
+    def test_ascii_only(self, text):
+        # "\d" and "\s" used to match these, and "１/２" read as 1/2.
         with pytest.raises(ValueError, match="not a rational number"):
             parse_rational(text)
 
@@ -366,45 +370,6 @@ class TestCdfTable:
         t = cdf_table(w, k)
         for j, (x, f) in enumerate(t.points):
             assert f == F(j, n**k) == x
-
-
-class TestCdfEval:
-    def test_flat_segment(self, ternary):
-        t = cdf_table(ternary, 1)
-        assert cdf_eval(t, F(1, 2)) == F(1, 2)
-
-    def test_interpolated_midpoint(self, ternary):
-        t = cdf_table(ternary, 1)
-        assert cdf_eval(t, F(1, 6)) == F(1, 4)
-
-    def test_right_endpoint(self, ternary):
-        t = cdf_table(ternary, 3)
-        assert cdf_eval(t, 1) == 1
-        assert cdf_eval(t, F(1)) == 1
-
-    def test_float_path(self, ternary):
-        # Exact only: a float point is rejected, as by as_fraction.
-        t = cdf_table(ternary, 1)
-        for x in (0.5, 1.0):
-            with pytest.raises(TypeError):
-                cdf_eval(t, x)
-
-    def test_out_of_domain(self, ternary):
-        t = cdf_table(ternary, 1)
-        with pytest.raises(OutOfDomain):
-            cdf_eval(t, F(3, 2))
-        with pytest.raises(OutOfDomain):
-            cdf_eval(t, F(-1, 4))
-
-    @given(weight_vectors_st(n_max=4), st.integers(1, 3), st.fractions(0, 1))
-    def test_exact_between_breakpoints(self, w, k, x):
-        # Interpolant agrees with the exact chord through its breakpoints.
-        t = cdf_table(w, k)
-        size = t.mesh_size
-        j = min(int(x * size), size - 1)
-        (x0, f0), (x1, f1) = t.points[j], t.points[j + 1]
-        chord = f0 + (x - x0) * (f1 - f0) / (x1 - x0)
-        assert cdf_eval(t, x) == chord
 
 
 class TestSupDistance:

@@ -18,7 +18,6 @@ from cantor_measures import (
     WeightVector,
     exact_moments,
     kronecker_power,
-    left_endpoint_estimate,
     parse_weights,
     shifted_moments,
 )
@@ -32,6 +31,7 @@ from oracles import (
     branch_recurrence_moments,
     exact_moments_via_depth,
     full_stride_moments,
+    left_endpoint_sum,
     moments_csv,
     moments_json,
     palindromic_odd_moment,
@@ -209,19 +209,19 @@ class TestKernelOracle:
 
 class TestLeftEndpointEstimate:
     def test_ternary_single_level(self, ternary):
-        assert left_endpoint_estimate(ternary, 1, 1) == F(1, 3)
+        assert left_endpoint_sum(ternary, 1, 1) == F(1, 3)
 
     def test_total_mass(self):
         w = WeightVector([F(1, 5), F(2, 5), F(2, 5)])
-        assert left_endpoint_estimate(w, 3, 0) == 1
+        assert left_endpoint_sum(w, 3, 0) == 1
 
     def test_negative_m_rejected(self, ternary):
         with pytest.raises(OutOfRange):
-            left_endpoint_estimate(ternary, 1, -1)
+            left_endpoint_sum(ternary, 1, -1)
 
     def test_ternary_depth_eight_gap(self, ternary):
         # Lower sum within the proof-chain gap (1 + 1/3**8)**2 - 1 of I_2.
-        estimate = left_endpoint_estimate(ternary, 8, 2)
+        estimate = left_endpoint_sum(ternary, 8, 2)
         exact = F(3, 8)
         gap = (1 + F(1, 3**8)) ** 2 - 1
         assert estimate <= exact < estimate + gap
@@ -230,13 +230,13 @@ class TestLeftEndpointEstimate:
     @given(weight_vectors_st(n_max=4), st.integers(1, 3), st.integers(0, 4))
     @settings(max_examples=40)
     def test_matches_brute_force(self, w, k, m):
-        assert left_endpoint_estimate(w, k, m) == brute_force_left_sum(w, k, m)
+        assert left_endpoint_sum(w, k, m) == brute_force_left_sum(w, k, m)
 
     @given(weight_vectors_st(n_max=4), st.integers(1, 4), st.integers(0, 6))
     @settings(max_examples=40)
     def test_oracle_sandwich(self, w, k, m):
         # Lower sum below the exact moment, and within the rational gap bound.
-        estimate = left_endpoint_estimate(w, k, m)
+        estimate = left_endpoint_sum(w, k, m)
         exact = exact_moments(w, m).values[m]
         gap = (1 + F(1, w.n_branches**k)) ** m - 1
         assert estimate <= exact <= estimate + gap
@@ -272,7 +272,7 @@ class TestApproxErrorDepth:
             if (1 + F(1, w.n_branches**k)) ** m - 1 > eps:
                 return
         exact = exact_moments(w, m).values[m]
-        assert exact - left_endpoint_estimate(w, k, m) < eps
+        assert exact - left_endpoint_sum(w, k, m) < eps
 
 
 class TestPalindromicOddMoment:
