@@ -7,81 +7,42 @@ recurrences, and its monic orthogonal polynomial bases: these exact names
 are the package root, which never imports numpy.  The float API (certified
 double-precision moments from truncated products of the moment generating
 function, and MGF values) is imported from :mod:`cantor_measures.fast`.
+
+The root imports no submodule itself: each name of ``__all__`` is looked up
+in its module on first access (PEP 562), so ``import cantor_measures.cli``
+loads only what the command it runs needs.
 """
 from __future__ import annotations
 
-from .analysis import (
-    DecayReport,
-    LipschitzCheck,
-    check_decay,
-    check_lipschitz,
-)
-from .errors import (
-    BadTolerance,
-    CantorMeasureError,
-    DepthOverflow,
-    FloatOverflow,
-    InsufficientMoments,
-    MeshMismatch,
-    NotASimplexPoint,
-    NotPalindromic,
-    OutOfDomain,
-    OutOfRange,
-    ZeroNorm,
-)
-from .legendre import (
-    OrthoBasis,
-    grid_csv,
-    inner_product,
-    monic_basis_general,
-    monic_basis_symmetric,
-)
-from .measure import (
-    DEPTH_CAP,
-    CdfTable,
-    WeightVector,
-    cdf_sup_distance,
-    cdf_table,
-    kronecker_power,
-    parse_weights,
-)
-from .moments import (
-    MomentSequence,
-    exact_moments,
-    shifted_moments,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadTolerance",
-    "CantorMeasureError",
-    "CdfTable",
-    "DEPTH_CAP",
-    "DecayReport",
-    "DepthOverflow",
-    "FloatOverflow",
-    "InsufficientMoments",
-    "LipschitzCheck",
-    "MeshMismatch",
-    "MomentSequence",
-    "NotASimplexPoint",
-    "NotPalindromic",
-    "OrthoBasis",
-    "OutOfDomain",
-    "OutOfRange",
-    "WeightVector",
-    "ZeroNorm",
-    "cdf_sup_distance",
-    "cdf_table",
-    "check_decay",
-    "check_lipschitz",
-    "exact_moments",
-    "grid_csv",
-    "inner_product",
-    "kronecker_power",
-    "monic_basis_general",
-    "monic_basis_symmetric",
-    "parse_weights",
-    "shifted_moments",
-]
+#: Each public name and the submodule that defines it.
+_MODULES = {name: module for module, names in (
+    ("analysis", "DecayReport LipschitzCheck check_decay check_lipschitz"),
+    ("errors", "BadTolerance CantorMeasureError DepthOverflow FloatOverflow InsufficientMoments"
+               " MeshMismatch NotASimplexPoint NotPalindromic OutOfDomain OutOfRange ZeroNorm"),
+    ("legendre", "OrthoBasis grid_csv inner_product monic_basis_general monic_basis_symmetric"),
+    ("measure", "CdfTable cdf_sup_distance cdf_table kronecker_power"),
+    ("moments", "MomentSequence exact_moments shifted_moments"),
+    ("weights", "DEPTH_CAP WeightVector parse_weights"),
+) for name in names.split()}
+
+__all__ = sorted(_MODULES)
+
+
+def __getattr__(name: str):
+    """A name of ``__all__`` from its module, or a submodule, bound here on first use."""
+    if name in _MODULES:
+        value = getattr(importlib.import_module(f".{_MODULES[name]}", __name__), name)
+    elif name in _MODULES.values():
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_MODULES.values()})

@@ -8,8 +8,13 @@ weights and flags to a result that renders itself, and ``run`` writes its
 
 Exit codes: 0 on success, 1 on a domain error (the message names the
 violated invariant), 2 on a usage error (one ``error:`` line) and on output
-that cannot be written.  Only the float renderers (``--mode fast`` and
-``mgf``) import :mod:`.fast`, and with it numpy.
+that cannot be written.
+
+Importing this module loads only what parsing needs (:mod:`.weights`,
+:mod:`.errors` and :mod:`.rational`); each command imports the modules it
+runs when it runs, so an exact ``moments`` request never compiles the CDF
+tables or the bases.  Only ``--mode fast`` imports :mod:`.fast`, and with
+it numpy.
 """
 from __future__ import annotations
 
@@ -18,11 +23,8 @@ import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
-from .analysis import check_decay, check_lipschitz
 from .errors import CantorMeasureError
-from .legendre import GRID_POINTS, BasisExport, monic_basis_general
-from .measure import WeightVector, cdf_table, parse_weights
-from .moments import exact_moments, shifted_moments
+from .weights import WeightVector, parse_weights
 
 _REQUIRED = object()  # the default of a flag that must be given
 #: flag: (int, float, str or a tuple of choices; default; minimum; help)
@@ -45,7 +47,8 @@ _FLAGS = {
     "cdf": ("exact CDF table on the depth-k grid", {"--depth": _DEPTH}),
     "legendre": ("monic orthogonal polynomial basis", {
         "--degree": (int, _REQUIRED, 0, "highest degree"),
-        "--grid-points": (int, None, 2, f"CSV plot-data grid size (default {GRID_POINTS})")}),
+        # legendre.GRID_POINTS, written out so that help imports no legendre.
+        "--grid-points": (int, None, 2, "CSV plot-data grid size (default 201)")}),
     "mgf": ("partial-product MGF value at s", {"--s": (float, _REQUIRED, None, "argument s"),
                                                "--depth": (int, 30, 1, "product factors")}),
     "decay": ("moment decay regime report", {"--m": (int, 64, 0, "highest moment to check")}),
@@ -123,32 +126,43 @@ def _moments(w: WeightVector, args: SimpleNamespace):
             f"(alpha[N-1-n] == alpha[n] for all n), got {w}"
         )
     if args.mode == "fast":
-        from . import fast
-
-        compute = fast.shifted_fast_moments if shifted else fast.fast_moments
-        return compute(w, args.m, args.eps)
+        from .fast import fast_moments, shifted_fast_moments
+        return (shifted_fast_moments if shifted else fast_moments)(w, args.m, args.eps)
+    from .moments import exact_moments, shifted_moments
     return (shifted_moments if shifted else exact_moments)(w, args.m)
 
 
-def _mgf(w: WeightVector, args: SimpleNamespace):
-    from . import fast
+def _cdf(w: WeightVector, args: SimpleNamespace):
+    from .measure import cdf_table
+    return cdf_table(w, args.depth)
 
-    return fast.MgfValue(args.s, args.depth, fast.mgf_eval(w, args.s, args.depth))
+
+def _legendre(w: WeightVector, args: SimpleNamespace):
+    from .legendre import GRID_POINTS, BasisExport, monic_basis_general
+    return BasisExport(monic_basis_general(w, args.degree), args.grid_points or GRID_POINTS)
 
 
-#: Each entry looks its functions up when called, so a wrapper rebound on a
-#: module's names (as the benchmark's tracer installs) sees the call.
+def _analysis(w: WeightVector, args: SimpleNamespace):
+    """``mgf``, ``decay`` and ``lipschitz``: the commands of :mod:`.analysis`."""
+    from .analysis import MgfValue, check_decay, check_lipschitz, mgf_eval
+    if args.command == "mgf":
+        return MgfValue(args.s, args.depth, mgf_eval(w, args.s, args.depth))
+    if args.command == "decay":
+        return check_decay(w, args.m)
+    return check_lipschitz(w, parse_weights(args.weights_b), args.depth)
+
+
+#: Each command imports its names from their module when it runs, so it
+#: calls whatever the module binds then (the benchmark's tracer rebinds them
+#: to timing wrappers), and ``python -X importtime`` logs the module.
 _COMMANDS = {
     "moments": _moments,
     "shifted-moments": _moments,
-    "cdf": lambda w, args: cdf_table(w, args.depth),
-    "legendre": lambda w, args: BasisExport(monic_basis_general(w, args.degree),
-                                            args.grid_points or GRID_POINTS),
-    "mgf": _mgf,
-    "decay": lambda w, args: check_decay(w, args.m),
-    "lipschitz": lambda w, args: check_lipschitz(
-        w, parse_weights(args.weights_b), args.depth
-    ),
+    "cdf": _cdf,
+    "legendre": _legendre,
+    "mgf": _analysis,
+    "decay": _analysis,
+    "lipschitz": _analysis,
 }
 
 

@@ -26,6 +26,8 @@ range, values are 0 and bounds inf; indices above ``DEPTH_CAP`` are refused.
 
 This is the package's float API and its only numpy import; the package root
 does not re-export it, so import these names from ``cantor_measures.fast``.
+The MGF value (:func:`mgf_eval`, :class:`MgfValue`) needs no arrays: it
+lives in :mod:`.analysis`, which imports no numpy, and is re-exported here.
 """
 from __future__ import annotations
 
@@ -35,8 +37,10 @@ from fractions import Fraction
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import BadTolerance, FloatOverflow, NotPalindromic, OutOfDomain, OutOfRange
-from .measure import WeightVector, _check_cap, _integer_weights
+# MgfValue and mgf_eval stay importable from here.
+from .analysis import MgfValue, mgf_eval
+from .errors import BadTolerance, NotPalindromic, OutOfRange
+from .weights import WeightVector, _check_cap, _integer_weights
 
 #: Smallest tolerance the double-precision pipeline certifies.
 MIN_TOLERANCE = 1e-12
@@ -343,7 +347,7 @@ def fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:
     Index 0 is exact; index 1 is the double nearest the exact ``I_1`` and
     its bound is that rounding error.  Bounds up to n = 170 are within eps;
     from n = 171 values are 0 and bounds inf.  Raises :class:`DepthOverflow`
-    for ``m_max`` above :data:`~cantor_measures.measure.DEPTH_CAP`, before
+    for ``m_max`` above :data:`~cantor_measures.weights.DEPTH_CAP`, before
     anything is built.
     """
     return _certified_to_eps(w, m_max, eps, shifted=False)
@@ -360,61 +364,3 @@ def shifted_fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:
     if not w.is_palindromic:
         raise NotPalindromic(f"shifted moments need palindromic weights, got {w}")
     return _certified_to_eps(w, m_max, eps, shifted=True)
-
-
-def mgf_eval(w: WeightVector, s: float, depth: int) -> float:
-    """Numeric value of the depth-k partial product of the MGF at ``s``.
-
-    Nondecreasing in ``depth`` for ``s > 0`` (every factor is at least 1
-    there) and converges to the moment generating function as depth grows.
-    Every exponent of factor r is within ``|s| / N**(r-1)`` of 0; the loop
-    stops once that is below ``2**-60``, where every remaining ``exp`` term
-    is exactly 1.0 and a factor could only multiply the value by the float
-    sum of the weights (0.9999999999999999 for ten weights 1/10), so the
-    value stops changing with depth and any depth costs at most a few
-    thousand factors.  Raises :class:`OutOfDomain` for a non-finite ``s``,
-    :class:`OutOfRange` for ``depth < 1`` and :class:`FloatOverflow` when the
-    value exceeds the largest double, as for ``s = 1e6`` on ternary.
-    """
-    if not math.isfinite(s):
-        raise OutOfDomain(f"the MGF argument must be finite, got s = {s}")
-    if depth < 1:
-        raise OutOfRange(f"depth must be a positive integer, got {depth}")
-    n_base = w.n_branches
-    weights = [float(a) for a in w.weights]
-    value = 1.0
-    for r in range(1, depth + 1):
-        power = n_base**r
-        if abs(s) < power >> (60 + n_base.bit_length()):
-            break
-        try:
-            scale = s / power
-        except OverflowError:  # power is past the double range, s / power is not
-            scale = float(Fraction(s) / power)
-        try:
-            value *= sum(a * math.exp(n * scale) for n, a in enumerate(weights) if a)
-        except OverflowError:
-            value = math.inf
-            break
-    if value == math.inf:
-        raise FloatOverflow(f"MGF partial product at s = {s} exceeds the double range")
-    return value
-
-
-class MgfValue(Frozen):
-    """An :func:`mgf_eval` value with its arguments, as the ``mgf`` command prints it."""
-
-    __slots__ = ("s", "depth", "value")
-
-    def __init__(self, s: float, depth: int, value: float) -> None:
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "value", value)
-
-    def to_csv(self) -> str:
-        return f"s,depth,value\n{self.s:.17g},{self.depth},{self.value:.17g}\n"
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps({"s": self.s, "depth": self.depth, "value": self.value})

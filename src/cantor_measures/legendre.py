@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from ._frozen import Frozen
 from .errors import FloatOverflow, InsufficientMoments, NotPalindromic, OutOfRange, ZeroNorm
-from .measure import WeightVector, _check_cap
+from .weights import WeightVector, _check_cap
 from .moments import MomentSequence, _self_similar_moments
 from .rational import as_fraction, format_rational
 

@@ -1,10 +1,10 @@
-"""Weight vectors and exact CDF tables of base-N weighted Cantor measures.
+"""Exact CDF tables of base-N weighted Cantor measures.
 
-A weight vector ``alpha`` is a point of the standard simplex: N nonnegative
-exact rationals summing to one.  It determines the unique Borel probability
-measure on ``[0, 1]`` that splits its mass over the N branches
-``x -> (x + n) / N`` with weights ``alpha_n``.  The measure of the depth-k
-N-adic interval addressed by digits ``n_0..n_{k-1}`` is the product
+A weight vector (:class:`~cantor_measures.weights.WeightVector`, re-exported
+here with :func:`parse_weights` and :data:`DEPTH_CAP`) determines the
+measure that splits its mass over the N branches ``x -> (x + n) / N`` with
+weights ``alpha_n``.  The measure of the depth-k N-adic interval addressed
+by digits ``n_0..n_{k-1}`` is the product
 ``alpha_{n_0} * ... * alpha_{n_{k-1}}``, which makes CDF values on the
 depth-k grid exactly computable.
 
@@ -33,83 +33,13 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 
 from ._frozen import Frozen
-from .errors import (
-    DepthOverflow,
-    MeshMismatch,
-    NotASimplexPoint,
-    OutOfRange,
-)
-from .rational import (
-    RationalLike, as_fraction, format_int, format_rational, parse_rational
-)
-
-#: Cap on the number of table entries N**k (about 4.8e6).
-DEPTH_CAP = 3**14
+from .errors import MeshMismatch, OutOfRange
+from .rational import format_int
+# DEPTH_CAP, WeightVector and parse_weights stay importable from here.
+from .weights import DEPTH_CAP, WeightVector, _check_cap, _integer_weights, parse_weights
 
 #: Rows of a CDF table rendered per joined block of text.
 BLOCK_ROWS = 4096
-
-
-def _check_cap(size: int, what: str) -> None:
-    """The one check of :data:`DEPTH_CAP`: :class:`DepthOverflow` past it."""
-    if size > DEPTH_CAP:
-        raise DepthOverflow(f"{what} exceeds the cap {DEPTH_CAP}")
-
-
-class WeightVector(Frozen):
-    """A validated simplex point: exact nonnegative rationals summing to 1.
-
-    ``weights`` is the tuple of Fractions ``alpha_0 .. alpha_{N-1}``, ``N >= 2``.
-    """
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights: Sequence[RationalLike]) -> None:
-        coerced = tuple(as_fraction(w) for w in weights)
-        object.__setattr__(self, "weights", coerced)
-        if len(coerced) < 2:
-            raise NotASimplexPoint("a weight vector needs at least two entries")
-        negative = next((i for i, w in enumerate(coerced) if w < 0), None)
-        if negative is not None:
-            raise NotASimplexPoint(f"negative weight at index {negative}")
-        total = sum(coerced)
-        if total != 1:
-            try:
-                shown = f"{total.numerator}/{total.denominator}"
-            except ValueError:  # past the int/str digit limit
-                bits = max(total.numerator, total.denominator).bit_length()
-                shown = f"a rational of about {math.ceil(bits * math.log10(2))} digits"
-            raise NotASimplexPoint(f"weights sum to {shown}, not 1")
-
-    @property
-    def n_branches(self) -> int:
-        return len(self.weights)
-
-    @property
-    def is_palindromic(self) -> bool:
-        """True iff ``alpha_{N-1-n} == alpha_n`` for all n (symmetric measure)."""
-        return self.weights == self.weights[::-1]
-
-    def __iter__(self):
-        return iter(self.weights)
-
-    def __str__(self) -> str:
-        return ",".join(format_rational(w) for w in self.weights)
-
-
-def parse_weights(text: str) -> WeightVector:
-    """Parse ``"1/2,0,1/2"``; an empty or non-rational entry is a NotASimplexPoint."""
-    try:
-        values = [parse_rational(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise NotASimplexPoint(f"bad weight list {text!r}: {exc}") from exc
-    return WeightVector(tuple(values))
-
-
-def _integer_weights(w: WeightVector) -> tuple[list[int], int]:
-    """Integers ``p_n`` and A with ``alpha_n = p_n / A``, A the lcm of the denominators."""
-    common = math.lcm(*(a.denominator for a in w.weights))
-    return [a.numerator * (common // a.denominator) for a in w.weights], common
 
 
 def _digit_products(w: WeightVector, k: int) -> tuple[list[int], int]:

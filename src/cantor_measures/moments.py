@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from ._frozen import Frozen
 from .errors import OutOfRange
-from .measure import WeightVector, _integer_weights
+from .weights import WeightVector, _integer_weights
 from .rational import _POWERS, format_int, format_rational
 
 

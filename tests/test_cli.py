@@ -233,6 +233,12 @@ class TestInputContract:
         else:
             assert all(f"\n  {flag} " in out for flag in {**cli._COMMON, **cli._FLAGS[command][1]})
 
+    def test_grid_points_help_names_the_default(self):
+        # The help writes the default out, so that it imports no legendre.
+        from cantor_measures.legendre import GRID_POINTS
+
+        assert f"(default {GRID_POINTS})" in cli._usage("legendre")
+
     def test_long_weight_fails_fast(self, capsys, default_int_str_limit):
         # Parsing the 400,001-digit weight alone used to take 6.6 s.
         start = time.perf_counter()
@@ -793,6 +799,22 @@ def run_child(*argv: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=child_env())
 
 
+#: Runs ``run(argv)`` in a fresh interpreter, then reports on stderr the
+#: package modules and numpy that it loaded.
+_LOADED = (
+    "import sys\n"
+    "from cantor_measures.cli import run\n"
+    "code = run(sys.argv[1:])\n"
+    "print(sorted(m for m in sys.modules if m.startswith('cantor_measures') or m == 'numpy'),\n"
+    "      file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+#: The package modules that ``import cantor_measures.cli`` loads: what parsing needs.
+_PARSING = {"cantor_measures", "cantor_measures._frozen", "cantor_measures.cli",
+            "cantor_measures.errors", "cantor_measures.rational", "cantor_measures.weights"}
+
+
 #: Prints the modules among ``argv[2:]`` that ``import <argv[1]>`` newly loads.
 _NEW_MODULES = (
     "import importlib, sys\n"
@@ -827,7 +849,7 @@ class TestImportIsolation:
             (("legendre", *TERNARY, "--degree", "3", "--grid-points", "5"), False),
             (("decay", *TERNARY, "--m", "10"), False),
             (("lipschitz", *TERNARY, "--weights-b", "1/3,1/3,1/3", "--depth", "2"), False),
-            (("mgf", *TERNARY, "--s", "1.5"), True),
+            (("mgf", *TERNARY, "--s", "1.5"), False),
             (("moments", *TERNARY, "--m", "12", *FAST, "1e-10"), True),
             (("shifted-moments", *TERNARY, "--m", "12", *FAST, "1e-10", "--format", "json"), True),
         ],
@@ -837,6 +859,29 @@ class TestImportIsolation:
         code, out, err = capture(argv)
         assert (proc.returncode, proc.stderr) == (code, f"{err}{numpy_loaded}\n")
         assert proc.stdout == out
+
+    @pytest.mark.parametrize(
+        "argv,modules",
+        [
+            (("moments", *TERNARY, "--m", "6"), {"moments"}),
+            (("shifted-moments", *TERNARY, "--m", "6", "--format", "json"), {"moments"}),
+            (("cdf", *TERNARY, "--depth", "3"), {"measure"}),
+            (("legendre", *TERNARY, "--degree", "3", "--grid-points", "5"),
+             {"legendre", "moments"}),
+            (("mgf", *TERNARY, "--s", "1.5"), {"analysis", "measure", "moments"}),
+            (("decay", *TERNARY, "--m", "10"), {"analysis", "measure", "moments"}),
+            (("lipschitz", *TERNARY, "--weights-b", "1/3,1/3,1/3", "--depth", "2"),
+             {"analysis", "measure", "moments"}),
+            (("moments", *TERNARY, "--m", "12", *FAST, "1e-10"),
+             {"fast", "analysis", "measure", "moments", "numpy"}),
+        ],
+    )
+    def test_command_loads_only_its_modules(self, argv, modules):
+        # Besides what parsing needs, a command loads only the modules it runs.
+        proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                              capture_output=True, text=True, env=child_env())
+        loaded = {"numpy" if m == "numpy" else f"cantor_measures.{m}" for m in modules}
+        assert (proc.returncode, proc.stderr) == (0, f"{sorted(loaded | _PARSING)}\n")
 
     def test_cli_loads_no_heavy_module(self):
         # -S: site preloads nothing, so every new module is the package's.
@@ -866,6 +911,9 @@ class TestImportIsolation:
 
 class TestPackageExports:
     def test_all_lists_exactly_the_root_bindings(self):
+        # The root binds a name on first access, so resolve every name first.
+        for name in cantor_measures.__all__:
+            getattr(cantor_measures, name)
         bound = {
             name for name, value in vars(cantor_measures).items()
             if not name.startswith("_") and not inspect.ismodule(value)
@@ -882,6 +930,16 @@ class TestPackageExports:
         for name in cantor_measures.__all__:
             assert getattr(cantor_measures, name) is not None
             assert name in listed
+
+    def test_moved_names_keep_their_old_paths(self):
+        # weights.py and analysis.py define these; measure and fast re-export them.
+        from cantor_measures import analysis, fast, measure, weights
+
+        for name in ("DEPTH_CAP", "WeightVector", "parse_weights", "_check_cap",
+                     "_integer_weights"):
+            assert getattr(measure, name) is getattr(weights, name) is vars(weights)[name]
+        assert (fast.mgf_eval, fast.MgfValue) == (analysis.mgf_eval, analysis.MgfValue)
+        assert cantor_measures.WeightVector.__module__ == "cantor_measures.weights"
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -907,11 +965,15 @@ class TestPackageExports:
         assert counts["m"] == 5 and counts["t"] == 10 and counts["d"] >= 0
 
     def test_type_hints_resolve(self):
+        # fast's names include those it re-exports (mgf_eval, MgfValue), and
+        # each class is checked through its methods.
         fast = cantor_measures.fast
         objects = [getattr(cantor_measures, name) for name in cantor_measures.__all__]
         objects += [obj for name, obj in vars(fast).items()
                     if not name.startswith("_")
-                    and getattr(obj, "__module__", None) == fast.__name__]
+                    and getattr(obj, "__module__", "").startswith("cantor_measures.")]
+        objects += [f for cls in objects if inspect.isclass(cls) for f in vars(cls).values()]
+        assert {fast.mgf_eval, fast.MgfValue, fast.MgfValue.__init__} <= set(objects)
         for obj in objects:
             if inspect.isfunction(obj):
                 typing.get_type_hints(obj)
