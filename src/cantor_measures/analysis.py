@@ -30,8 +30,6 @@ from fractions import Fraction
 
 from ._frozen import Frozen
 from .errors import FloatOverflow, InsufficientMoments, MeshMismatch, OutOfDomain, OutOfRange
-from .measure import cdf_sup_distance, cdf_table
-from .moments import _moment_enclosure, _self_similar_moments
 from .rational import format_float, format_rational
 from .weights import WeightVector
 
@@ -99,6 +97,7 @@ def check_decay(w: WeightVector, m_max: int) -> DecayReport:
     interval of width 0.  Either way each float equals that of the reduced
     ``Fraction``, and no value is reduced.
     """
+    from .moments import _moment_enclosure, _self_similar_moments
     n_base = w.n_branches
     bits = 96 + m_max * n_base.bit_length()
     lows = _moment_enclosure(w, m_max, bits)
@@ -107,7 +106,7 @@ def check_decay(w: WeightVector, m_max: int) -> DecayReport:
     one = 1 << bits
     report = _decay_report(w, [(lo, lo + m, one) for m, lo in enumerate(lows)])
     if report is None:
-        numerators, denominators = _self_similar_moments(w, range(n_base), m_max)
+        numerators, denominators, _ = _self_similar_moments(w, range(n_base), m_max)
         report = _decay_report(w, list(zip(numerators, numerators, denominators)))
     return report
 
@@ -174,6 +173,7 @@ class LipschitzCheck(namedtuple("LipschitzCheck", ("distance", "bound", "ok"))):
 
 def check_lipschitz(wa: WeightVector, wb: WeightVector, k: int) -> LipschitzCheck:
     """Exact check of ``sup|F_a,k - F_b,k| <= k * N**k * max|alpha - beta|``."""
+    from .measure import cdf_sup_distance, cdf_table
     if wa.n_branches != wb.n_branches:
         raise MeshMismatch(
             f"weight vectors have different bases: {wa.n_branches} vs {wb.n_branches}"

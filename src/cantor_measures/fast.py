@@ -19,7 +19,7 @@ needs no factor ``(3/2)**n``.
 Depths are powers of two: the depth-2k product is the depth-k product times
 itself at ``s / N**k``, so depth k costs log2(k) truncated multiplications,
 to degree ``min(m, 170)``.  A series is a float64 array of ``moment / n!``.
-Each bound is a truncation, a rounding and an underflow term
+Each bound is a truncation, a rounding and an underflow term, rounded up
 (:func:`_certified`); :func:`depth_for_eps` charges all three, so bounds up
 to n = 170 are within eps.  From n = 171, where ``n!`` leaves the double
 range, values are 0 and bounds inf; indices above ``DEPTH_CAP`` are refused.
@@ -48,6 +48,7 @@ MIN_TOLERANCE = 1e-12
 #: Highest moment index the pipeline returns a value for: 171! is past the
 #: double range.
 MAX_FINITE_INDEX = 170
+_UP = 1 + 178 * 2.0**-53  # exact: the factor that rounds each bound up (:func:`_certified`)
 
 
 def _exp_terms(x: np.ndarray, degree: int) -> np.ndarray:
@@ -109,37 +110,38 @@ def _rounding(n_base: int, depth: int, n):
 
 
 def _underflow(n_base: int, depth: int, n, factorial):
-    """Absolute underflow bound ``(2 + 16**L (n + N + 8) 2**-n) n! eta`` at
-    index n (scalar or array) and depth ``2**L``, derived in :func:`_certified`."""
+    """Absolute underflow bound ``(2 + 16**L (n + N + 8) 2**-n) n! eta`` at index n
+    (scalar or array), depth ``2**L`` (:func:`_certified`); exact after the ceil."""
     count = 16.0 ** (depth.bit_length() - 1) * (n + n_base + 8)
-    return (1.0 + count * 0.5 ** (n + 1)) * factorial * 2.0**-1074  # 2**-1075 is 0.0
+    return np.ceil((1.0 + count * 0.5 ** (n + 1)) * factorial) * 2.0**-1074  # 2**-1075 is 0.0
 
 
 def depth_for_eps(n_base: int, m: int, eps: float, shifted: bool = False) -> int:
-    """Smallest power-of-two depth k whose truncation, rounding and underflow
-    terms sum to at most eps at every index ``2..min(m, 170)`` the product
-    certifies; the certified path runs this k, and depth 1 when ``m < 2``.
+    """Smallest power-of-two depth k whose printed bounds are at most eps at
+    every index ``2..min(m, 170)`` the product certifies; the certified path
+    runs this k, and depth 1 when ``m < 2``.
 
     With ``I_1 <= 1`` the raw sum, ``n N**-k`` plus the rounding term
     (:func:`_rounding`) on a value of at most 1, is largest at the top
     index; the centred sum, ``2**-n`` times that, at n = 2; the underflow
-    term (:func:`_underflow`) at the top index on both.  Raises
-    :class:`BadTolerance` at the first depth where the last two reach eps.
+    term (:func:`_underflow`) at the top index on both.  Summed and times ``_UP``
+    as in :func:`_certified`, they give at most eps, and by monotone rounding so
+    does every bound.  Raises :class:`BadTolerance` where the last two reach eps.
     """
     eps = _check_tolerance(eps)
     top = min(m, MAX_FINITE_INDEX)
     if top < 2:
         return 1
     n, size = (2, 0.25) if shifted else (top, 1.0)
-    factorial, depth = float(math.factorial(top)), 1
+    factorial, depth = math.prod(map(float, range(1, top + 1))), 1  # as _certified's
     while True:
-        slack = eps - _rounding(n_base, depth, n) * size
-        slack -= _underflow(n_base, depth, top, factorial)
-        if slack <= 0:  # both terms only grow with the depth
+        rounding = _rounding(n_base, depth, n) * size
+        underflow = _underflow(n_base, depth, top, factorial)
+        if (rounding + underflow) * _UP >= eps:  # both terms only grow with the depth
             raise BadTolerance(
                 f"eps = {eps} is below the rounding error at index {n} (depth {depth})"
             )
-        if n * size * float(n_base) ** -depth <= slack:
+        if (rounding + n * size * float(n_base) ** -depth + underflow) * _UP <= eps:
             return depth
         depth *= 2
 
@@ -191,7 +193,7 @@ def _certified(
     w: WeightVector, m_max: int, depth: int, shifted: bool,
     first_moment: Fraction | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Depth-k moments and bounds: truncation, rounding and underflow error.
+    """Depth-k moments and bounds: truncation, rounding and underflow error, rounded up.
 
     Truncation: ``n I_1 N**-k`` with ``I_1 = first_moment`` rounded up
     (None on the centred path), centred ``n 2**-n N**-k``.
@@ -228,9 +230,12 @@ def _certified(
     by ``2**-n`` and adds one eta.  :func:`_underflow` charges
     ``2 + 16**L (n + N + 8) 2**-n`` times ``n! eta``, one eta more, for the
     rounding of n! and of the term: below ``4e-17`` up to n = 170 at depths
-    up to ``2**20``.  From n = 171 ``n!`` overflows, so the product is taken
-    to degree ``min(m, 170)`` only (:data:`MAX_FINITE_INDEX`), and values
-    above it are 0 with bounds inf.
+    up to ``2**20``.
+
+    Each float operation loses at most u, ``pow`` 2 u: 5 u in the rounding term, 6 in the
+    truncation term, ``n + 4 <= 174`` in the underflow term (with ``n - 1`` factorial
+    products) and 3 in the sums and ``_UP``, whose ``178 u`` covers the 177 and a subnormal
+    rounding while truncation is normal: so each bound is at least its exact formula.
     """
     # The product to degree ``top`` is the prefix of the degree-m one, bit
     # for bit (:func:`partial_product_series`).
@@ -241,7 +246,7 @@ def _certified(
     lead = 0.5**n if shifted else _round_up(first_moment)
     bounds = _rounding(w.n_branches, depth, n) * (lead if shifted else np.abs(moments))
     bounds += n * lead * float(w.n_branches) ** -depth
-    bounds += _underflow(w.n_branches, depth, n, factorial)
+    bounds = (bounds + _underflow(w.n_branches, depth, n, factorial)) * _UP
     # The constant coefficient is a product of exact ones.
     bounds[0] = 0.0
     tail = m_max - top
@@ -256,10 +261,11 @@ class FastResult(Frozen):
     ``depth_used``; ``certified_bound[n]`` bounds ``|true - computed|``,
     truncation, rounding and underflow included (index 0 is exact, bound
     0).  The arrays are read-only one-dimensional copies of equal length; a
-    result equals only itself.
+    result equals only itself.  A certified-path result keeps in ``_tail_start``
+    the start of its 0/inf run, ``min(m, 170) + 1``; others render each row from its values.
     """
 
-    __slots__ = ("moments", "depth_used", "certified_bound")
+    __slots__ = ("moments", "depth_used", "certified_bound", "_tail_start")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -276,31 +282,18 @@ class FastResult(Frozen):
                 f"{self.certified_bound.shape} are not two 1-D arrays of equal length"
             )
 
-    def _tail(self) -> tuple[int, list[float]]:
-        """Start of the trailing 0/inf run, and the bounds of its first two rows.
-
-        In the run every value is ``+0.0`` and the bounds, each ``+0.0`` or
-        ``+inf``, repeat with period 2: ``inf`` above index 170, and ``0`` at
-        the odd indices of a centred result.
-        """
-        values, bounds = self.moments, self.certified_bound
-        in_tail = ((values == 0.0) & ~np.signbit(values) & ~np.signbit(bounds)
-                   & ((bounds == 0.0) | (bounds == math.inf)))
-        in_tail[:-2] &= bounds[:-2] == bounds[2:]
-        outside = np.flatnonzero(~in_tail)
-        top = int(outside[-1]) + 1 if len(outside) else 0
-        return top, bounds[top:top + 2].tolist()
-
     def to_csv(self) -> str:
         # Python floats from tolist() format as format_float does.  One "%"
         # template renders every row: three fields per computed row, then
         # the index of each tail row, "m,0,inf" or "m,0,0".
-        (top, period), size = self._tail(), len(self.moments)
+        size = len(self.moments)
+        top = getattr(self, "_tail_start", size)
         fields = [None] * (3 * top)
         fields[0::3] = range(top)
         fields[1::3] = self.moments[:top].tolist()
         fields[2::3] = self.certified_bound[:top].tolist()
-        formats, count = ["%%d,0,%.17g\n" % bound for bound in period], size - top
+        formats = ["%%d,0,%.17g\n" % b for b in self.certified_bound[top:top + 2].tolist()]
+        count = size - top
         tail = "".join(formats) * (count // 2) + "".join(formats[:count % 2])
         template = "m,value,bound\n" + "%d,%.17g,%.17g\n" * top + tail
         return template % (*fields, *range(top, size))
@@ -310,7 +303,9 @@ class FastResult(Frozen):
         # rows before the tail go through json.dumps.
         import json
 
-        (top, period), size = self._tail(), len(self.moments)
+        size = len(self.moments)
+        top = getattr(self, "_tail_start", size)
+        period = self.certified_bound[top:top + 2].tolist()
 
         def array(values: np.ndarray, fill: list[str]) -> str:
             items = [json.dumps(values[:top].tolist())[1:-1]] if top else []
@@ -334,7 +329,9 @@ def _certified_to_eps(w: WeightVector, m_max: int, eps: float, shifted: bool) ->
     elif m_max >= 1:
         moments[1] = float(exact)
         bounds[1] = _round_up(abs(Fraction(moments[1]) - exact))
-    return FastResult(moments=moments, depth_used=depth, certified_bound=bounds)
+    result = FastResult(moments=moments, depth_used=depth, certified_bound=bounds)
+    object.__setattr__(result, "_tail_start", min(m_max, MAX_FINITE_INDEX) + 1)
+    return result
 
 
 def fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:

@@ -121,7 +121,7 @@ def monic_basis_general(w: WeightVector, degree: int) -> OrthoBasis:
     if degree < 0:
         raise OutOfRange(f"degree must be nonnegative, got {degree}")
     top = 2 * degree
-    numerators, denominators = _self_similar_moments(w, range(w.n_branches), top)
+    numerators, denominators, _ = _self_similar_moments(w, range(w.n_branches), top)
     common = denominators[-1]
     sigma, den = _reduce([u * (common // d) for u, d in zip(numerators, denominators)], common)
     sigma_prev, den_prev = [0] * (top + 1), 1

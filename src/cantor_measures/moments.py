@@ -19,13 +19,15 @@ Shifted moments ``J_m`` (measure translated to ``[-1/2, 1/2]``) satisfy
 the same recurrence with the branch offsets ``n`` replaced by
 ``n - (N-1)/2``; both are solved by one integer kernel.  ``|J_m| <= 2**-m``
 for every weight vector; the odd ``J_m`` of palindromic weights vanish, and
-the kernel steps over even indices only.  Large reduced denominators print
-as the kernel's denominator product over a small cofactor, in ``decimal``.
+the kernel steps over even indices only.  A computed sequence keeps its kernel's
+chain and prints large denominators as its product over a small cofactor, in ``decimal``.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from ._frozen import Frozen
 from .errors import OutOfRange
@@ -36,7 +38,7 @@ from .rational import _POWERS, format_int, format_rational
 class MomentSequence(Frozen):
     """Exact moments ``I_0..I_m`` (raw) or ``J_0..J_m`` (shifted)."""
 
-    __slots__ = ("weights", "kind", "values")
+    __slots__ = ("weights", "kind", "values", "_factors")
 
     def __init__(self, weights: WeightVector, kind: str, values: tuple[Fraction, ...]) -> None:
         if kind not in ("raw", "shifted"):
@@ -78,27 +80,26 @@ class MomentSequence(Frozen):
     def _digits(self) -> list[tuple[str, str]]:
         """Numerator and denominator digits of each moment.
 
-        A computed denominator ``L_m`` past ``10**640`` is the kernel's ``D_m``
-        (:func:`_chain`) over a cofactor g.  While g is below ``10**640`` too,
-        ``L_m`` prints as ``D_m // g`` in exact ``decimal`` arithmetic, linear
-        in the size of ``D_m``; any other goes through :func:`format_int`."""
+        A computed sequence keeps the factors of the kernel's ``D_m`` (:func:`_chain`),
+        which each reduced ``L_m`` divides.  An ``L_m`` past ``10**640`` whose cofactor
+        ``g = D_m / L_m`` is below about ``10**640`` too prints as ``D_m // g`` in exact
+        ``decimal``, linear in the size of ``D_m``.  Any other, and every denominator
+        of a hand-built, copied or unpickled sequence, goes through :func:`format_int`."""
         from decimal import MAX_EMAX, MAX_PREC, Context, Inexact
 
         leaf, texts = _POWERS[0], []
-        if all(v.denominator < leaf for v in self.values):  # no chain needed
-            return [(format_int(v.numerator), str(v.denominator)) for v in self.values]
-        stride = 1 if any(self.values[1::2]) else 2  # the kernel's stride, see its docstring
-        factors = _chain(self.weights, self.m_max, 2 if self.kind == "shifted" else 1, stride)
+        factors = getattr(self, "_factors", None)
+        if factors is None or all(v.denominator < leaf for v in self.values):
+            return [(format_int(v.numerator), format_int(v.denominator)) for v in self.values]
         context = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
         chain = pending = digits = 1  # digits * pending == chain == D_m
         for v, factor in zip(self.values, factors):
             chain, pending, den = chain * factor, pending * factor, v.denominator
             near = leaf <= den and chain.bit_length() - den.bit_length() <= leaf.bit_length()
-            g, rest = divmod(chain, den) if near else (0, 1)
-            if not rest:  # the Decimal product starts at the first index that uses it
+            if near:  # the Decimal product starts at the first index that uses it
                 digits, pending = context.multiply(digits, pending), 1
-            texts.append((format_int(v.numerator),
-                          format_int(den) if rest else str(context.divide_int(digits, g))))
+            text = str(context.divide_int(digits, chain // den)) if near else format_int(den)
+            texts.append((format_int(v.numerator), text))
         return texts
 
 
@@ -129,7 +130,7 @@ def _power_sums(w: WeightVector, offsets: Sequence[int], m_max: int) -> list[int
 
 def _self_similar_moments(
     w: WeightVector, offsets: Sequence[int], m_max: int, q: int = 1
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[int], list[int]]:
     """Unreduced moments ``E[Y**m] = u_m / D_m`` of ``Y = (c_n / q + Y') / N``.
 
     Branch n is taken with probability ``alpha_n = p_n / A``, A the lcm of
@@ -147,10 +148,10 @@ def _self_similar_moments(
     evaluated as a Horner sum over the step factors: one big-integer product
     per i, and no stored ``u_i`` is ever rescaled.  The power sums cost
     O(N * m_max) products and the steps O((m_max / r)**2) big products.
-    Returns the numerators ``u_0..u_{m_max}`` and the denominators ``D_m``
-    of :func:`_chain`, unreduced: a caller that prints values reduces each
-    one (one gcd per index), and one that only compares or rounds them reads
-    the integers as they are.
+    Returns the numerators ``u_0..u_{m_max}``, the denominators ``D_m`` and
+    their factors (:func:`_chain`), unreduced: a caller that prints values
+    reduces each one (one gcd per index), and one that only compares or
+    rounds them reads the integers as they are.
     """
     power_sums = _power_sums(w, offsets, m_max)
     stride = 1 if any(power_sums[1::2]) else 2
@@ -163,10 +164,7 @@ def _self_similar_moments(
         for i in range(stride, m if m % stride == 0 else 0, stride):
             acc = acc * steps[i] + row[i] * power_sums[m - i] * scaled[i]
         scaled.append(acc)
-    denominators = [1]
-    for factor in factors[1:]:
-        denominators.append(denominators[-1] * factor)
-    return scaled, denominators
+    return scaled, list(accumulate(factors, mul)), factors
 
 
 def _moment_enclosure(w: WeightVector, m_max: int, bits: int) -> list[int]:
@@ -195,10 +193,17 @@ def _moment_enclosure(w: WeightVector, m_max: int, bits: int) -> list[int]:
     return lows
 
 
+def _computed(w: WeightVector, kind: str, offsets: range, m_max: int, q: int) -> MomentSequence:
+    """The reduced kernel values, with the chain :meth:`MomentSequence._digits` reads."""
+    numerators, denominators, factors = _self_similar_moments(w, offsets, m_max, q)
+    sequence = MomentSequence(w, kind, tuple(map(Fraction, numerators, denominators)))
+    object.__setattr__(sequence, "_factors", factors)
+    return sequence
+
+
 def exact_moments(w: WeightVector, m_max: int) -> MomentSequence:
     """Exact raw moments ``I_0..I_{m_max}``: branch offsets ``0..N-1``."""
-    values = tuple(map(Fraction, *_self_similar_moments(w, range(w.n_branches), m_max)))
-    return MomentSequence(weights=w, kind="raw", values=values)
+    return _computed(w, "raw", range(w.n_branches), m_max, 1)
 
 
 def shifted_moments(w: WeightVector, m_max: int) -> MomentSequence:
@@ -207,7 +212,4 @@ def shifted_moments(w: WeightVector, m_max: int) -> MomentSequence:
     The same recurrence as :func:`exact_moments` with branch offsets
     ``(2n - N + 1) / 2``.
     """
-    n_base = w.n_branches
-    offsets = range(1 - n_base, n_base, 2)
-    values = tuple(map(Fraction, *_self_similar_moments(w, offsets, m_max, q=2)))
-    return MomentSequence(weights=w, kind="shifted", values=values)
+    return _computed(w, "shifted", range(1 - w.n_branches, w.n_branches, 2), m_max, 2)

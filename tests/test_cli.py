@@ -868,12 +868,11 @@ class TestImportIsolation:
             (("cdf", *TERNARY, "--depth", "3"), {"measure"}),
             (("legendre", *TERNARY, "--degree", "3", "--grid-points", "5"),
              {"legendre", "moments"}),
-            (("mgf", *TERNARY, "--s", "1.5"), {"analysis", "measure", "moments"}),
-            (("decay", *TERNARY, "--m", "10"), {"analysis", "measure", "moments"}),
+            (("mgf", *TERNARY, "--s", "1.5"), {"analysis"}),
+            (("decay", *TERNARY, "--m", "10"), {"analysis", "moments"}),
             (("lipschitz", *TERNARY, "--weights-b", "1/3,1/3,1/3", "--depth", "2"),
-             {"analysis", "measure", "moments"}),
-            (("moments", *TERNARY, "--m", "12", *FAST, "1e-10"),
-             {"fast", "analysis", "measure", "moments", "numpy"}),
+             {"analysis", "measure"}),
+            (("moments", *TERNARY, "--m", "12", *FAST, "1e-10"), {"fast", "analysis", "numpy"}),
         ],
     )
     def test_command_loads_only_its_modules(self, argv, modules):

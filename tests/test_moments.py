@@ -1,8 +1,10 @@
 """Exact moment recurrences, the left-endpoint oracle, binomial transforms."""
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import random
 import sys
 from decimal import Decimal
@@ -198,7 +200,7 @@ class TestKernelOracle:
     @pytest.mark.parametrize("w,m_max", centred_sweep())
     def test_equals_full_stride(self, w, m_max):
         offsets = range(1 - w.n_branches, w.n_branches, 2)
-        got = _self_similar_moments(w, offsets, m_max, q=2)
+        got = _self_similar_moments(w, offsets, m_max, q=2)[:2]  # without the factors
         expected = full_stride_moments(w, offsets, m_max, q=2)
         if w.is_palindromic:  # stride 2: equal values, a chain without odd steps
             assert list(map(F, *got)) == list(map(F, *expected))
@@ -392,6 +394,13 @@ class TestMomentSequenceType:
         assert [parse_rational(v) for v in data["moments"]] == list(ms.values)
 
 
+#: Sequences whose large denominators print from the kernel's chain.
+CHAINED = [
+    (exact_moments, "2/9,2/9,1/3,2/9", 133),
+    (shifted_moments, "1/5,1/10,2/5,1/10,1/5", 150),  # the stride-2 chain
+]
+
+
 class TestRendering:
     """Denominators printed from the kernel's chain against value-by-value rendering."""
 
@@ -403,10 +412,7 @@ class TestRendering:
         assert ms.to_csv() == moments_csv(ms)
         assert ms.to_json() == moments_json(ms)
 
-    @pytest.mark.parametrize("kernel,weights,m_max", [
-        (exact_moments, "2/9,2/9,1/3,2/9", 133),
-        (shifted_moments, "1/5,1/10,2/5,1/10,1/5", 150),  # the stride-2 chain
-    ])
+    @pytest.mark.parametrize("kernel,weights,m_max", CHAINED)
     def test_large_denominators_skip_format_int(self, monkeypatch, kernel, weights, m_max):
         ms = kernel(parse_weights(weights), m_max)
         large = {v.denominator for v in ms.values if v.denominator >= 10**640}
@@ -415,6 +421,27 @@ class TestRendering:
         monkeypatch.setattr(moments, "format_int", lambda v: calls.append(v) or real(v))
         ms.to_csv()
         assert large and not large & set(calls)
+
+    @pytest.mark.parametrize("kernel,weights,m_max", CHAINED)
+    def test_computed_sequence_reads_its_own_chain(self, monkeypatch, kernel, weights, m_max):
+        ms = kernel(parse_weights(weights), m_max)
+
+        def rebuilt(*args):
+            raise AssertionError("the chain was rebuilt from the weights")
+
+        monkeypatch.setattr(moments, "_chain", rebuilt)
+        assert ms.to_csv() == moments_csv(ms)
+        assert ms.to_json() == moments_json(ms)
+
+    @pytest.mark.parametrize("kernel,weights,m_max", CHAINED)
+    def test_copies_render_alike(self, kernel, weights, m_max):
+        # A copy has no chain, so every denominator goes through format_int.
+        ms = kernel(parse_weights(weights), m_max)
+        for other in (copy.copy(ms), copy.deepcopy(ms), pickle.loads(pickle.dumps(ms)),
+                      MomentSequence(ms.weights, ms.kind, ms.values)):
+            assert not hasattr(other, "_factors") and other == ms
+            assert other.to_csv() == ms.to_csv()
+            assert other.to_json() == ms.to_json()
 
     @pytest.mark.parametrize("kind", ["raw", "shifted"])
     def test_hand_built_off_chain(self, kind):
