@@ -8,15 +8,15 @@ Two checkable facts about a weighted Cantor measure:
 * depth-k CDF interpolants are Lipschitz in the weights:
   ``sup|F_alpha,k - F_beta,k| <= k * N**k * max|alpha - beta|``.
 
-The polynomial-decay branch reports the empirical infimum of
-``I_m * m**gamma`` over ``1 <= m <= m_max``.  A constant is at hand (the
+The exponential bound cannot fail (:func:`check_decay`), so the weights
+fix that report.  The polynomial-decay branch reports the empirical infimum
+of ``I_m * m**gamma`` over ``1 <= m <= m_max``.  A constant is at hand (the
 last depth-k cell, ``k = ceil(log_N m)``, gives ``I_m >= (alpha_{N-1}/4) *
-m**-gamma`` for m >= 2) but is not checked yet.  The exponential branch is
-an exact comparison and the Lipschitz bound an exact rational one.  Both
-decay branches read a fixed-point enclosure of ``I_m``, O(m**2) products of
-O(m)-bit integers where the exact kernel's grow to O(m**2) bits, and fall
-back to the exact kernel only where the enclosure leaves a float or a
-comparison undecided.
+m**-gamma`` for m >= 2) but is not checked yet.  It reads a fixed-point
+enclosure of ``I_m``, O(m**2) products of O(m)-bit integers where the exact
+kernel's grow to O(m**2) bits, and falls back to the exact kernel only
+where the enclosure leaves a float undecided.  The Lipschitz bound is an
+exact rational one.
 
 :func:`mgf_eval` gives the depth-k partial product of the moment
 generating function in floats, without numpy, so the ``mgf`` command loads
@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from ._frozen import Frozen
 from .errors import FloatOverflow, InsufficientMoments, MeshMismatch, OutOfDomain, OutOfRange
-from .rational import format_float, format_rational
+from .rational import format_float, format_rational, nearest
 from .weights import WeightVector
 
 
@@ -41,10 +41,10 @@ class DecayReport(Frozen):
     is the polynomial decay exponent (``inf`` in the exponential regime).
     In the polynomial regime ``witness_constant`` is the empirical infimum
     of ``I_m * m**gamma`` over ``1 <= m <= max_m_checked``; in the
-    exponential regime it is the maximum of ``I_m * (N/(N-1))**m``, which
-    never exceeds 1.  ``violations`` lists the indices failing the
-    exponential bound (exact comparison); it is empty in the polynomial
-    regime, which has no checked bound yet.
+    exponential regime it is the maximum of ``I_m * (N/(N-1))**m`` over
+    ``0 <= m <= max_m_checked``, which is its m = 0 term, 1.0.
+    ``violations`` is always empty: the exponential bound cannot fail
+    (:func:`check_decay`), and the polynomial regime has no checked bound yet.
     """
 
     __slots__ = ("regime", "gamma", "witness_constant", "max_m_checked", "violations")
@@ -81,58 +81,46 @@ def check_decay(w: WeightVector, m_max: int) -> DecayReport:
     """Check the decay regime of the raw moments ``I_1..I_{m_max}`` of ``w``.
 
     The weights alone decide the regime.  Exponential regime (last weight
-    zero): verifies ``I_m <= ((N-1)/N)**m`` for every m by exact comparison.
-    Polynomial regime: reports the empirical infimum of ``I_m * m**gamma``
-    and no violations, or raises :class:`FloatOverflow` when the last
-    weight is so small that this float report leaves the double range.
-
-    Both read the fixed-point enclosure ``lo_m <= I_m * 2**b <= lo_m + m``
-    of :func:`moments._moment_enclosure`, with ``b = 96 + m_max * bits(N)``.
-    A float is decided when both ends, in integer true division, round to
-    the same double (rounding is monotone, so that double is the correctly
-    rounded value), and the exact test ``I_m * N**m > (N-1)**m`` when both
-    ends fall on one side.  If some index stays undecided (a value on a
-    rounding tie, an exact 0, or one below ``2**-b``), the exact kernel's
-    ``u_m / D_m`` decides every index instead, with the same tests on an
-    interval of width 0.  Either way each float equals that of the reduced
+    zero): every digit is at most N - 2, so ``X <= (N-2)/(N-1) < (N-1)/N``
+    (as ``(N-2) N < (N-1)**2``), and ``I_m * (N/(N-1))**m < 1`` for m >= 1.
+    So no index violates the bound, the witness is the m = 0 term 1.0, and
+    no moment is computed.  Polynomial regime: the empirical infimum of
+    ``I_m * m**gamma`` and no violations, or :class:`FloatOverflow` when the
+    last weight is so small that this float report leaves the double range.
+    It reads the enclosure ``lo_m <= I_m * 2**b <= lo_m + m`` of
+    :func:`moments._moment_enclosure`, ``b = 96 + m_max * bits(N)``, through
+    :func:`rational.nearest`; if a float stays undecided (a rounding tie, or
+    a value below ``2**-b``), the exact kernel's ``u_m / D_m`` decides every
+    index instead.  Either way each float equals that of the reduced
     ``Fraction``, and no value is reduced.
     """
-    from .moments import _moment_enclosure, _self_similar_moments
-    n_base = w.n_branches
-    bits = 96 + m_max * n_base.bit_length()
-    lows = _moment_enclosure(w, m_max, bits)
+    if m_max < 0:
+        raise OutOfRange(f"m_max must be nonnegative, got {m_max}")
     if m_max < 1:
         raise InsufficientMoments("need at least the first moment")
-    one = 1 << bits
-    report = _decay_report(w, [(lo, lo + m, one) for m, lo in enumerate(lows)])
+    if w.weights[-1] == 0:
+        return DecayReport("exponential", math.inf, 1.0, m_max, ())
+    from .moments import _moment_enclosure, _self_similar_moments
+    bits = 96 + m_max * w.n_branches.bit_length()
+    lows = _moment_enclosure(w, m_max, bits)
+    report = _decay_report(w, [(lo, lo + m, 1 << bits) for m, lo in enumerate(lows)])
     if report is None:
-        numerators, denominators, _ = _self_similar_moments(w, range(n_base), m_max)
+        numerators, denominators, _ = _self_similar_moments(w, range(w.n_branches), m_max)
         report = _decay_report(w, list(zip(numerators, numerators, denominators)))
     return report
 
 
 def _decay_report(w: WeightVector, bounds: list[tuple[int, int, int]]) -> DecayReport | None:
-    """The report from ``lo_m / d_m <= I_m <= hi_m / d_m`` for each ``(lo_m, hi_m, d_m)``
-    of ``bounds``, or None when they leave a float or a comparison undecided."""
+    """The polynomial report from ``lo_m / d_m <= I_m <= hi_m / d_m`` for each
+    ``(lo_m, hi_m, d_m)`` of ``bounds``, or None when they leave a float undecided."""
     n_base, last, m_max = w.n_branches, w.weights[-1], len(bounds) - 1
-    if last == 0:  # the bounds of I_m * (N/(N-1))**m, compared with 1
-        values, violations = [], []
-        for m, (lo, hi, d) in enumerate(bounds):
-            lo, hi, d = lo * n_base**m, hi * n_base**m, d * (n_base - 1)**m
-            value = lo / d
-            if value != hi / d or lo <= d < hi:
-                return None
-            values.append(value)
-            if lo > d:
-                violations.append(m)
-        return DecayReport("exponential", math.inf, max(values), m_max, tuple(violations))
     try:
         gamma = math.log(1 / float(last)) / math.log(n_base)
         # An overflowing m**gamma raises here, before the exact kernel could run.
         powers, terms = [m**gamma for m in range(1, m_max + 1)], []
         for power, (lo, hi, d) in zip(powers, bounds[1:]):
-            value = lo / d
-            if value != hi / d:
+            value = nearest(lo, hi, d)
+            if value is None:
                 return None
             terms.append(value * power)
         if gamma == math.inf or not all(0 < t < math.inf for t in terms):

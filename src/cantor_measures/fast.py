@@ -22,7 +22,8 @@ to degree ``min(m, 170)``.  A series is a float64 array of ``moment / n!``.
 Each bound is a truncation, a rounding and an underflow term, rounded up
 (:func:`_certified`); :func:`depth_for_eps` charges all three, so bounds up
 to n = 170 are within eps.  From n = 171, where ``n!`` leaves the double
-range, values are 0 and bounds inf; indices above ``DEPTH_CAP`` are refused.
+range, values are 0 and raw bounds inf; centred bounds are ``2**-171 >=
+|J_n|`` (0 at odd n).  Indices above ``DEPTH_CAP`` are refused.
 
 This is the package's float API and its only numpy import; the package root
 does not re-export it, so import these names from ``cantor_measures.fast``.
@@ -40,6 +41,7 @@ from ._frozen import Frozen
 # MgfValue and mgf_eval stay importable from here.
 from .analysis import MgfValue, mgf_eval
 from .errors import BadTolerance, NotPalindromic, OutOfRange
+from .rational import round_up
 from .weights import WeightVector, _check_cap, _integer_weights
 
 #: Smallest tolerance the double-precision pipeline certifies.
@@ -84,12 +86,6 @@ def _check_tolerance(eps: float) -> float:
     return eps
 
 
-def _round_up(x: Fraction) -> float:
-    """The smallest double at least ``x``."""
-    f = float(x)
-    return math.nextafter(f, math.inf) if Fraction(f) < x else f
-
-
 def _first_moment(w: WeightVector) -> Fraction:
     """Exact ``I_1 = sum_n n p_n / (A (N - 1))``, from the one-level recurrence,
     with ``alpha_n = p_n / A`` (:func:`_integer_weights`)."""
@@ -121,12 +117,12 @@ def depth_for_eps(n_base: int, m: int, eps: float, shifted: bool = False) -> int
     every index ``2..min(m, 170)`` the product certifies; the certified path
     runs this k, and depth 1 when ``m < 2``.
 
-    With ``I_1 <= 1`` the raw sum, ``n N**-k`` plus the rounding term
-    (:func:`_rounding`) on a value of at most 1, is largest at the top
-    index; the centred sum, ``2**-n`` times that, at n = 2; the underflow
-    term (:func:`_underflow`) at the top index on both.  Summed and times ``_UP``
-    as in :func:`_certified`, they give at most eps, and by monotone rounding so
-    does every bound.  Raises :class:`BadTolerance` where the last two reach eps.
+    With ``I_1 <= 1`` the raw sum, ``n N**-k`` plus the rounding term g (:func:`_rounding`) on
+    the largest value computed from a moment <= 1, ``(1 + 4e-17) / (1 - g) < 1 + 2g``, is
+    largest at the top index; the centred sum, ``2**-n (n N**-k + g)``, at n = 2; the underflow
+    term (:func:`_underflow`) at the top index on both.  Summed and times ``_UP`` as in
+    :func:`_certified`, they give at most eps, and by monotone rounding so does every bound.
+    Raises :class:`BadTolerance` where the last two reach eps.
     """
     eps = _check_tolerance(eps)
     top = min(m, MAX_FINITE_INDEX)
@@ -135,7 +131,8 @@ def depth_for_eps(n_base: int, m: int, eps: float, shifted: bool = False) -> int
     n, size = (2, 0.25) if shifted else (top, 1.0)
     factorial, depth = math.prod(map(float, range(1, top + 1))), 1  # as _certified's
     while True:
-        rounding = _rounding(n_base, depth, n) * size
+        g = _rounding(n_base, depth, n)
+        rounding = g * (size if shifted else 1 + 2 * g)
         underflow = _underflow(n_base, depth, top, factorial)
         if (rounding + underflow) * _UP >= eps:  # both terms only grow with the depth
             raise BadTolerance(
@@ -243,7 +240,7 @@ def _certified(
     n = np.arange(top + 1, dtype=np.float64)
     factorial = np.cumprod(np.maximum(n, 1.0))
     moments = partial_product_series(w, top, depth, shifted) * factorial
-    lead = 0.5**n if shifted else _round_up(first_moment)
+    lead = 0.5**n if shifted else round_up(first_moment)
     bounds = _rounding(w.n_branches, depth, n) * (lead if shifted else np.abs(moments))
     bounds += n * lead * float(w.n_branches) ** -depth
     bounds = (bounds + _underflow(w.n_branches, depth, n, factorial)) * _UP
@@ -251,7 +248,7 @@ def _certified(
     bounds[0] = 0.0
     tail = m_max - top
     return (np.concatenate([moments, np.zeros(tail)]),
-            np.concatenate([bounds, np.full(tail, math.inf)]))
+            np.concatenate([bounds, np.full(tail, 0.5 ** (top + 1) if shifted else math.inf)]))
 
 
 class FastResult(Frozen):
@@ -262,7 +259,7 @@ class FastResult(Frozen):
     truncation, rounding and underflow included (index 0 is exact, bound
     0).  The arrays are read-only one-dimensional copies of equal length; a
     result equals only itself.  A certified-path result keeps in ``_tail_start``
-    the start of its 0/inf run, ``min(m, 170) + 1``; others render each row from its values.
+    the start of its tail of zeros, ``min(m, 170) + 1``; others render each row from its values.
     """
 
     __slots__ = ("moments", "depth_used", "certified_bound", "_tail_start")
@@ -285,7 +282,7 @@ class FastResult(Frozen):
     def to_csv(self) -> str:
         # Python floats from tolist() format as format_float does.  One "%"
         # template renders every row: three fields per computed row, then
-        # the index of each tail row, "m,0,inf" or "m,0,0".
+        # the index of each tail row, "m,0,<bound>" with the bound of its phase.
         size = len(self.moments)
         top = getattr(self, "_tail_start", size)
         fields = [None] * (3 * top)
@@ -328,7 +325,7 @@ def _certified_to_eps(w: WeightVector, m_max: int, eps: float, shifted: bool) ->
         moments[1::2] = bounds[1::2] = 0.0
     elif m_max >= 1:
         moments[1] = float(exact)
-        bounds[1] = _round_up(abs(Fraction(moments[1]) - exact))
+        bounds[1] = round_up(abs(Fraction(moments[1]) - exact))
     result = FastResult(moments=moments, depth_used=depth, certified_bound=bounds)
     object.__setattr__(result, "_tail_start", min(m_max, MAX_FINITE_INDEX) + 1)
     return result
@@ -356,7 +353,7 @@ def shifted_fast_moments(w: WeightVector, m_max: int, eps: float) -> FastResult:
     :func:`fast_moments` on the centred factors, with the truncation term
     ``n 2**-n N**-k``, which is largest at n = 2, so the depth does not grow
     with ``m_max``.  Odd indices vanish by symmetry and are set to 0 with
-    bound 0.
+    bound 0; from n = 171 even ones are 0 with bound ``2**-171 >= |J_n|``.
     """
     if not w.is_palindromic:
         raise NotPalindromic(f"shifted moments need palindromic weights, got {w}")

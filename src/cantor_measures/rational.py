@@ -3,10 +3,12 @@
 Both directions work past the interpreter's int/str digit limit (4300 by
 default) and leave it alone: they divide and conquer, and ``int()`` and
 ``str()`` convert only pieces of at most 640 digits, which every limit
-setting allows.
+setting allows.  A double rounded up from an exact value, or decided from an
+exact enclosure, comes from here (:func:`round_up`, :func:`nearest`).
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -97,6 +99,19 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render a ``Fraction`` as ``"p/q"`` with ``q > 0`` and ``gcd(p,q) = 1``."""
     return f"{format_int(value.numerator)}/{format_int(value.denominator)}"
+
+
+def round_up(x: Fraction) -> float:
+    """The smallest double at least ``x``."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if Fraction(f) < x else f
+
+
+def nearest(lo: int, hi: int, d: int) -> float | None:
+    """The double both ends of ``[lo / d, hi / d]`` round to, or None when they
+    round apart; as rounding is monotone, every value between rounds to it."""
+    value = lo / d
+    return value if value == hi / d else None
 
 
 def format_float(value: float) -> str:

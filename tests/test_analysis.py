@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cantor_measures.moments as moments_module
 from cantor_measures import (
+    DecayReport,
     FloatOverflow,
     InsufficientMoments,
     MeshMismatch,
@@ -34,8 +36,8 @@ F = Fraction
 
 
 def enclosure_report(w: WeightVector, m_max: int):
-    """``check_decay``'s report from its fixed-point enclosure alone, or None
-    where that leaves an index undecided and the exact kernel takes over."""
+    """``check_decay``'s polynomial report from its fixed-point enclosure alone,
+    or None where that leaves a float undecided and the exact kernel takes over."""
     bits = 96 + m_max * w.n_branches.bit_length()
     lows = _moment_enclosure(w, m_max, bits)
     return _decay_report(w, [(lo, lo + m, 2**bits) for m, lo in enumerate(lows)])
@@ -86,6 +88,20 @@ class TestCheckDecay:
         report = check_decay(WeightVector([1] + [0] * (n - 1)), 12)
         assert (report.regime, report.gamma, report.witness_constant) == ("exponential", math.inf, 1.0)
         assert (report.max_m_checked, report.violations) == (12, ())
+
+    @pytest.mark.parametrize("weights,m", [("1/2,1/2,0", 384), ("1,0,0", 12), ("1,0", 40)])
+    def test_exponential_report_computes_no_moment(self, monkeypatch, weights, m):
+        # A zero last weight fixes the report: X <= (N-2)/(N-1) < (N-1)/N.
+        w = parse_weights(weights)
+        report = check_decay(w, m)
+        assert report == DecayReport("exponential", math.inf, 1.0, m, ())
+
+        def kernel(*args):
+            raise AssertionError("a moment kernel ran")
+
+        monkeypatch.setattr(moments_module, "_moment_enclosure", kernel)
+        monkeypatch.setattr(moments_module, "_self_similar_moments", kernel)
+        assert check_decay(w, m) == report
 
     @given(weight_vectors_st(zero_last=True), st.integers(2, 16))
     @settings(max_examples=30)
@@ -154,7 +170,7 @@ class TestCheckDecay:
             report, expected = check_decay(w, m), decay_report(exact_moments(w, m))
             assert report == expected
             assert (report.to_csv(), report.to_json()) == (expected.to_csv(), expected.to_json())
-            if kind:  # only a Dirac mass may leave an index undecided
+            if report.regime == "polynomial":  # the exponential report reads no enclosure
                 assert enclosure_report(w, m) == report
 
     @pytest.mark.parametrize("weights,m", [("0,1,0", m) for m in range(34, 49)] + [
@@ -167,21 +183,14 @@ class TestCheckDecay:
     def test_exact_fallback(self, weights, m):
         # 0,1,0 is the Dirac mass at 1/2: I_m * (3/2)**m = (3/4)**m, and
         # 3**34 has 54 bits, so (3/4)**34 lies halfway between two doubles.
-        # lo_34 is exactly 2**(b-34), which rounds down (to even), and
-        # lo_34 + 34 rounds up: index 34 stays undecided for every m >= 34.
+        # The enclosure left index 34 undecided there, as it does the exact
+        # zeros of the Dirac mass at 0; both are exponential and now compute
+        # no moment, so only the polynomial row still takes the exact kernel.
         w = parse_weights(weights)
-        assert enclosure_report(w, m) is None
+        if w.weights[-1]:
+            assert enclosure_report(w, m) is None
         report, expected = check_decay(w, m), decay_report(exact_moments(w, m))
         assert (report.to_csv(), report.to_json()) == (expected.to_csv(), expected.to_json())
-
-    def test_undecided_comparison(self):
-        # Both ends round to 1.0, yet I_1 * 3/2 may lie either side of 1:
-        # the exact test is undecided though the float is not.
-        d = 2**200
-        lo = (2 * d - 2) // 3
-        assert lo * 3 / (2 * d) == (lo + 1) * 3 / (2 * d) == 1.0
-        assert _decay_report(parse_weights("1/2,1/2,0"), [(1, 1, 1), (lo, lo + 1, d)]) is None
-        assert _decay_report(parse_weights("1/2,1/2,0"), [(1, 1, 1), (lo, lo, d)]).violations == ()
 
     def test_enclosure_invariant(self):
         # lo_m <= I_m * 2**b <= lo_m + m against exact Fractions, at several b.
@@ -204,6 +213,12 @@ class TestCheckDecay:
         for m_max, error in ((-1, OutOfRange), (0, InsufficientMoments), (1, FloatOverflow)):
             with pytest.raises(error):
                 check_decay(tiny, m_max)
+        # The fixed exponential report comes after both argument errors.
+        exponential = parse_weights("1/2,1/2,0")
+        with pytest.raises(OutOfRange, match="m_max must be nonnegative, got -1"):
+            check_decay(exponential, -1)
+        with pytest.raises(InsufficientMoments, match="need at least the first moment"):
+            check_decay(exponential, 0)
 
     def test_tiny_last_weight(self):
         # 1/10**400 rounds to 0.0, and 1/10**300 makes m**gamma overflow.

@@ -288,7 +288,7 @@ class TestInputContract:
 
 
 class TestInfiniteBounds:
-    """Bounds past n = 170 are inf: ``inf`` in CSV, ``Infinity`` in JSON."""
+    """Raw bounds past n = 170 are inf: ``inf`` in CSV, ``Infinity`` in JSON."""
 
     ARGV = ("moments", "--weights", "1/2,0,1/2", "--m", "173", "--mode", "fast",
             "--eps", "1e-10")
@@ -304,6 +304,26 @@ class TestInfiniteBounds:
         assert out == fast_moments(ternary, 173, 1e-10).to_json()
         assert json.loads(out)["bounds"][171:] == [float("inf")] * 3
         assert out.count("Infinity") == 3
+
+
+class TestCentredTail:
+    """Centred bounds past n = 170 are finite: ``2**-171 >= |J_n|`` at even n, 0 at odd n."""
+
+    ARGV = ("shifted-moments", "--weights", "1/2,0,1/2", "--m", "173", "--mode", "fast",
+            "--eps", "1e-10")
+
+    def test_csv(self, capsys):
+        code, out, _ = invoke(capsys, *self.ARGV, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-3:] == ["171,0,0", "172,0,3.3409558876152446e-52", "173,0,0"]
+        assert "inf" not in out
+
+    def test_json_round_trip(self, capsys, ternary):
+        code, out, _ = invoke(capsys, *self.ARGV, "--format", "json")
+        assert code == 0
+        assert out == shifted_fast_moments(ternary, 173, 1e-10).to_json()
+        assert json.loads(out)["bounds"][171:] == [0.0, 2.0**-171, 0.0]
+        assert "Infinity" not in out
 
 
 class TestMomentsCommand:
@@ -870,6 +890,7 @@ class TestImportIsolation:
              {"legendre", "moments"}),
             (("mgf", *TERNARY, "--s", "1.5"), {"analysis"}),
             (("decay", *TERNARY, "--m", "10"), {"analysis", "moments"}),
+            (("decay", "--weights", "1/2,1/2,0", "--m", "10"), {"analysis"}),
             (("lipschitz", *TERNARY, "--weights-b", "1/3,1/3,1/3", "--depth", "2"),
              {"analysis", "measure"}),
             (("moments", *TERNARY, "--m", "12", *FAST, "1e-10"), {"fast", "analysis", "numpy"}),

@@ -38,7 +38,7 @@ from cantor_measures.fast import (
     shifted_fast_moments,
 )
 from cantor_measures.measure import _digit_products
-from cantor_measures.rational import format_float
+from cantor_measures.rational import format_float, round_up
 
 from conftest import random_weight_vector, weight_vectors_st
 from oracles import factor_by_factor_series, left_endpoint_sum, moments_at_depth
@@ -230,20 +230,36 @@ class TestDepthForEps:
             with pytest.raises(BadTolerance):
                 depth_for_eps(3, 1, 1e-13, shifted)
 
+    @pytest.mark.parametrize("n_base", range(2, 7))
+    def test_dirac_at_one_within_the_charged_size(self, n_base):
+        # Every raw moment of the Dirac mass at 1 is 1, yet the product can
+        # return more: 167 values of 1.0000000000000073 for N = 5 at eps
+        # 1e-9 (depth 32).  A value is at most 1 + 2g with g the relative
+        # rounding term, which the depth charges.
+        w = WeightVector([0] * (n_base - 1) + [1])
+        for exponent in range(6, 13):
+            result = fast_moments(w, 170, 10.0**-exponent)
+            g = fast_module._rounding(n_base, result.depth_used, np.arange(171.0))
+            assert np.all(result.moments <= 1 + 2 * g), exponent
+            assert np.all(result.certified_bound <= 10.0**-exponent), exponent
+
     @given(st.integers(2, 5), st.integers(2, 400), st.floats(1e-11, 1.0), st.booleans())
     @settings(max_examples=50)
     def test_minimal_sufficient_depth(self, n, m, eps, shifted):
         # Truncation plus rounding at every index 2..min(m, 170), with
-        # I_1 <= 1 and every raw moment at most 1, plus the underflow term
-        # at the top index, where it is largest.
+        # I_1 <= 1 and every raw value at most 1 + 2g (g the relative
+        # rounding term), plus the underflow term at the top index, where it
+        # is largest.
         k = depth_for_eps(n, m, eps, shifted)
         assert k & (k - 1) == 0
         top = min(m, 170)
 
         def bound(depth):
             def at(i):
-                size = 0.5**i if shifted else 1.0
-                return (i * n**-depth + fast_module._rounding(n, depth, i)) * size
+                g = fast_module._rounding(n, depth, i)
+                if shifted:
+                    return (i * n**-depth + g) * 0.5**i
+                return i * n**-depth + g * (1 + 2 * g)
             underflow = fast_module._underflow(n, depth, top, float(math.factorial(top)))
             return max(at(i) for i in range(2, top + 1)) + underflow
 
@@ -478,7 +494,8 @@ class TestCertifiedSweep:
 
 
 class TestCertifiedRange:
-    """Underflow of ``I_n / n!`` is in the bound; from n = 171 it is inf."""
+    """Underflow of ``I_n / n!`` is in the bound; from n = 171 a raw bound is
+    inf, and a centred one ``2**-171``, at least ``|J_n| <= 2**-n``."""
 
     @pytest.mark.parametrize(
         "weights,m,eps,shifted",
@@ -497,9 +514,12 @@ class TestCertifiedRange:
             result, exact = fast_moments(w, m, eps), exact_moments(w, 200)
         for n in range(201):
             bound = result.certified_bound[n]
-            if n > 170:
+            if n > 170 and not shifted:
+                assert (result.moments[n], bound) == (0.0, math.inf)
+            elif n > 170:
                 assert result.moments[n] == 0.0
-                assert bound == math.inf or (shifted and n % 2 == 1 and bound == 0.0)
+                assert abs(exact.values[n]) <= F(bound) <= F(eps), n
+                assert bound == (0.0 if n % 2 else 2.0**-171), n
             else:
                 assert abs(F(result.moments[n]) - exact.values[n]) <= F(bound), n
                 assert bound <= eps, n
@@ -541,7 +561,7 @@ class TestBoundsRoundedUp:
             result = compute(w, 170, 10.0**-exponent)
             depth = result.depth_used
             levels = depth.bit_length() - 1
-            first_up = F(fast_module._round_up(exact_moments(w, 1).values[1]))
+            first_up = F(round_up(exact_moments(w, 1).values[1]))
             for n in range(2, 171, 1 + shifted):  # odd centred indices are exact zeros
                 rho = F((4 + 3 * levels) * n + depth * (n_base + 5) - 4, 2**53)
                 size = F(1, 2**n) if shifted else abs(F(result.moments[n]))
@@ -693,7 +713,7 @@ class TestFastResultType:
         result = (shifted_fast_moments if shifted else fast_moments)(ternary, m, 1e-8)
         assert (result.to_csv(), result.to_json()) == reference_renderings(result)
         # The tail starts at 171, where a centred one alternates bounds 0
-        # (odd n) and inf (even n); below it, there is none.
+        # (odd n) and 2**-171 (even n); below it, there is none.
         assert result._tail_start == min(m, 170) + 1
 
     @pytest.mark.parametrize("shifted", [False, True])

@@ -27,7 +27,13 @@ from cantor_measures import (
     parse_weights,
 )
 from cantor_measures.measure import BLOCK_ROWS, _digit_gcds
-from cantor_measures.rational import format_int, format_rational, parse_rational
+from cantor_measures.rational import (
+    format_int,
+    format_rational,
+    nearest,
+    parse_rational,
+    round_up,
+)
 
 from conftest import parts_to_weights, random_weight_vector, weight_vectors_st
 from oracles import cdf_csv, cdf_json, interval_mass
@@ -211,6 +217,43 @@ class TestFormatInt:
             assert [format_int(v) for v in values] == [str(v) for v in values]
         finally:
             sys.set_int_max_str_digits(previous)
+
+
+@st.composite
+def near_doubles_st(draw):
+    """A double, exact or moved by ``k * 2**-e``: values on, just above and just below it."""
+    f = draw(st.floats(min_value=-1e300, max_value=1e300))
+    return F(f) + draw(st.integers(-2, 2)) * F(1, 2 ** draw(st.integers(0, 1200)))
+
+
+class TestRounding:
+    """The two rules that turn an exact value into a double."""
+
+    @given(st.one_of(near_doubles_st(), st.fractions(min_value=-10**9, max_value=10**9)))
+    def test_round_up_is_the_least_double_at_least_x(self, x):
+        up = round_up(x)
+        assert F(up) >= x > F(math.nextafter(up, -math.inf))
+
+    @given(st.integers(-2**300, 2**300), st.integers(0, 2**80), st.integers(1, 2**300))
+    @example(3**34, 1, 2**68)
+    @example(3**34 - 1, 1, 2**68)
+    def test_nearest_is_decided_when_both_ends_round_alike(self, lo, width, d):
+        low, high = float(F(lo, d)), float(F(lo + width, d))
+        value = nearest(lo, lo + width, d)
+        if low == high:
+            assert value == low and math.copysign(1, value) == math.copysign(1, low)
+        else:
+            assert value is None
+
+    def test_tie_of_three_quarters_to_the_34th(self):
+        # The Dirac mass at 1/2 of 0,1,0 has I_34 * (3/2)**34 = (3/4)**34 =
+        # 3**34 / 2**68, and 3**34 has 54 bits: halfway between two doubles.
+        # The tie rounds down, to even, and any value above it rounds up.
+        tie = 3**34
+        assert tie.bit_length() == 54
+        assert nearest(tie, tie, 2**68) == float(F(tie, 2**68))
+        assert nearest(tie, tie + 1, 2**68) is None
+        assert nearest(tie - 1, tie, 2**68) == float(F(tie, 2**68))
 
 
 class TestRandomWeightVector:
