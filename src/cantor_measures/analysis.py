@@ -178,7 +178,8 @@ def mgf_eval(w: WeightVector, s: float, depth: int) -> float:
     Nondecreasing in ``depth`` for ``s > 0`` (every factor is at least 1
     there) and converges to the moment generating function as depth grows.
     Every exponent of factor r is within ``|s| / N**(r-1)`` of 0; the loop
-    stops once that is below ``2**-60``, where every remaining ``exp`` term
+    stops once that is below ``2**-60`` (compared exactly on the integers of
+    ``|s|``, so ``s = 0`` stops at once), where every remaining ``exp`` term
     is exactly 1.0 and a factor could only multiply the value by the float
     sum of the weights (0.9999999999999999 for ten weights 1/10), so the
     value stops changing with depth and any depth costs at most a few
@@ -192,10 +193,11 @@ def mgf_eval(w: WeightVector, s: float, depth: int) -> float:
         raise OutOfRange(f"depth must be a positive integer, got {depth}")
     n_base = w.n_branches
     weights = [float(a) for a in w.weights]
+    num, den = abs(s).as_integer_ratio()
     value = 1.0
     for r in range(1, depth + 1):
         power = n_base**r
-        if abs(s) < power >> (60 + n_base.bit_length()):
+        if num << (60 + n_base.bit_length()) < power * den:
             break
         try:
             scale = s / power

@@ -182,6 +182,7 @@ class TestInputContract:
             (("moments", *TERNARY, "--m", "\uff13"), 2),
             (("moments", *TERNARY, "--m", "2", *FAST, "\uff10.\uff11"), 2),
             (("mgf", *TERNARY, "--s", "1_0.5"), 2),
+            (("moments", "--weights", "\uff11/\uff12,\uff11/\uff12", "--m", "2"), 1),
         ],
     )
     def test_malformed_argv(self, capsys, default_int_str_limit, argv, expected):
@@ -692,6 +693,109 @@ def capture(argv) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+# Checks of stdout for the rows of OUTPUT_CHECKS.
+def last_row(text: str):
+    return lambda out: out.splitlines()[-1:] == [text]
+
+
+def last_bound_at_most(eps: float):
+    return lambda out: float(out.splitlines()[-1].split(",")[2]) <= eps
+
+
+def same_as_in_process(argv):
+    return lambda out: out == capture(argv)[1]
+
+
+def exponential_report(m: int):
+    return lambda out: out == ('{"regime": "exponential", "witness_constant": 1.0, '
+                               f'"max_m_checked": {m}, "violations": []}}')
+
+
+#: The strictest int/str digit limit, and the requests that must print under it.
+STRICT_DIGITS = {"PYTHONINTMAXSTRDIGITS": "640"}
+CHAINED_CSV = ("moments", "--weights", "2/9,2/9,1/3,2/9", "--m", "133")
+CHAINED_JSON = ("shifted-moments", "--weights", "1/5,1/10,2/5,1/10,1/5", "--m", "150",
+                "--format", "json")
+
+#: Requests, the environment of a ``python -m cantor_measures`` child that
+#: runs them under a 10 s guard (None: run in process), and a check of stdout.
+OUTPUT_CHECKS = [
+    pytest.param(("moments", *TERNARY, "--m", "4", "--output", "-"), None,
+                 last_row("4,87,320"), id="dash-output"),
+    # The raw fast tail above index 170 is 0 with bound inf, in both formats.
+    pytest.param(("moments", *TERNARY, "--m", "200", *FAST, "1e-8"), None,
+                 last_row("200,0,inf"), id="raw-tail-csv"),
+    pytest.param(("moments", *TERNARY, "--m", "200", *FAST, "1e-8", "--format", "json"), None,
+                 lambda out: out.endswith("Infinity]}"), id="raw-tail-json"),
+    # The centred tail is bounded by 2**-171 >= |J_n| instead (it read inf).
+    pytest.param(("shifted-moments", *TERNARY, "--m", "200", *FAST, "1e-8"), None,
+                 last_row("200,0,3.3409558876152446e-52"), id="centred-tail-csv"),
+    pytest.param(("shifted-moments", *TERNARY, "--m", "200", *FAST, "1e-8", "--format", "json"),
+                 None, lambda out: "Infinity" not in out, id="centred-tail-json"),
+    # The depth serves indices up to 170 only: the rounding term is not
+    # checked at index 4096, and the centred term peaks at n = 2.
+    pytest.param(("moments", *TERNARY, "--m", "4096", *FAST, "1e-12"), None,
+                 last_row("4096,0,inf"), id="raw-tail-4096"),
+    pytest.param(("shifted-moments", "--weights", "1/3,1/9,1/9,1/9,1/3", "--m", "3101",
+                  *FAST, "2.38e-6", "--format", "json"), None,
+                 lambda out: out.startswith('{"depth": 8,'), id="centred-depth-8"),
+    # The depth charges every term at the top index, 170, so the bound
+    # there is within eps (it read 2.7e-11 before the underflow term was in).
+    pytest.param(("moments", *TERNARY, "--m", "170", *FAST, "1e-12"), None,
+                 last_bound_at_most(1e-12), id="raw-bound-170"),
+    # Deep doubling products, carried at scale 2**500: the bound at index
+    # 170 stays within eps (it reads 1.36e-14), and the centred depth is 64.
+    pytest.param(("moments", "--weights", "3/8,5/8", "--m", "170", *FAST, "1e-12"), None,
+                 last_bound_at_most(1e-12), id="deep-bound-170"),
+    pytest.param(("shifted-moments", "--weights", "1/2,1/2", "--m", "170", *FAST, "1e-12",
+                  "--format", "json"), None,
+                 lambda out: out.startswith('{"depth": 64,'), id="deep-depth-64"),
+    # Both exact renderers print the same bytes under the strictest digit
+    # limit as without one.
+    pytest.param(CHAINED_CSV, STRICT_DIGITS, same_as_in_process(CHAINED_CSV),
+                 id="digit-limit-csv"),
+    pytest.param(CHAINED_JSON, STRICT_DIGITS, same_as_in_process(CHAINED_JSON),
+                 id="digit-limit-json"),
+    # The plot grid runs the three-term recurrence: p_40(1) of the Lebesgue
+    # measure is sqrt(81) = 9 (float monomial coefficients printed -3.9e13).
+    pytest.param(("legendre", "--weights", "1/2,1/2", "--degree", "40", "--grid-points", "2"),
+                 None, lambda out: 8.999999999 < float(out.splitlines()[-1].split(",")[-1])
+                 < 9.000000001, id="lebesgue-p40"),
+    # Decay from the fixed-point enclosure at m = 384; the exponential
+    # report is fixed by a zero last weight and computes no moment.
+    pytest.param(("decay", "--weights", "1/3,1/3,1/3", "--m", "384"), None,
+                 last_row("polynomial,1,0.5,384,True"), id="decay-polynomial-384"),
+    pytest.param(("decay", "--weights", "1/2,1/2,0", "--m", "384", "--format", "json"), None,
+                 exponential_report(384), id="decay-exponential-384"),
+    pytest.param(("decay", "--weights", "1/2,1/2,0", "--m", "100000", "--format", "json"), {},
+                 exponential_report(100000), id="decay-exponential-100000"),
+    # F's gcds from the digit structure: the middle-third flat of the
+    # ternary table has 3**12 + 1 rows at 1/2, and the Lebesgue table has x = F.
+    pytest.param(("cdf", *TERNARY, "--depth", "13"), None,
+                 lambda out: out.count(",1/2\n") == 531442, id="ternary-flat-13"),
+    pytest.param(("cdf", "--weights", "1/2,1/2", "--depth", "16"), None,
+                 lambda out: all(x == f for x, f in (row.split(",")
+                                                     for row in out.splitlines()[1:])),
+                 id="lebesgue-diagonal-16"),
+]
+
+
+class TestOutputChecks:
+    """Printed results pinned by one check of their stdout each."""
+
+    @pytest.mark.parametrize("argv,env,check", OUTPUT_CHECKS)
+    def test_stdout(self, argv, env, check):
+        if env is None:
+            code, out, err = capture(argv)
+        else:
+            proc = subprocess.run([sys.executable, "-m", "cantor_measures", *argv],
+                                  capture_output=True, text=True, timeout=10,
+                                  env={**child_env(), **env})
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        assert (code, err) == (0, "")
+        assert check(out), out[-200:]
 
 
 def _values(*items: str):

@@ -501,7 +501,7 @@ class TestCertifiedRange:
         "weights,m,eps,shifted",
         [
             ("1/2,0,1/2", 200, 1e-10, False),  # broke its bound from n = 173
-            ("1/3,1/9,1/9,1/9,1/3", 3101, 2.38e-6, True),  # depth 1024, from n = 152
+            ("1/3,1/9,1/9,1/9,1/3", 3101, 2.38e-6, True),  # depth 8, from n = 152
             ("1/5,3/10,1/10,2/5", 200, 1e-9, False),  # from n = 172
             ("0,1/2,1/2,0", 200, 1e-8, True),
         ],
@@ -634,6 +634,10 @@ class TestMgfEval:
         w = parse_weights(",".join(["1/10"] * 10))
         assert sum(float(a) for a in w.weights) < 1.0
         assert mgf_eval(w, 2.0, 300) == mgf_eval(w, 2.0, 20)
+        # For |s| < 1 the stop test floored its threshold to 0 and let about
+        # 20 such factors in: M(0) read 0.99999999999999789.
+        for s in (0.0, 1e-300):
+            assert [mgf_eval(w, s, depth) for depth in (1, 30, 10**9)] == [1.0] * 3
 
     @pytest.mark.parametrize("s", [1e6, 1400.0])
     def test_overflow_is_a_domain_error(self, s):
